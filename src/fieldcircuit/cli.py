@@ -26,8 +26,6 @@ EXIT_NUMERICAL = 4
 
 def _add_common(parser):
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the run manifest")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-matrices",
                            help="assemble a geometry and write Matrix "
-                                "Market files")
+                                "Market files plus one stranded model "
+                                "directory per winding")
     p_exp.add_argument("geometry")
     p_exp.add_argument("out_dir")
     p_exp.add_argument("--mesh-h", type=float, default=1.0e-3)
@@ -146,7 +145,6 @@ def _cmd_simulate(args) -> int:
         "t_end_s": float(t_end),
         "states": system.partition.n,
         "models": ",".join(sorted(models)) if models else "none",
-        "seed": args.seed,
         "H_final_J": float(traj.hamiltonians[-1]),
         "E_in_final_J": float(traj.supplied_cum[-1]),
         "D_cum_final_J": float(traj.dissipated_cum[-1]),
@@ -161,9 +159,7 @@ def _cmd_oscillator(args) -> int:
         tau=args.tau, t_end=args.tend, method=args.method,
         mesh_h=args.mesh_h, turns=args.turns, v0=args.v0, i0=args.i0)
     report = experiments.run_oscillator(cfg, out_dir=args.out or "osc-out")
-    entries = report.summary_entries()
-    entries["seed"] = args.seed
-    print(serialization.format_run_summary(entries), end="")
+    print(serialization.format_run_summary(report.summary_entries()), end="")
     _print_files(report.files)
     return EXIT_OK
 
@@ -175,9 +171,7 @@ def _cmd_index2(args) -> int:
     report = experiments.run_index2(cfg, out_dir=args.out or "index2-out",
                                     amplitude=args.amplitude,
                                     freq_hz=args.freq)
-    entries = report.summary_entries()
-    entries["seed"] = args.seed
-    print(serialization.format_run_summary(entries), end="")
+    print(serialization.format_run_summary(report.summary_entries()), end="")
     _print_files(report.files)
     return EXIT_OK
 
@@ -237,6 +231,11 @@ def _cmd_export_matrices(args) -> int:
         path = os.path.join(args.out_dir, f"X_{tag}.mtx")
         serialization.write_matrix(path, col_red.reshape(-1, 1))
         files.append(path)
+        # a lossless stranded model per winding, loadable by simulate --models
+        model_dir = os.path.join(args.out_dir, tag)
+        conductors.save_model(conductors.StrandedModel(
+            m_red, k_red, col_red[:, None], np.zeros((1, 1))), model_dir)
+        files.append(model_dir)
     mesh_path = os.path.join(args.out_dir, "mesh.txt")
     fem.write_mesh(mesh, mesh_path)
     files.append(mesh_path)

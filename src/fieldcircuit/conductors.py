@@ -26,7 +26,6 @@ from fieldcircuit.structure import (
     Partition,
     StructureError,
     as_block,
-    max_abs,
     to_csr,
     to_dense,
 )
@@ -98,7 +97,7 @@ class SolidModel:
         n_sol = self.n_sol
         object.__setattr__(self, "G_sol", as_block(self.G_sol, (n_sol, n_sol), "G_sol"))
         _check_sym_psd(self.G_sol, "G_sol")
-        gram = to_dense(self.X_sol).T @ (to_csr(self.M_sigma) @ to_dense(self.X_sol))
+        gram = to_dense(self.X_sol).T @ (self.M_sigma @ to_dense(self.X_sol))
         scale = max(float(np.max(np.abs(gram))), 1e-300)
         if np.max(np.abs(gram - to_dense(self.G_sol))) > 1e-8 * scale:
             raise StructureError(
@@ -176,10 +175,10 @@ def stranded_system(model: StrandedModel) -> EnergySystem:
     """State (a, i_str); input winding voltages; output winding currents."""
     n_w, n_str = model.n_w, model.n_str
     n = n_w + n_str
-    x = to_csr(model.X_str)
+    x = model.X_str
     j = sp.bmat([[None, x], [-x.T, None]], format="csr")
     j.resize((n, n))
-    r = sp.block_diag((to_csr(model.M_sigma), to_csr(model.R_str)), format="csr")
+    r = sp.block_diag((model.M_sigma, model.R_str), format="csr")
     b = sp.vstack([sp.csr_array((n_w, n_str)),
                    sp.identity(n_str, format="csr")], format="csr")
     labels = _field_labels(n_w) + tuple(f"i_str{k}" for k in range(n_str))
@@ -194,10 +193,10 @@ def stranded_system(model: StrandedModel) -> EnergySystem:
 def solid_system(model: SolidModel) -> EnergySystem:
     """State (a, v_sol); input source currents; output contact voltages."""
     n_w, n_sol = model.n_w, model.n_sol
-    m_sig = to_csr(model.M_sigma)
+    m_sig = model.M_sigma
     chi = to_dense(model.X_sol)
     mx = sp.csr_array(m_sig @ chi)
-    r = sp.bmat([[m_sig, -mx], [-mx.T, to_csr(model.G_sol)]], format="csr")
+    r = sp.bmat([[m_sig, -mx], [-mx.T, model.G_sol]], format="csr")
     b = sp.vstack([sp.csr_array((n_w, n_sol)),
                    sp.identity(n_sol, format="csr")], format="csr")
     n = n_w + n_sol
@@ -220,10 +219,10 @@ def foil_system(model: FoilModel) -> EnergySystem:
         [None, sp.csr_array((n_p, n_p)), c_col],
         [None, -c_col.T, sp.csr_array((1, 1))],
     ], format="csr")
-    x = to_csr(model.X_foil)
+    x = model.X_foil
     r = sp.bmat([
-        [to_csr(model.M_sigma), -x, None],
-        [-x.T, to_csr(model.G_foil), None],
+        [model.M_sigma, -x, None],
+        [-x.T, model.G_foil, None],
         [None, None, sp.csr_array((1, 1))],
     ], format="csr")
     b = sp.csr_array(([1.0], ([n - 1], [0])), shape=(n, 1))
@@ -290,7 +289,7 @@ def solid_from_mesh(mesh, materials: dict, tag: str) -> SolidModel:
     _, chi_full = fem.assemble_solid_column(mesh, tag, m_sigma=m_full)
     m_sig = fem.reduce_matrix(m_full, free)
     chi = fem.reduce_vector(chi_full, free)[:, None]
-    g = chi.T @ (to_csr(m_sig) @ chi)
+    g = chi.T @ (m_sig @ chi)
     return SolidModel(m_sig, k_nu, chi, 0.5 * (g + g.T))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from fieldcircuit import conductors as cond_mod
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import IncidenceSet, Netlist, input_stack
-from fieldcircuit.structure import EnergySystem, StructureError, matvec, to_dense
+from fieldcircuit.structure import EnergySystem, StructureError, to_dense
 from fieldcircuit.waveforms import Constant, WaveformStack
 
 _KIND_OF_MODEL = {
@@ -227,7 +227,7 @@ def verify_coupling_identities(layout: CouplingLayout, models, binding: PortBind
             elif isinstance(model, cond_mod.SolidModel):
                 chi = to_dense(model.X_sol)
                 row = (to_dense(model.G_sol) @ z3_mid
-                       - chi.T @ matvec(model.M_sigma, a_dot))
+                       - chi.T @ (model.M_sigma @ a_dot))
                 lhs = row[port.column]
                 jv_mid = mid[layout.circuit_z3]
                 rhs = jv_mid[port.circuit_index - b_i]

@@ -24,8 +24,8 @@ from fieldcircuit.structure import (
     Partition,
     StructureError,
     hamiltonian,
-    matvec,
-    to_csr,
+    quadratic_forms,
+    row_dots,
     to_dense,
 )
 from fieldcircuit.waveforms import WaveformStack, zero_input
@@ -56,9 +56,8 @@ def to_linear_dae(sys: EnergySystem) -> LinearDae:
         −(J−R)₃₁ ż1               = (J−R)₃₂ S z2 + (J−R)₃₃ z3 + B₃ u
     """
     p = sys.partition
-    n1, n2, n3, m = p.n1, p.n2, p.n3, p.m
-    jr = to_csr(sys.J) - to_csr(sys.R)
-    s_mat = to_csr(sys.S)
+    n1, n2, n3 = p.n1, p.n2, p.n3
+    jr = sys.J - sys.R
     i1 = slice(0, n1)
     i2 = slice(n1, n1 + n2)
     i3 = slice(n1 + n2, p.n)
@@ -69,24 +68,18 @@ def to_linear_dae(sys: EnergySystem) -> LinearDae:
     zeros = sp.csr_array
     e_rows = [
         [blk(i1, i1), zeros((n1, n2)), zeros((n1, n3))],
-        [-blk(i2, i1), to_csr(sys.E), zeros((n2, n3))],
+        [-blk(i2, i1), sys.E, zeros((n2, n3))],
         [-blk(i3, i1), zeros((n3, n2)), zeros((n3, n3))],
     ]
     a_rows = [
-        [to_csr(sys.M1), -blk(i1, i2) @ s_mat, -blk(i1, i3)],
-        [zeros((n2, n1)), blk(i2, i2) @ s_mat, blk(i2, i3)],
-        [zeros((n3, n1)), blk(i3, i2) @ s_mat, blk(i3, i3)],
+        [sys.M1, -blk(i1, i2) @ sys.S, -blk(i1, i3)],
+        [zeros((n2, n1)), blk(i2, i2) @ sys.S, blk(i2, i3)],
+        [zeros((n3, n1)), blk(i3, i2) @ sys.S, blk(i3, i3)],
     ]
-    b_csr = to_csr(sys.B)
-    b_rows = [-sp.csr_array(b_csr[i1]), sp.csr_array(b_csr[i2]), sp.csr_array(b_csr[i3])]
-
-    e_dae = sp.csr_array(sp.bmat(e_rows, format="csr")) if p.n else sp.csr_array((0, 0))
-    a_dae = sp.csr_array(sp.bmat(a_rows, format="csr")) if p.n else sp.csr_array((0, 0))
-    if p.n:
-        b_dae = sp.csr_array(sp.vstack(b_rows, format="csr"))
-    else:
-        b_dae = sp.csr_array((0, m))
-    return LinearDae(e_dae, a_dae, b_dae, p)
+    b_rows = [-sys.B[i1], sys.B[i2], sys.B[i3]]
+    return LinearDae(sp.csr_array(sp.bmat(e_rows, format="csr")),
+                     sp.csr_array(sp.bmat(a_rows, format="csr")),
+                     sp.csr_array(sp.vstack(b_rows, format="csr")), p)
 
 
 # ---------------------------------------------------------------------------
@@ -190,54 +183,24 @@ class _StageSolver:
 
     def __init__(self, mat, context: str):
         self._context = context
-        n = mat.shape[0]
-        self._n = n
-        if n == 0:
-            self._mat = None
-            return
-        if sp.issparse(mat) and n >= 64:
-            self._mat = sp.csr_array(mat)
-            try:
-                self._lu = spla.splu(sp.csc_matrix(mat))
-            except RuntimeError as exc:
-                raise NumericalError(
-                    f"singular stage matrix ({context}); the matrix pencil may "
-                    f"be irregular or the model inconsistent") from exc
-            self._dense = False
-        else:
-            dense = to_dense(mat)
-            lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-            if np.min(np.abs(np.diag(lu))) == 0.0:
-                raise NumericalError(
-                    f"singular stage matrix ({context}); the matrix pencil may "
-                    f"be irregular or the model inconsistent")
-            self._mat = dense
-            self._lu = (lu, piv)
-            self._dense = True
-        self._row_scale = self._inf_norm(self._mat)
-
-    @staticmethod
-    def _inf_norm(mat) -> float:
-        if sp.issparse(mat):
-            return float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
-        return float(np.abs(mat).sum(axis=1).max()) if mat.size else 0.0
-
-    def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._dense:
-            return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-        return self._lu.solve(rhs)
+        self._mat = sp.csr_array(mat)
+        try:
+            self._lu = spla.splu(sp.csc_matrix(mat))
+        except RuntimeError as exc:
+            raise NumericalError(
+                f"singular stage matrix ({context}); the matrix pencil may "
+                f"be irregular or the model inconsistent") from exc
+        self._row_scale = float(abs(self._mat).sum(axis=1).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._n == 0:
-            return np.zeros(0)
-        x = self._raw_solve(rhs)
+        x = self._lu.solve(rhs)
         for _ in range(2):
             r = rhs - self._mat @ x
             bound = 32.0 * _EPS * (np.linalg.norm(rhs, np.inf)
                                    + self._row_scale * np.linalg.norm(x, np.inf))
             if np.linalg.norm(r, np.inf) <= bound:
                 break
-            x = x + self._raw_solve(r)
+            x = x + self._lu.solve(r)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
@@ -260,55 +223,25 @@ def step_midpoint(sys: EnergySystem, z_k: np.ndarray, u_mid: np.ndarray,
     y_mid is the discrete port output Bᵀ [(z1⁺−z1)/τ; S z2_mid; z3_mid] that
     enters the exact discrete power balance.
     """
-    if tau <= 0:
-        raise StructureError("tau must be positive")
-    dae = to_linear_dae(sys)
-    lhs, rhs = _midpoint_matrices(dae, tau)
-    solver = _StageSolver(lhs, "midpoint step")
     u_mid = np.asarray(u_mid, dtype=np.float64)
-    z_k = np.asarray(z_k, dtype=np.float64)
-    z_next = solver.solve(rhs @ z_k + tau * matvec(dae.B_dae, u_mid))
-    y_mid = _discrete_output(sys, z_k, z_next, tau)
-    return z_next, y_mid
-
-
-def _discrete_flow(sys: EnergySystem, z_k: np.ndarray, z_next: np.ndarray,
-                   tau: float) -> np.ndarray:
-    """w at the step midpoint: [(z1⁺−z1)/τ; S z2_mid; z3_mid]."""
-    p = sys.partition
-    z_mid = 0.5 * (z_k + z_next)
-    _, z2m, z3m = p.split(z_mid)
-    d1 = (z_next[: p.n1] - z_k[: p.n1]) / tau
-    return np.concatenate([d1, matvec(sys.S, z2m), z3m])
-
-
-def _discrete_output(sys: EnergySystem, z_k, z_next, tau) -> np.ndarray:
-    return matvec(sys.B.T, _discrete_flow(sys, z_k, z_next, tau))
+    traj = simulate(sys, z_k, lambda t: u_mid, tau, tau, "midpoint")
+    return traj.states[1], traj.outputs[1]
 
 
 def step_irk(dae: LinearDae, method, z_k: np.ndarray, u, t_k: float,
              tau: float) -> np.ndarray:
-    """One step of a tableau method on E_dae ẋ = A_dae x + B_dae u.
+    """One step of a one-step method on E_dae ẋ = A_dae x + B_dae u.
 
-    `u` is an evaluable waveform.  The trapezoidal tag is stepped with the
-    endpoint formula (its tableau has an explicit first stage, which a
-    singular E_dae cannot evaluate); implicit_euler reduces to the classical
-    one-stage formula through the generic stage system.
+    `u` is an evaluable waveform.  The step is the one `simulate` takes:
+    trapezoidal uses the endpoint formula (its tableau has an explicit first
+    stage, which a singular E_dae cannot evaluate), Gauss-4 and Radau IIA the
+    stacked stage system.
     """
     method = method_from_tag(method)
     if method.tag == "bdf2":
         raise StructureError("bdf2 is a multistep scheme; use simulate()")
     z_k = np.asarray(z_k, dtype=np.float64)
-    if method.tag == "trapezoidal":
-        lhs = dae.E_dae - (tau / 2.0) * dae.A_dae
-        rhs = dae.E_dae + (tau / 2.0) * dae.A_dae
-        solver = _StageSolver(lhs, "trapezoidal step")
-        u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-        return solver.solve(rhs @ z_k + tau * matvec(dae.B_dae, u_avg))
-    mat = _stacked_stage_matrix(dae, method, tau)
-    solver = _StageSolver(mat, f"{method.tag} step")
-    k = solver.solve(_stacked_rhs(dae, method, z_k, u, t_k, tau))
-    return _apply_stages(dae, method, z_k, k, tau)
+    return _make_stepper(dae, method, tau)(0, z_k, None, t_k, u)
 
 
 def _stacked_stage_matrix(dae: LinearDae, method: Method, tau: float):
@@ -324,7 +257,7 @@ def _stacked_rhs(dae: LinearDae, method: Method, z_k, u, t_k, tau):
     parts = []
     for ci in method.c:
         ui = np.asarray(u(t_k + float(ci) * tau), dtype=np.float64)
-        parts.append(ax + matvec(dae.B_dae, ui))
+        parts.append(ax + dae.B_dae @ ui)
     return np.concatenate(parts)
 
 
@@ -386,7 +319,8 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
 
     tau must divide t_end − t0.  Identical inputs produce bit-identical
     trajectories: stepping is sequential and every stage matrix is factorized
-    exactly once.
+    exactly once.  The loop only steps; energies and outputs are evaluated
+    afterwards from the stored states, all steps at once.
     """
     method = method_from_tag(method)
     if tau <= 0:
@@ -403,43 +337,51 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     if z0.shape != (p.n,):
         raise StructureError(f"z0: expected length {p.n}, got {z0.shape}")
     u = _resolve_input(u, p.m)
-    dae = to_linear_dae(sys)
+    stepper = _make_stepper(to_linear_dae(sys), method, tau)
 
     times = t0 + tau * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, p.n))
-    outputs = np.zeros((n_steps + 1, p.m))
-    hams = np.empty(n_steps + 1)
-    d_cum = np.zeros(n_steps + 1)
-    s_cum = np.zeros(n_steps + 1)
     states[0] = z0
-    hams[0] = hamiltonian(sys, z0)
-
-    stepper = _make_stepper(dae, method, tau)
-
-    z = z0
     for k in range(n_steps):
-        t_k = times[k]
         try:
-            z_next = stepper(k, z, states, t_k, u)
+            states[k + 1] = stepper(k, states[k], states, times[k], u)
         except NumericalError as exc:
-            raise NumericalError(f"step {k + 1} at t = {t_k}: {exc}") from exc
-        w_mid = _discrete_flow(sys, z, z_next, tau)
-        y_mid = matvec(sys.B.T, w_mid)
-        if method.tag == "trapezoidal":
-            u_step = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-        else:
-            u_step = np.asarray(u(t_k + 0.5 * tau), dtype=np.float64)
-        diss = float(w_mid @ matvec(sys.R, w_mid))
-        supply = float(y_mid @ u_step)
-        states[k + 1] = z_next
-        outputs[k + 1] = y_mid
-        hams[k + 1] = hamiltonian(sys, z_next)
-        d_cum[k + 1] = d_cum[k] + tau * diss
-        s_cum[k + 1] = s_cum[k] + tau * supply
-        z = z_next
+            raise NumericalError(f"step {k + 1} at t = {times[k]}: {exc}") from exc
 
-    return Trajectory(times, states, outputs, hams, d_cum, s_cum,
-                      sys.default_state_labels(), sys.default_output_labels())
+    outputs, d_cum, s_cum = _energy_bookkeeping(sys, states, times, u, tau,
+                                                method)
+    return Trajectory(times, states, outputs, hamiltonian(sys, states),
+                      d_cum, s_cum, sys.default_state_labels(),
+                      sys.default_output_labels())
+
+
+def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
+                        times: np.ndarray, u, tau: float, method: Method):
+    """Port outputs and cumulative dissipated and supplied energy of a whole
+    trajectory, from its stored states.
+
+    Step k contributes τ wᵀRw and τ⟨y, u_k⟩ with the discrete flow
+    w = [(z1⁺−z1)/τ; S z2_mid; z3_mid] and y = Bᵀw; u_k is the input the
+    scheme used: the endpoint average for trapezoidal, the midpoint value
+    otherwise.
+    """
+    p = sys.partition
+    z_mid = 0.5 * (states[:-1] + states[1:])
+    w = np.hstack([(states[1:, : p.n1] - states[:-1, : p.n1]) / tau,
+                   (sys.S @ z_mid[:, p.n1 : p.n1 + p.n2].T).T,
+                   z_mid[:, p.n1 + p.n2 :]])
+    y = (sys.B.T @ w.T).T
+    if method.tag == "trapezoidal":
+        u_step = [0.5 * (np.asarray(u(t)) + np.asarray(u(t + tau)))
+                  for t in times[:-1]]
+    else:
+        u_step = [u(t + 0.5 * tau) for t in times[:-1]]
+    u_step = np.asarray(u_step, dtype=np.float64)
+    zero = np.zeros(1)
+    outputs = np.vstack([np.zeros((1, p.m)), y])
+    d_cum = np.concatenate([zero, np.cumsum(tau * quadratic_forms(sys.R, w))])
+    s_cum = np.concatenate([zero, np.cumsum(tau * row_dots(y, u_step))])
+    return outputs, d_cum, s_cum
 
 
 def _make_stepper(dae: LinearDae, method: Method, tau: float):
@@ -451,11 +393,11 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
         if method.tag == "midpoint":
             def step(k, z, states, t_k, u):
                 u_mid = np.asarray(u(t_k + 0.5 * tau), dtype=np.float64)
-                return solver.solve(rhs @ z + tau * matvec(dae.B_dae, u_mid))
+                return solver.solve(rhs @ z + tau * (dae.B_dae @ u_mid))
         else:
             def step(k, z, states, t_k, u):
                 u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-                return solver.solve(rhs @ z + tau * matvec(dae.B_dae, u_avg))
+                return solver.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
         return step
 
     if method.tag == "implicit_euler":
@@ -464,7 +406,7 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
 
         def step(k, z, states, t_k, u):
             u_next = np.asarray(u(t_k + tau), dtype=np.float64)
-            return solver.solve(dae.E_dae @ z + tau * matvec(dae.B_dae, u_next))
+            return solver.solve(dae.E_dae @ z + tau * (dae.B_dae @ u_next))
         return step
 
     if method.tag == "bdf2":
@@ -477,11 +419,11 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
         def step(k, z, states, t_k, u):
             if k == 0:
                 u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-                return trap.solve(rhs @ z + tau * matvec(dae.B_dae, u_avg))
+                return trap.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
             z_prev = states[k - 1]
             u_next = np.asarray(u(t_k + tau), dtype=np.float64)
             return solver.solve(dae.E_dae @ (4.0 * z - z_prev)
-                                + 2.0 * tau * matvec(dae.B_dae, u_next))
+                                + 2.0 * tau * (dae.B_dae @ u_next))
         return step
 
     # fully implicit Runge-Kutta through the stacked stage system
@@ -503,10 +445,8 @@ def default_pinned_mask(sys: EnergySystem) -> np.ndarray:
     p = sys.partition
     mask = np.zeros(p.n, dtype=bool)
     mask[: p.n1] = True
-    if p.n2:
-        e_dense = to_dense(sys.E)
-        col_seen = np.any(e_dense != 0.0, axis=0)
-        mask[p.n1 : p.n1 + p.n2] = col_seen
+    e_cols = sys.E.indices[sys.E.data != 0.0]
+    mask[p.n1 + e_cols] = True
     return mask
 
 

@@ -21,7 +21,6 @@ from fieldcircuit.structure import (
     fro_norm,
     max_abs,
     min_sym_eig,
-    to_csr,
 )
 
 _TOL_SPEC = 1e-10
@@ -29,10 +28,11 @@ _TOL_SPEC = 1e-10
 
 @dataclass(frozen=True)
 class InterconnectionSpec:
-    """Coupling matrices acting on the stacked outputs of two subsystems."""
+    """Coupling matrices acting on the stacked outputs of two subsystems,
+    held as float64 CSR arrays like the blocks of an EnergySystem."""
 
-    F_skew: np.ndarray
-    F_sym: np.ndarray
+    F_skew: object
+    F_sym: object
     residual_input_dim: int
 
     def __post_init__(self):
@@ -68,11 +68,7 @@ def permute_to_partition_order(p_a: Partition, p_b: Partition) -> np.ndarray:
 
 
 def _block_diag(a, b):
-    if a.shape[0] == 0 and a.shape[1] == 0:
-        return b
-    if b.shape[0] == 0 and b.shape[1] == 0:
-        return a
-    return sp.block_diag([to_csr(a), to_csr(b)], format="csr")
+    return sp.block_diag([a, b], format="csr")
 
 
 def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
@@ -90,8 +86,7 @@ def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
             f"interconnection spec sized for {spec.residual_input_dim} ports, "
             f"subsystems expose {m}")
 
-    f_skew = np.asarray(spec.F_skew, dtype=np.float64)
-    f_sym = np.asarray(spec.F_sym, dtype=np.float64)
+    f_skew, f_sym = spec.F_skew, spec.F_sym
     skew_defect = max_abs(f_skew + f_skew.T)
     if skew_defect > _TOL_SPEC * max(fro_norm(f_skew), 1.0):
         raise StructureError(f"F_skew is not skew-symmetric, defect {skew_defect:.3e}")
@@ -103,19 +98,9 @@ def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
         raise StructureError(f"F_sym is not PSD, min eigenvalue {min_eig:.3e}")
 
     perm = permute_to_partition_order(p_a, p_b)
-    n = p_a.n + p_b.n
-
-    b_cat = _block_diag(sys_a.B, sys_b.B) if n else sp.csr_array((0, m))
-    b_cat = to_csr(b_cat) if not sp.issparse(b_cat) else b_cat
-    j_cat = _block_diag(sys_a.J, sys_b.J)
-    r_cat = _block_diag(sys_a.R, sys_b.R)
-    j_cat = to_csr(j_cat) + b_cat @ sp.csr_array(f_skew) @ b_cat.T
-    r_cat = to_csr(r_cat) + b_cat @ sp.csr_array(f_sym) @ b_cat.T
-
-    ix = np.ix_(perm, perm)
-    j_new = to_csr(j_cat).toarray()[ix] if n < 400 else to_csr(j_cat)[perm][:, perm]
-    r_new = to_csr(r_cat).toarray()[ix] if n < 400 else to_csr(r_cat)[perm][:, perm]
-    b_new = b_cat.toarray()[perm] if n < 400 else b_cat[perm]
+    b_cat = _block_diag(sys_a.B, sys_b.B)
+    j_cat = _block_diag(sys_a.J, sys_b.J) + b_cat @ f_skew @ b_cat.T
+    r_cat = _block_diag(sys_a.R, sys_b.R) + b_cat @ f_sym @ b_cat.T
 
     labels = None
     if sys_a.state_labels is not None or sys_b.state_labels is not None:
@@ -130,9 +115,9 @@ def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
     return EnergySystem(
         partition=part,
         E=_block_diag(sys_a.E, sys_b.E),
-        J=j_new,
-        R=r_new,
-        B=b_new,
+        J=j_cat[perm][:, perm],
+        R=r_cat[perm][:, perm],
+        B=b_cat[perm],
         M1=_block_diag(sys_a.M1, sys_b.M1),
         M2=_block_diag(sys_a.M2, sys_b.M2),
         S=_block_diag(sys_a.S, sys_b.S),

@@ -8,6 +8,11 @@ dynamic states z2 behind a possibly singular mass matrix E (energy
 
 with skew J, symmetric positive semi-definite R and the compatibility
 condition Eᵀ S = M2.  All blocks are real and constant.
+
+Storage contract: every block of an EnergySystem is a float64
+`scipy.sparse.csr_array`, whatever its size.  Dense arrays appear only inside
+local helpers that densify one small block for one algorithm (a dense
+eigensolve, a dense factorization), never in the system itself.
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-# Blocks whose largest dimension reaches this bound are held in CSR form;
-# anything smaller stays a dense ndarray.
-DENSE_LIMIT = 64
 
 # Dense eigenvalue routines are used for PSD checks up to this size.
 EIG_DENSE_LIMIT = 2000
@@ -35,30 +36,25 @@ class NumericalError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# block helpers (mixed dense / CSR storage)
+# block helpers
 # ---------------------------------------------------------------------------
 
-def as_block(X, shape, name: str):
-    """Normalize a matrix block to float64 dense (small) or CSR (large).
+def as_block(X, shape, name: str) -> sp.csr_array:
+    """Copy a matrix block, dense or sparse, into a canonical float64 CSR
+    array (sorted indices, no duplicate entries).
 
-    Raises StructureError naming the block when the shape disagrees.
+    A 1-d input is read as a column.  Raises StructureError naming the block
+    when the shape disagrees.
     """
-    if sp.issparse(X):
-        if X.shape != shape:
-            raise StructureError(
-                f"block {name}: expected shape {shape}, got {X.shape}")
-        X = sp.csr_array(X).astype(np.float64)
-        if max(shape, default=0) < DENSE_LIMIT:
-            return X.toarray()
-        return X
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    if not sp.issparse(X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:
+            X = X.reshape(-1, 1)
     if X.shape != shape:
         raise StructureError(
             f"block {name}: expected shape {shape}, got {X.shape}")
-    if max(shape, default=0) >= DENSE_LIMIT:
-        return sp.csr_array(X)
+    X = sp.csr_array(X).astype(np.float64)
+    X.sum_duplicates()
     return X
 
 
@@ -66,32 +62,36 @@ def to_dense(X) -> np.ndarray:
     return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 
 
-def to_csr(X):
-    return sp.csr_array(X) if not sp.issparse(X) else sp.csr_array(X)
-
-
-def matvec(X, v: np.ndarray) -> np.ndarray:
-    """X @ v with empty-dimension guards (scipy is picky about 0-size operands)."""
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    if X.shape[1] == 0:
-        return np.zeros(X.shape[0])
-    return X @ v
+def to_csr(X) -> sp.csr_array:
+    return sp.csr_array(X)
 
 
 def max_abs(X) -> float:
     """Largest absolute entry; 0 for empty blocks."""
-    if sp.issparse(X):
-        return float(abs(X).max()) if X.nnz else 0.0
-    X = np.asarray(X)
-    return float(np.max(np.abs(X))) if X.size else 0.0
+    X = to_csr(X)
+    return float(abs(X).max()) if X.nnz else 0.0
 
 
 def fro_norm(X) -> float:
-    if sp.issparse(X):
-        return float(spla.norm(X)) if X.nnz else 0.0
-    X = np.asarray(X)
-    return float(np.linalg.norm(X)) if X.size else 0.0
+    return float(spla.norm(to_csr(X)))
+
+
+def quadratic_forms(A, X: np.ndarray) -> np.ndarray:
+    """xᵀ A x for every row x of the stack X, one value per row.
+
+    A single row goes through the same arithmetic as a stack, so an energy
+    evaluated once per state equals the one evaluated for the whole
+    trajectory to the bit.  Rows are taken in blocks of about 1 MB so the
+    operands of each sparse product stay in cache.
+    """
+    rows = max(1, (1 << 17) // max(X.shape[1], 1))
+    return np.concatenate([row_dots(x, (A @ x.T).T)
+                           for x in np.split(X, range(rows, len(X), rows))])
+
+
+def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """⟨x_k, y_k⟩ for every pair of rows of two equally shaped stacks."""
+    return np.sum(np.ascontiguousarray(X) * np.ascontiguousarray(Y), axis=1)
 
 
 def min_sym_eig(R, shift: float = 0.0) -> float:
@@ -266,13 +266,10 @@ def validate(sys: EnergySystem, tol_skew: float = 1e-10,
     Tolerances are relative to the Frobenius norm of the checked block.
     """
     J, R = sys.J, sys.R
-    skew_defect = max_abs(J + J.T) if J.shape[0] else 0.0
-    sym_defect = max_abs(R - R.T) if R.shape[0] else 0.0
+    skew_defect = max_abs(J + J.T)
+    sym_defect = max_abs(R - R.T)
     min_R = min_sym_eig(R, shift=tol_psd * fro_norm(R))
-    if sys.partition.n2:
-        effort_defect = max_abs(to_csr(sys.E).T @ to_csr(sys.S) - to_csr(sys.M2))
-    else:
-        effort_defect = 0.0
+    effort_defect = max_abs(sys.E.T @ sys.S - sys.M2)
     ok = (
         skew_defect <= tol_skew * fro_norm(J)
         and sym_defect <= tol_skew * fro_norm(R)
@@ -282,15 +279,21 @@ def validate(sys: EnergySystem, tol_skew: float = 1e-10,
     return ValidationReport(skew_defect, sym_defect, min_R, effort_defect, bool(ok))
 
 
-def hamiltonian(sys: EnergySystem, z: np.ndarray) -> float:
-    """Stored energy ½ z1ᵀ M1 z1 + ½ z2ᵀ M2 z2; z3 carries none."""
-    z1, z2, _ = sys.partition.split(z)
-    h = 0.0
-    if z1.size:
-        h += 0.5 * float(z1 @ matvec(sys.M1, z1))
-    if z2.size:
-        h += 0.5 * float(z2 @ matvec(sys.M2, z2))
-    return h
+def hamiltonian(sys: EnergySystem, z: np.ndarray):
+    """Stored energy ½ z1ᵀ M1 z1 + ½ z2ᵀ M2 z2; z3 carries none.
+
+    z is one state of length n (returns a float) or a stack of states, one
+    per row (returns one energy per row).
+    """
+    p = sys.partition
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (1, 2) or z.shape[-1] != p.n:
+        raise StructureError(
+            f"state vector: expected length {p.n} or rows of it, got {z.shape}")
+    zs = np.atleast_2d(z)
+    z1, z2 = zs[:, : p.n1], zs[:, p.n1 : p.n1 + p.n2]
+    h = 0.5 * quadratic_forms(sys.M1, z1) + 0.5 * quadratic_forms(sys.M2, z2)
+    return float(h[0]) if z.ndim == 1 else h
 
 
 def effort_flow(sys: EnergySystem, zdot1: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -300,7 +303,7 @@ def effort_flow(sys: EnergySystem, zdot1: np.ndarray, z: np.ndarray) -> np.ndarr
         raise StructureError(
             f"zdot1: expected length {sys.partition.n1}, got {zdot1.shape}")
     _, z2, z3 = sys.partition.split(z)
-    return np.concatenate([zdot1, matvec(sys.S, z2), z3])
+    return np.concatenate([zdot1, sys.S @ z2, z3])
 
 
 def dae_residual(sys: EnergySystem, z: np.ndarray, zdot: np.ndarray,
@@ -316,14 +319,14 @@ def dae_residual(sys: EnergySystem, z: np.ndarray, zdot: np.ndarray,
         raise StructureError(f"u: expected length {p.m}, got {u.shape}")
     zdot1, zdot2, _ = p.split(zdot)
     w = effort_flow(sys, zdot1, z)
-    lhs = np.concatenate([matvec(sys.M1, z1), matvec(sys.E, zdot2), np.zeros(p.n3)])
-    return lhs - (matvec(sys.J, w) - matvec(sys.R, w)) - matvec(sys.B, u)
+    lhs = np.concatenate([sys.M1 @ z1, sys.E @ zdot2, np.zeros(p.n3)])
+    return lhs - (sys.J @ w - sys.R @ w) - sys.B @ u
 
 
 def output(sys: EnergySystem, zdot1: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Port output y = Bᵀ [ż1; S z2; z3]."""
     w = effort_flow(sys, zdot1, z)
-    return matvec(sys.B.T, w)
+    return sys.B.T @ w
 
 
 def power_terms(sys: EnergySystem, zdot1: np.ndarray, z: np.ndarray,
@@ -336,7 +339,7 @@ def power_terms(sys: EnergySystem, zdot1: np.ndarray, z: np.ndarray,
     if u.shape != (sys.partition.m,):
         raise StructureError(f"u: expected length {sys.partition.m}, got {u.shape}")
     w = effort_flow(sys, zdot1, z)
-    dissipation = float(w @ matvec(sys.R, w))
-    y = matvec(sys.B.T, w)
+    dissipation = float(w @ (sys.R @ w))
+    y = sys.B.T @ w
     supply = float(y @ u)
     return dissipation, supply

@@ -140,6 +140,33 @@ def test_export_matrices(tmp_path):
     assert x.shape == (k.shape[0], 1)
 
 
+def test_export_matrices_then_simulate(tmp_path):
+    # the documented workflow: geometry -> export-matrices -> simulate --models
+    geo = tmp_path / "g.geo"
+    geo.write_text("rect air 0 10 -10 10\n"
+                   "rect coil 4 6 -4 4\n"
+                   "material coil 1 0\n"
+                   "winding coil 10\n", encoding="utf-8")
+    models = str(tmp_path / "mats")
+    assert cli_main(["export-matrices", str(geo), models,
+                     "--mesh-h", "2e-3"]) == EXIT_OK
+    assert os.path.isfile(os.path.join(models, "coil", "manifest"))
+    # the run starts from the zero state, so a source supplies the energy
+    p = tmp_path / "osc.cir"
+    p.write_text("FW1 0 1 stranded coil\nC1 1 0 1u\nI1 0 1 SIN 0 1m 20k\n"
+                 ".tran 1e-6 1e-4\n", encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert cli_main(["simulate", str(p), "--models", models,
+                     "--out", out]) == EXIT_OK
+    man = read_manifest(os.path.join(out, "run.manifest"))
+    _, data = read_trajectory_csv(os.path.join(out, "trajectory.csv"))
+    h0 = data[0, 1]
+    h_end, e_in, d_cum = (float(man[k]) for k in
+                          ("H_final_J", "E_in_final_J", "D_cum_final_J"))
+    assert e_in > 0.0
+    assert abs(h_end + d_cum - e_in - h0) <= 1e-8 * max(h0, e_in)
+
+
 def test_export_matrices_bad_geometry(tmp_path):
     geo = tmp_path / "bad.geo"
     geo.write_text("rect air 0 10 -10\n", encoding="utf-8")

@@ -74,7 +74,7 @@ def test_stranded_from_mesh_resistance(cond_mesh):
     assert validate(stranded_system(model)).ok
     # lossless variant has zero winding resistance
     lossless = stranded_from_mesh(cond_mesh, mats, "bar", 10.0)
-    assert np.all(lossless.R_str == 0.0)
+    assert np.all(to_dense(lossless.R_str) == 0.0)
 
 
 def test_stranded_resistance_gram_psd(rng):
