@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from fieldcircuit.structure import (
@@ -23,10 +24,10 @@ from fieldcircuit.structure import (
     NumericalError,
     Partition,
     StructureError,
+    block_rows,
     hamiltonian,
     quadratic_forms,
     row_dots,
-    to_dense,
 )
 from fieldcircuit.waveforms import WaveformStack, zero_input
 
@@ -363,23 +364,32 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
     Step k contributes τ wᵀRw and τ⟨y, u_k⟩ with the discrete flow
     w = [(z1⁺−z1)/τ; S z2_mid; z3_mid] and y = Bᵀw; u_k is the input the
     scheme used: the endpoint average for trapezoidal, the midpoint value
-    otherwise.
+    otherwise.  Steps are taken in blocks of `block_rows` states, so no
+    temporary grows with the trajectory; every step's arithmetic is the
+    same whatever block it falls in.
     """
     p = sys.partition
-    z_mid = 0.5 * (states[:-1] + states[1:])
-    w = np.hstack([(states[1:, : p.n1] - states[:-1, : p.n1]) / tau,
-                   (sys.S @ z_mid[:, p.n1 : p.n1 + p.n2].T).T,
-                   z_mid[:, p.n1 + p.n2 :]])
-    y = (sys.B.T @ w.T).T
     if method.tag == "trapezoidal":
         u_step = [0.5 * (np.asarray(u(t)) + np.asarray(u(t + tau)))
                   for t in times[:-1]]
     else:
         u_step = [u(t + 0.5 * tau) for t in times[:-1]]
     u_step = np.asarray(u_step, dtype=np.float64)
+    n_steps = len(times) - 1
+    y = np.empty((n_steps, p.m))
+    dissipated = np.empty(n_steps)
+    rows = block_rows(p.n)
+    for k in range(0, n_steps, rows):
+        blk = states[k : k + rows + 1]
+        z_mid = 0.5 * (blk[:-1] + blk[1:])
+        w = np.hstack([(blk[1:, : p.n1] - blk[:-1, : p.n1]) / tau,
+                       (sys.S @ z_mid[:, p.n1 : p.n1 + p.n2].T).T,
+                       z_mid[:, p.n1 + p.n2 :]])
+        y[k : k + rows] = (sys.B.T @ w.T).T
+        dissipated[k : k + rows] = quadratic_forms(sys.R, w)
     zero = np.zeros(1)
     outputs = np.vstack([np.zeros((1, p.m)), y])
-    d_cum = np.concatenate([zero, np.cumsum(tau * quadratic_forms(sys.R, w))])
+    d_cum = np.concatenate([zero, np.cumsum(tau * dissipated)])
     s_cum = np.concatenate([zero, np.cumsum(tau * row_dots(y, u_step))])
     return outputs, d_cum, s_cum
 
@@ -459,48 +469,47 @@ def _row_equilibrate(mat: np.ndarray, rhs: np.ndarray):
 _INIT_DENSE_LIMIT = 2500
 
 
-def _constraint_basis(dae: LinearDae):
-    """Left null space of the (row-equilibrated) leading matrix.
+def _row_max_abs(mat) -> np.ndarray:
+    """Largest absolute entry of each row of a sparse block (0 if empty)."""
+    if not mat.nnz:
+        return np.zeros(mat.shape[0])
+    return abs(mat).max(axis=1).toarray().ravel()
 
-    The algebraic constraints of E ẋ = A x + B u are vᵀ(A x + B u) = 0 for
-    every v with vᵀE = 0; zero rows of E are only a subset once the leading
-    matrix couples state blocks.  Rows are scaled to unit size first so rank
-    detection is not thrown off by mixed physical units.  Zero rows enter as
-    exact unit vectors; cross-row null directions are recovered from the
-    nonzero rows alone, and skipped when there are more than the dense limit
-    of those (enough for assembled field models, whose conductivity mass
-    vanishes outside its support).
+
+def _constraint_basis(dae: LinearDae):
+    """Sparse algebraic constraint rows (C, D): C x + D u = 0 holds on every
+    solution of E ẋ = A x + B u.
+
+    The rows are vᵀA and vᵀB for a basis of the left null space of E, taken
+    after every row of [E A B] is scaled to unit size so rank detection is
+    not thrown off by mixed physical units.  Zero rows of the scaled E give
+    unit vectors v, so their constraints are a row selection of the scaled A
+    and B.  The other rows split into connected blocks, two rows sharing a
+    block when they share a column; the left null space of E is the direct
+    sum of the blocks' null spaces, so each block gets one dense SVD on its
+    own columns, whatever the size of the system.
     """
-    e_d = sp.csr_array(dae.E_dae)
-    a_d = sp.csr_array(dae.A_dae)
-    b_d = sp.csr_array(dae.B_dae)
-    n = dae.partition.n
-    row_max = np.zeros(n)
-    for mat in (e_d, a_d, b_d):
-        m_abs = abs(mat)
-        if m_abs.nnz:
-            row_max = np.maximum(row_max, m_abs.max(axis=1).toarray().ravel())
+    row_max = np.maximum.reduce(
+        [_row_max_abs(mat) for mat in (dae.E_dae, dae.A_dae, dae.B_dae)])
     row_max[row_max == 0.0] = 1.0
     d_inv = sp.diags_array(1.0 / row_max, format="csr")
-    e_eq = sp.csr_array(d_inv @ e_d).copy()
+    e_eq = d_inv @ dae.E_dae
     e_eq.eliminate_zeros()
     zero_rows = np.flatnonzero(np.diff(e_eq.indptr) == 0)
     nz_rows = np.flatnonzero(np.diff(e_eq.indptr) != 0)
-    v_unit = np.zeros((n, zero_rows.size))
-    v_unit[zero_rows, np.arange(zero_rows.size)] = 1.0
-    # exactly-zero rows give exact basis vectors; any remaining left-null
-    # directions live on the other rows alone
-    if nz_rows.size and nz_rows.size <= _INIT_DENSE_LIMIT:
-        v_mix = scipy.linalg.null_space(to_dense(e_eq[nz_rows, :]).T)
-        v_rest = np.zeros((n, v_mix.shape[1]))
-        v_rest[nz_rows, :] = v_mix
-        v = np.hstack([v_unit, v_rest])
-    else:
-        v = v_unit
-    c_mat = v.T @ to_dense(d_inv @ a_d) if v.size else np.zeros((0, n))
-    d_mat = (v.T @ to_dense(d_inv @ b_d)
-             if v.size else np.zeros((0, dae.partition.m)))
-    return v, c_mat, d_mat
+    e_nz = e_eq[nz_rows]
+    _, labels = csgraph.connected_components(
+        sp.block_array([[None, e_nz], [e_nz.T, None]]), directed=False)
+    order = np.argsort(labels[: nz_rows.size], kind="stable")
+    null_t = [sp.eye_array(zero_rows.size)]
+    for rows in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        blk = e_nz[rows]
+        null_t.append(scipy.linalg.null_space(
+            blk[:, np.unique(blk.indices)].toarray().T).T)
+    # the columns of the block-diagonal v_t are E's rows in this order
+    rows = np.concatenate([zero_rows, nz_rows[order]])
+    v_t = sp.block_diag(null_t, format="csr")
+    return v_t @ (d_inv @ dae.A_dae)[rows], v_t @ (d_inv @ dae.B_dae)[rows]
 
 
 def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
@@ -510,12 +519,15 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
 
     differential_values is a full-length vector; only entries flagged by
     `pinned` (default: z1 and the image-of-E part of z2) are kept, the rest
-    are solved from the algebraic constraints of the linear DAE.  When those
-    do not determine all free components (hidden constraints of higher
-    index), the differentiated constraints are appended and the joint system
-    in (x_free, ẋ) is solved; `u0` may be a waveform so its derivative is
-    available for that case.  Raises when the pinned values contradict the
-    constraints.
+    are solved from the algebraic constraints of the linear DAE.  Those come
+    sparse from `_constraint_basis`; only their free columns are densified
+    for the least-squares solve.  When they do not determine all free
+    components (hidden constraints of higher index), the differentiated
+    constraints are appended and the joint system in (x_free, ẋ) is solved
+    densely, for systems up to _INIT_DENSE_LIMIT states; larger ones raise
+    NumericalError.  `u0` may be a waveform so its derivative is available
+    for that case.  Raises StructureError when the pinned values contradict
+    the constraints.
     """
     p = sys.partition
     z = np.asarray(differential_values, dtype=np.float64).copy()
@@ -538,14 +550,13 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
         raise StructureError(f"u0: expected length {p.m}, got {u_val.shape}")
 
     dae = to_linear_dae(sys)
-    _, c_mat, d_mat = _constraint_basis(dae)
+    c_mat, d_mat = _constraint_basis(dae)
     free = np.flatnonzero(~pinned)
     z[free] = 0.0
-    du = d_mat @ u_val if p.m else np.zeros(c_mat.shape[0])
 
     if free.size and c_mat.shape[0]:
-        rhs = -(c_mat @ z) - du
-        mat_eq, rhs_eq = _row_equilibrate(c_mat[:, free], rhs)
+        rhs = -(c_mat @ z) - d_mat @ u_val
+        mat_eq, rhs_eq = _row_equilibrate(c_mat[:, free].toarray(), rhs)
         sol, _, rank, _ = np.linalg.lstsq(mat_eq, rhs_eq, rcond=None)
         z[free] = sol
         if rank < free.size:
@@ -564,21 +575,14 @@ def _init_with_hidden_constraints(dae: LinearDae, z, free, u_val, u_dot,
         raise NumericalError(
             "consistent initialization with hidden constraints needs a dense "
             f"least-squares solve; system size {n} exceeds the supported bound")
-    a_d = to_dense(dae.A_dae)
-    e_d = to_dense(dae.E_dae)
-    b_d = to_dense(dae.B_dae)
-    m = dae.partition.m
     z_pin = z.copy()
     z_pin[free] = 0.0
 
     # rows: [E ẋ − A x = B u0] and [C ẋ = −D u̇0]; unknowns [x_free; ẋ]
-    top = np.hstack([-a_d[:, free], e_d])
-    bot = np.hstack([np.zeros((c_mat.shape[0], free.size)), c_mat])
-    mat = np.vstack([top, bot])
-    rhs = np.concatenate([
-        a_d @ z_pin + (b_d @ u_val if m else np.zeros(n)),
-        -(d_mat @ u_dot) if m else np.zeros(c_mat.shape[0]),
-    ])
+    mat = sp.bmat([[-dae.A_dae[:, free], dae.E_dae],
+                   [None, c_mat]]).toarray()
+    rhs = np.concatenate([dae.A_dae @ z_pin + dae.B_dae @ u_val,
+                          -(d_mat @ u_dot)])
     mat_eq, rhs_eq = _row_equilibrate(mat, rhs)
     sol, _, _, _ = np.linalg.lstsq(mat_eq, rhs_eq, rcond=None)
     out = z_pin.copy()
@@ -589,18 +593,16 @@ def _init_with_hidden_constraints(dae: LinearDae, z, free, u_val, u_dot,
 def _check_constraint_residual(c_mat, d_mat, z, u_val, tol, p):
     if c_mat.shape[0] == 0:
         return
-    res = c_mat @ z + (d_mat @ u_val if p.m else 0.0)
-    row_scale = np.max(np.abs(c_mat), axis=1) * max(np.max(np.abs(z), initial=0.0), 1.0)
-    if p.m and d_mat.size:
-        row_scale = np.maximum(
-            row_scale, np.max(np.abs(d_mat), axis=1)
-            * max(np.max(np.abs(u_val), initial=0.0), 1.0))
+    res = c_mat @ z + d_mat @ u_val
+    row_scale = np.maximum(
+        _row_max_abs(c_mat) * max(np.max(np.abs(z), initial=0.0), 1.0),
+        _row_max_abs(d_mat) * max(np.max(np.abs(u_val), initial=0.0), 1.0))
     row_scale[row_scale == 0.0] = 1.0
     rel = np.abs(res) / row_scale
-    bad = float(np.max(rel)) if rel.size else 0.0
+    bad = float(np.max(rel))
     if bad > tol:
         worst = int(np.argmax(rel))
-        dominant = int(np.argmax(np.abs(c_mat[worst])))
+        dominant = int(np.argmax(np.abs(c_mat[[worst]].toarray())))
         if dominant < p.n1:
             block = "z1 (gradient-state) components"
         elif dominant < p.n1 + p.n2:

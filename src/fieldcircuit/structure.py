@@ -81,12 +81,18 @@ def quadratic_forms(A, X: np.ndarray) -> np.ndarray:
 
     A single row goes through the same arithmetic as a stack, so an energy
     evaluated once per state equals the one evaluated for the whole
-    trajectory to the bit.  Rows are taken in blocks of about 1 MB so the
-    operands of each sparse product stay in cache.
+    trajectory to the bit.  Rows are taken in blocks of `block_rows`.
     """
-    rows = max(1, (1 << 17) // max(X.shape[1], 1))
+    rows = block_rows(X.shape[1])
     return np.concatenate([row_dots(x, (A @ x.T).T)
                            for x in np.split(X, range(rows, len(X), rows))])
+
+
+def block_rows(width: int) -> int:
+    """Rows per block when a stack of float64 rows of this width is taken
+    about 1 MB at a time, so the operands of each sparse product stay in
+    cache."""
+    return max(1, (1 << 17) // max(width, 1))
 
 
 def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -103,21 +109,26 @@ def min_sym_eig(R, shift: float = 0.0) -> float:
     spectrum is certified ≥ −shift and that bound is returned; otherwise a
     Lanczos estimate of the smallest eigenvalue is attempted.
     """
+    return _min_sym_eig(R, shift)[0]
+
+
+def _min_sym_eig(R, shift: float):
+    """min_sym_eig's value, and whether it is only the certified bound −shift."""
     n = R.shape[0]
     if n == 0:
-        return 0.0
+        return 0.0, False
     if n <= EIG_DENSE_LIMIT:
         Rs = 0.5 * (to_dense(R) + to_dense(R).T)
-        return float(np.linalg.eigvalsh(Rs)[0])
+        return float(np.linalg.eigvalsh(Rs)[0]), False
     Rs = to_csr(R)
     Rs = 0.5 * (Rs + Rs.T)
     if shift > 0.0 and _factorization_psd(Rs, shift):
-        return -shift
+        return -shift, True
     try:
         val = spla.eigsh(Rs, k=1, which="SA", return_eigenvectors=False)
-        return float(val[0])
+        return float(val[0]), False
     except Exception:
-        return float(np.linalg.eigvalsh(to_dense(Rs))[0])
+        return float(np.linalg.eigvalsh(to_dense(Rs))[0]), False
 
 
 def _factorization_psd(sym_csr, shift: float) -> bool:
@@ -236,19 +247,27 @@ class EnergySystem:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural defect magnitudes of one EnergySystem."""
+    """Structural defect magnitudes of one EnergySystem.
+
+    min_R_eig is a computed eigenvalue, or only a certified lower bound on
+    the spectrum when min_R_eig_is_bound is set (large R, see min_sym_eig).
+    """
 
     skew_defect: float
     sym_defect: float
     min_R_eig: float
     effort_defect: float
     ok: bool
+    min_R_eig_is_bound: bool = False
 
     def summary(self) -> str:
+        eig = (f"min eig of symmetrized R     >= {self.min_R_eig:.3e} "
+               "(certified lower bound)" if self.min_R_eig_is_bound else
+               f"min eig of symmetrized R      = {self.min_R_eig:.3e}")
         lines = [
             f"skew defect   |J + J^T|_max   = {self.skew_defect:.3e}",
             f"sym defect    |R - R^T|_max   = {self.sym_defect:.3e}",
-            f"min eig of symmetrized R      = {self.min_R_eig:.3e}",
+            eig,
             f"effort defect |E^T S - M2|max = {self.effort_defect:.3e}",
             f"ok = {self.ok}",
         ]
@@ -268,7 +287,7 @@ def validate(sys: EnergySystem, tol_skew: float = 1e-10,
     J, R = sys.J, sys.R
     skew_defect = max_abs(J + J.T)
     sym_defect = max_abs(R - R.T)
-    min_R = min_sym_eig(R, shift=tol_psd * fro_norm(R))
+    min_R, is_bound = _min_sym_eig(R, tol_psd * fro_norm(R))
     effort_defect = max_abs(sys.E.T @ sys.S - sys.M2)
     ok = (
         skew_defect <= tol_skew * fro_norm(J)
@@ -276,7 +295,8 @@ def validate(sys: EnergySystem, tol_skew: float = 1e-10,
         and min_R >= -tol_psd * fro_norm(R)
         and effort_defect <= tol_skew * max(fro_norm(sys.M2), fro_norm(sys.E))
     )
-    return ValidationReport(skew_defect, sym_defect, min_R, effort_defect, bool(ok))
+    return ValidationReport(skew_defect, sym_defect, min_R, effort_defect,
+                            bool(ok), is_bound)
 
 
 def hamiltonian(sys: EnergySystem, z: np.ndarray):

@@ -1,0 +1,116 @@
+"""Consistent initialization from the block structure of E_dae: the sparse
+constraint rows against the dense left-null-space formula, cross-row
+constraints at every size, and the memory the initialization takes."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+
+from fieldcircuit import experiments
+from fieldcircuit.integrators import (_constraint_basis, consistent_init,
+                                      to_linear_dae)
+from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
+                                    to_dense)
+from fieldcircuit.waveforms import zero_input
+from tests.conftest import random_energy_system
+
+
+def dense_constraints(dae):
+    """Reference rows (C, D): one SVD of the whole dense row-equilibrated
+    E_dae for its left null space V, then Vᵀ A and Vᵀ B."""
+    e, a, b = (to_dense(m) for m in (dae.E_dae, dae.A_dae, dae.B_dae))
+    scale = np.max(np.abs(np.hstack([e, a, b])), axis=1)
+    scale[scale == 0.0] = 1.0
+    v = scipy.linalg.null_space((e / scale[:, None]).T)
+    return v.T @ (a / scale[:, None]), v.T @ (b / scale[:, None])
+
+
+def relative_residual(c, d, z, u):
+    """Largest |C z + D u| per row, relative to the row's largest entry times
+    the largest state or input entry (the measure consistent_init checks)."""
+    res = np.abs(c @ z + d @ u)
+    scale = np.maximum(
+        np.max(np.abs(c), axis=1, initial=0.0) * max(np.max(np.abs(z)), 1.0),
+        np.max(np.abs(d), axis=1, initial=0.0)
+        * max(np.max(np.abs(u), initial=0.0), 1.0))
+    scale[scale == 0.0] = 1.0
+    return float(np.max(res / scale, initial=0.0))
+
+
+def assert_dense_parity(sys, z0, u0):
+    dae = to_linear_dae(sys)
+    c_ref, d_ref = dense_constraints(dae)
+    c_mat, d_mat = _constraint_basis(dae)
+    # as many constraints as n − rank(E_dae)
+    assert c_mat.shape == (c_ref.shape[0], sys.n)
+    assert d_mat.shape == (c_ref.shape[0], sys.m)
+    assert relative_residual(c_ref, d_ref, z0, u0) <= 1e-12
+
+
+OSCILLATORS_1MM = {
+    "stranded-lossless": experiments.OscillatorConfig(),
+    "stranded-core": experiments.OscillatorConfig(core_conductive=True),
+    "solid-core": experiments.OscillatorConfig(conductor_kind="solid",
+                                               core_conductive=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OSCILLATORS_1MM))
+def test_init_matches_dense_null_space_on_oscillators(name):
+    parts = experiments.build_oscillator(OSCILLATORS_1MM[name])
+    assert_dense_parity(parts.system, parts.z0, parts.u(0.0))
+
+
+def test_init_matches_dense_null_space_on_random_systems(rng):
+    for k in range(8):
+        singular = bool(k % 2)
+        sys_r = random_energy_system(rng, n1=k % 3, n2=2 + k % 3,
+                                     n3=1 + k % 2, m=1 + k % 2,
+                                     singular_e=singular)
+        u0 = rng.standard_normal(sys_r.m)
+        # with singular E, pin z1 only: the cross-row null direction of the
+        # z2 block then decides part of z2
+        pinned = np.arange(sys_r.n) < sys_r.partition.n1 if singular else None
+        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u0,
+                             pinned=pinned)
+        assert_dense_parity(sys_r, z0, u0)
+
+
+@pytest.mark.parametrize("pairs", [10, 1300])
+def test_init_finds_cross_row_constraints_at_every_size(pairs):
+    # E = M2 = I ⊗ [[1, 1], [1, 1]] has no zero row; each pair has the left
+    # null direction [1, −1], so z_a + z_b = 0.  All of z2 is in the image
+    # of E and stays pinned, and all ones violates every constraint.  1300
+    # pairs are 2600 nonzero rows, more than the hidden-constraint bound.
+    n = 2 * pairs
+    eye = sp.identity(pairs, format="csr")
+    e = sp.kron(eye, np.ones((2, 2)), format="csr")
+    sys_p = EnergySystem(Partition(0, n, 0, 0), E=e,
+                         J=sp.kron(eye, [[0.0, 1.0], [-1.0, 0.0]],
+                                   format="csr"),
+                         R=sp.csr_array((n, n)), B=np.zeros((n, 0)),
+                         M1=np.zeros((0, 0)), M2=e,
+                         S=sp.identity(n, format="csr"))
+    with pytest.raises(StructureError, match="inconsistent initial values"):
+        consistent_init(sys_p, np.ones(n), zero_input(0))
+
+
+@pytest.mark.parametrize("cfg", [
+    experiments.OscillatorConfig(mesh_h=0.5e-3),
+    experiments.OscillatorConfig(conductor_kind="solid", core_conductive=True,
+                                 mesh_h=0.5e-3),
+], ids=["stranded-lossless", "solid-core"])
+def test_init_memory_stays_far_below_dense(cfg):
+    # an n×n float64 array would take n²·8 bytes (76 MB at n = 3084)
+    parts = experiments.build_oscillator(cfg)
+    n = parts.system.n
+    tracemalloc.start()
+    try:
+        consistent_init(parts.system, parts.z0, parts.u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4

@@ -148,6 +148,21 @@ def test_min_sym_eig_sparse_psd_certificate(rng):
     assert bound == -shift
 
 
+def test_validate_summary_names_certified_bound():
+    # the h = 0.5 mm solid system has n = 3084 > EIG_DENSE_LIMIT, so the PSD
+    # check of R returns the certified bound −shift, not an eigenvalue
+    from fieldcircuit import experiments
+    parts = experiments.build_oscillator(experiments.OscillatorConfig(
+        conductor_kind="solid", core_conductive=True, mesh_h=0.5e-3))
+    rep = validate(parts.system)
+    assert rep.ok and rep.min_R_eig_is_bound and rep.min_R_eig < 0.0
+    assert (f"min eig of symmetrized R     >= {rep.min_R_eig:.3e} "
+            "(certified lower bound)") in rep.summary().splitlines()
+    small = validate(lc_fixture())
+    assert not small.min_R_eig_is_bound
+    assert "min eig of symmetrized R      = 0.000e+00" in small.summary()
+
+
 def test_min_sym_eig_sparse_indefinite_detected(rng):
     n = 2500
     diag = np.ones(n)
