@@ -273,12 +273,14 @@ def run_oscillator(cfg: OscillatorConfig, out_dir: str = None,
     report = OscillatorReport(parts, traj, lossless, drift, balance,
                               omega_meas, omega_pred)
     if out_dir is not None:
-        files = _write_oscillator_outputs(report, out_dir)
-        report = replace(report, files=tuple(files))
+        report = replace(report,
+                         files=_write_oscillator_outputs(report, out_dir))
     return report
 
 
-def _write_oscillator_outputs(report: OscillatorReport, out_dir: str):
+def _write_oscillator_outputs(report, out_dir: str) -> tuple:
+    """trajectory.csv, run.manifest and plot.gp of an oscillator or index-2
+    report; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     parts, traj = report.parts, report.trajectory
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -291,7 +293,7 @@ def _write_oscillator_outputs(report: OscillatorReport, out_dir: str):
     serialization.write_manifest(man_path, report.summary_entries())
     gp_path = os.path.join(out_dir, "plot.gp")
     serialization.write_text_atomic(gp_path, _OSC_PLOT)
-    return [csv_path, man_path, gp_path]
+    return (csv_path, man_path, gp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +351,8 @@ def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
     report = Index2Report(parts, traj, float(defect[-1]), float(defect.max()),
                           scale)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "trajectory.csv")
-        serialization.write_columns_csv(
-            csv_path, ["t", "H", "D_cum", "E_in", "phi", "i"],
-            [traj.times, traj.hamiltonians, traj.dissipated_cum,
-             traj.supplied_cum, traj.states[:, parts.phi_index],
-             traj.states[:, parts.current_index]])
-        man_path = os.path.join(out_dir, "run.manifest")
-        serialization.write_manifest(man_path, report.summary_entries())
-        gp_path = os.path.join(out_dir, "plot.gp")
-        serialization.write_text_atomic(gp_path, _OSC_PLOT)
-        report = replace(report, files=(csv_path, man_path, gp_path))
+        report = replace(report,
+                         files=_write_oscillator_outputs(report, out_dir))
     return report
 
 

@@ -3,7 +3,11 @@
 Every system is rewritten as one implicit linear DAE, E_dae ẋ = A_dae x +
 B_dae u, and stepped with fixed-step implicit schemes: midpoint, trapezoidal,
 implicit Euler, BDF2 and the fully implicit Runge-Kutta methods Gauss-4 and
-Radau IIA of order 5.  Trajectories carry the Hamiltonian and cumulative
+Radau IIA of order 5.  The stages of the Runge-Kutta methods are decoupled
+through the eigenvalues λ of the Butcher matrix: each step solves one n×n
+pencil E_dae − τλ A_dae per real λ and per conjugate pair (one complex
+solve for Gauss-4, one real and one complex for Radau IIA), never a stacked
+sn×sn stage system.  Trajectories carry the Hamiltonian and cumulative
 dissipated/supplied energy so the discrete power balance can be audited after
 the fact.
 """
@@ -96,10 +100,6 @@ class Method:
     A: object = None
     b: object = None
     c: object = None
-
-    @property
-    def stages(self) -> int:
-        return 0 if self.A is None else len(self.b)
 
 
 _S3 = math.sqrt(3.0)
@@ -235,39 +235,15 @@ def step_irk(dae: LinearDae, method, z_k: np.ndarray, u, t_k: float,
 
     `u` is an evaluable waveform.  The step is the one `simulate` takes:
     trapezoidal uses the endpoint formula (its tableau has an explicit first
-    stage, which a singular E_dae cannot evaluate), Gauss-4 and Radau IIA the
-    stacked stage system.
+    stage, which a singular E_dae cannot evaluate), Gauss-4 and Radau IIA
+    one pencil solve per eigenvalue of their Butcher matrix (a conjugate
+    pair counts once), each matrix factorized when the stepper is built.
     """
     method = method_from_tag(method)
     if method.tag == "bdf2":
         raise StructureError("bdf2 is a multistep scheme; use simulate()")
     z_k = np.asarray(z_k, dtype=np.float64)
     return _make_stepper(dae, method, tau)(0, z_k, None, t_k, u)
-
-
-def _stacked_stage_matrix(dae: LinearDae, method: Method, tau: float):
-    s = method.stages
-    eye = sp.identity(s, format="csr")
-    a_tab = sp.csr_array(np.asarray(method.A))
-    return sp.kron(eye, dae.E_dae, format="csr") - tau * sp.kron(
-        a_tab, dae.A_dae, format="csr")
-
-
-def _stacked_rhs(dae: LinearDae, method: Method, z_k, u, t_k, tau):
-    ax = dae.A_dae @ z_k
-    parts = []
-    for ci in method.c:
-        ui = np.asarray(u(t_k + float(ci) * tau), dtype=np.float64)
-        parts.append(ax + dae.B_dae @ ui)
-    return np.concatenate(parts)
-
-
-def _apply_stages(dae: LinearDae, method: Method, z_k, k_stacked, tau):
-    n = dae.partition.n
-    z = z_k.copy()
-    for i, bi in enumerate(method.b):
-        z = z + tau * float(bi) * k_stacked[i * n : (i + 1) * n]
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +412,40 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
                                 + 2.0 * tau * (dae.B_dae @ u_next))
         return step
 
-    # fully implicit Runge-Kutta through the stacked stage system
-    mat = _stacked_stage_matrix(dae, method, tau)
-    solver = _StageSolver(mat, f"{method.tag}, tau = {tau}")
+    # fully implicit Runge-Kutta, decoupled through the eigenvalues of the
+    # Butcher matrix: with T⁻¹ A_tab T = Λ the stage system splits into one
+    # pencil E − τλ_j A per eigenvalue, solved for w_j from row j of T⁻¹
+    # applied to the stage right-hand sides, and z⁺ = z + τ Σ_j γ_j w_j with
+    # γ = bᵀT (Butcher, BIT 16, 1976).  Of a conjugate pair only the member
+    # with Im λ > 0 is solved; its partner's w is the complex conjugate, so
+    # the pair adds 2 Re(γ_j w_j).
+    lam, t_mat = np.linalg.eig(np.asarray(method.A, dtype=np.float64))
+    if np.linalg.cond(t_mat) > 1e8:
+        raise StructureError(
+            f"Butcher matrix of {method.tag} is not diagonalizable")
+    t_inv = np.linalg.inv(t_mat)
+    gamma = np.asarray(method.b, dtype=np.float64) @ t_mat
+    pencils = []
+    for j in np.flatnonzero(lam.imag >= 0.0):
+        if lam[j].imag == 0.0:
+            lam_j, row, weight = lam[j].real, t_inv[j].real, gamma[j].real
+        else:
+            lam_j, row, weight = lam[j], t_inv[j], 2.0 * gamma[j]
+        solver = _StageSolver(dae.E_dae - (tau * lam_j) * dae.A_dae,
+                              f"{method.tag}, lambda = {lam_j:.6g}, "
+                              f"tau = {tau}")
+        pencils.append((solver, row, weight))
 
     def step(k, z, states, t_k, u):
-        ks = solver.solve(_stacked_rhs(dae, method, z, u, t_k, tau))
-        return _apply_stages(dae, method, z, ks, tau)
+        u_stages = np.column_stack(
+            [np.asarray(u(t_k + float(ci) * tau), dtype=np.float64)
+             for ci in method.c])
+        # column i: the stage right-hand side A z + B u(t_k + c_i τ)
+        f = (dae.A_dae @ z)[:, None] + dae.B_dae @ u_stages
+        z_next = z.copy()
+        for solver, row, weight in pencils:
+            z_next += tau * np.real(weight * solver.solve(f @ row))
+        return z_next
     return step
 
 
