@@ -4,7 +4,9 @@ Linear nodal elements on triangles in the (r, z) half plane.  The curl-curl
 stiffness, conductivity mass and winding-coupling blocks are integrated with
 a degree-5 seven-point rule; all quadrature points are interior, so the
 1/r term stays finite even on triangles touching the axis (whose rows are
-removed by the Dirichlet reduction anyway).
+removed by the Dirichlet reduction anyway).  `element_integrals` is the only
+element integration: it works on a stack of triangles, and every assembly
+routine calls it once on all the triangles it needs.
 
 Geometry is described by axis-aligned rectangles; later rectangles paint over
 earlier ones, the first one is the computational domain.  Lengths in geometry
@@ -152,9 +154,10 @@ class Rect:
         if self.r0 < 0.0:
             raise StructureError(f"rect {self.tag!r} extends to negative radius")
 
-    def contains(self, r: float, z: float, eps: float = 1e-12) -> bool:
-        return (self.r0 - eps <= r <= self.r1 + eps
-                and self.z0 - eps <= z <= self.z1 + eps)
+    def contains(self, r, z, eps: float = 1e-12):
+        """Elementwise test of points (r, z), scalars or arrays."""
+        return ((self.r0 - eps <= r) & (r <= self.r1 + eps)
+                & (self.z0 - eps <= z) & (z <= self.z1 + eps))
 
 
 def _grid_coords(lo: float, hi: float, breaks, h: float) -> np.ndarray:
@@ -171,8 +174,8 @@ def build_rect_mesh(rects, h: float) -> Mesh:
     """Tensor-grid triangulation resolving every rectangle edge exactly.
 
     The first rectangle is the domain; later rectangles override region tags
-    where they overlap.  Each grid cell is split into two positively oriented
-    triangles.
+    where they contain a cell centroid.  Each grid cell is split into two
+    positively oriented triangles.
     """
     if h <= 0.0:
         raise StructureError("mesh size h must be positive")
@@ -192,30 +195,17 @@ def build_rect_mesh(rects, h: float) -> Mesh:
     rr, zz = np.meshgrid(rs, zs, indexing="ij")
     nodes = np.column_stack([rr.ravel(), zz.ravel()])
 
-    def nid(i, j):
-        return i * nz + j
+    # cell (i, j) has lower-left node i * nz + j; cells run i-major
+    ll = (np.arange(nr - 1)[:, None] * nz + np.arange(nz - 1)).ravel()
+    lr, ul, ur = ll + nz, ll + 1, ll + nz + 1
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
 
-    tris = []
-    cents = []
-    for i in range(nr - 1):
-        for j in range(nz - 1):
-            ll, lr = nid(i, j), nid(i + 1, j)
-            ul, ur = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-            cr, cz = (rs[i] + rs[i + 1]) / 2.0, (zs[j] + zs[j + 1]) / 2.0
-            cents.append((cr, cz))
-            cents.append((cr, cz))
-    triangles = np.asarray(tris, dtype=np.intp)
-
-    tags = np.empty(len(tris), dtype=object)
-    for k, (cr, cz) in enumerate(cents):
-        tag = dom.tag
-        for rect in rects[1:]:
-            if rect.contains(cr, cz):
-                tag = rect.tag
-        tags[k] = tag
-    tri_tags = tags.astype(str)
+    cr, cz = np.meshgrid((rs[:-1] + rs[1:]) / 2.0, (zs[:-1] + zs[1:]) / 2.0,
+                         indexing="ij")
+    tags = np.full(ll.size, dom.tag, dtype=object)
+    for rect in rects[1:]:
+        tags[rect.contains(cr.ravel(), cz.ravel())] = rect.tag
+    tri_tags = np.repeat(tags, 2).astype(str)
 
     node_tags = np.full(len(nodes), NODE_FREE, dtype=np.intp)
     eps = 1e-12 * max(dom.r1 - dom.r0, dom.z1 - dom.z0)
@@ -238,54 +228,48 @@ def build_rect_mesh(rects, h: float) -> Mesh:
 # element integration
 # ---------------------------------------------------------------------------
 
-def _element_geometry(coords: np.ndarray):
-    """Barycentric gradients and area of one positively oriented triangle."""
-    r, z = coords[:, 0], coords[:, 1]
-    area2 = ((r[1] - r[0]) * (z[2] - z[0]) - (r[2] - r[0]) * (z[1] - z[0]))
-    if area2 <= 0.0:
-        raise StructureError("element is degenerate or negatively oriented")
-    b = np.array([z[1] - z[2], z[2] - z[0], z[0] - z[1]]) / area2
-    c = np.array([r[2] - r[1], r[0] - r[2], r[1] - r[0]]) / area2
-    return b, c, 0.5 * area2
+def element_integrals(coords, coefficients, kind: str) -> np.ndarray:
+    """Element integrals of a stack of triangles.
 
-
-def element_stiffness(coords: np.ndarray, nu: float) -> np.ndarray:
-    """Curl-curl stiffness of one triangle for reluctivity nu.
-
-    Entries 2π ν ∮ [∂wi/∂z ∂wj/∂z + (∂wi/∂r + wi/r)(∂wj/∂r + wj/r)] r dr dz.
+    coords has shape (m, 3, 2), each triangle positively oriented;
+    coefficients is one scalar or one value per triangle.  kind selects
+      "stiffness": 2π ν ∮ [∂wi/∂z ∂wj/∂z + (∂wi/∂r + wi/r)(∂wj/∂r + wj/r)]
+                   r dr dz, shape (m, 3, 3);
+      "mass":      2π σ ∮ wi wj r dr dz, shape (m, 3, 3);
+      "winding":   2π (Nt/Sc) ∮ wi r dr dz, shape (m, 3).
     """
     coords = np.asarray(coords, dtype=np.float64)
-    b, c, area = _element_geometry(coords)
-    r_q = TRI_QUAD_POINTS @ coords[:, 0]
-    lam = TRI_QUAD_POINTS
-    grad = np.outer(b, b) + np.outer(c, c)
-    k_e = np.zeros((3, 3))
-    for q, w_q in enumerate(TRI_QUAD_WEIGHTS):
-        lq = lam[q]
-        term = (grad * r_q[q]
-                + np.outer(b, lq) + np.outer(lq, b)
-                + np.outer(lq, lq) / r_q[q])
-        k_e += w_q * term
-    return 2.0 * math.pi * nu * area * k_e
+    r = coords[:, :, 0]
+    z = coords[:, :, 1]
+    area2 = ((r[:, 1] - r[:, 0]) * (z[:, 2] - z[:, 0])
+             - (r[:, 2] - r[:, 0]) * (z[:, 1] - z[:, 0]))
+    if np.any(area2 <= 0.0):
+        bad = int(np.argmin(area2))
+        raise StructureError(
+            f"element {bad} is degenerate or negatively oriented")
+    area = 0.5 * area2
+    r_q = r @ TRI_QUAD_POINTS.T                  # (m, 7)
+    lam = TRI_QUAD_POINTS                        # (7, 3)
+    w = TRI_QUAD_WEIGHTS
+    scale = 2.0 * math.pi * coefficients * area
 
-
-def element_mass(coords: np.ndarray, sigma: float) -> np.ndarray:
-    """Conductivity mass of one triangle: 2π σ ∮ wi wj r dr dz."""
-    coords = np.asarray(coords, dtype=np.float64)
-    _, _, area = _element_geometry(coords)
-    r_q = TRI_QUAD_POINTS @ coords[:, 0]
-    m_e = np.einsum("q,qi,qj,q->ij", TRI_QUAD_WEIGHTS, TRI_QUAD_POINTS,
-                    TRI_QUAD_POINTS, r_q)
-    return 2.0 * math.pi * sigma * area * m_e
-
-
-def element_winding(coords: np.ndarray, turns_density: float) -> np.ndarray:
-    """Stranded-winding coupling of one triangle: 2π (Nt/Sc) ∮ wi r dr dz."""
-    coords = np.asarray(coords, dtype=np.float64)
-    _, _, area = _element_geometry(coords)
-    r_q = TRI_QUAD_POINTS @ coords[:, 0]
-    x_e = np.einsum("q,qi,q->i", TRI_QUAD_WEIGHTS, TRI_QUAD_POINTS, r_q)
-    return 2.0 * math.pi * turns_density * area * x_e
+    if kind == "winding":
+        return np.einsum("q,qi,mq->mi", w, lam, r_q) * scale[:, None]
+    if kind == "mass":
+        blocks = np.einsum("q,qi,qj,mq->mij", w, lam, lam, r_q)
+    elif kind == "stiffness":
+        b = np.stack([z[:, 1] - z[:, 2], z[:, 2] - z[:, 0], z[:, 0] - z[:, 1]],
+                     axis=1) / area2[:, None]
+        c = np.stack([r[:, 2] - r[:, 1], r[:, 0] - r[:, 2], r[:, 1] - r[:, 0]],
+                     axis=1) / area2[:, None]
+        grad = (np.einsum("mi,mj->mij", b, b) + np.einsum("mi,mj->mij", c, c))
+        blocks = (grad * np.einsum("q,mq->m", w, r_q)[:, None, None]
+                  + np.einsum("q,mi,qj->mij", w, b, lam)
+                  + np.einsum("q,qi,mj->mij", w, lam, b)
+                  + np.einsum("q,qi,qj,mq->mij", w, lam, lam, 1.0 / r_q))
+    else:
+        raise ValueError(f"unknown element integral {kind!r}")
+    return blocks * scale[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +284,8 @@ def _material_for(tag: str, materials: dict) -> Material:
 
 
 def _assemble_3x3(mesh: Mesh, coefficients: np.ndarray, kind: str):
-    """Vectorized assembly of all element 3x3 blocks with per-element factor."""
-    coords = mesh.nodes[mesh.triangles]          # (m, 3, 2)
-    r = coords[:, :, 0]
-    z = coords[:, :, 1]
-    area2 = ((r[:, 1] - r[:, 0]) * (z[:, 2] - z[:, 0])
-             - (r[:, 2] - r[:, 0]) * (z[:, 1] - z[:, 0]))
-    area = 0.5 * area2
-    b = np.stack([z[:, 1] - z[:, 2], z[:, 2] - z[:, 0], z[:, 0] - z[:, 1]],
-                 axis=1) / area2[:, None]
-    c = np.stack([r[:, 2] - r[:, 1], r[:, 0] - r[:, 2], r[:, 1] - r[:, 0]],
-                 axis=1) / area2[:, None]
-    r_q = r @ TRI_QUAD_POINTS.T                  # (m, 7)
-    lam = TRI_QUAD_POINTS                        # (7, 3)
-    w = TRI_QUAD_WEIGHTS
-
-    if kind == "mass":
-        blocks = np.einsum("q,qi,qj,mq->mij", w, lam, lam, r_q)
-    else:
-        grad = (np.einsum("mi,mj->mij", b, b) + np.einsum("mi,mj->mij", c, c))
-        blocks = (grad * np.einsum("q,mq->m", w, r_q)[:, None, None]
-                  + np.einsum("q,mi,qj->mij", w, b, lam)
-                  + np.einsum("q,qi,mj->mij", w, lam, b)
-                  + np.einsum("q,qi,qj,mq->mij", w, lam, lam, 1.0 / r_q))
-    blocks = blocks * (2.0 * math.pi * coefficients * area)[:, None, None]
-
+    """Assembly of all element 3x3 blocks with per-element factor."""
+    blocks = element_integrals(mesh.nodes[mesh.triangles], coefficients, kind)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = mesh.n_nodes
@@ -333,16 +294,23 @@ def _assemble_3x3(mesh: Mesh, coefficients: np.ndarray, kind: str):
     return sp.csr_array(0.5 * (mat + mat.T))
 
 
+def _triangle_values(mesh: Mesh, materials: dict, attr: str) -> np.ndarray:
+    """One material property per triangle, looked up once per region tag."""
+    tags, inverse = np.unique(mesh.tri_tags, return_inverse=True)
+    values = np.array([getattr(_material_for(t, materials), attr) for t in tags])
+    return values[inverse]
+
+
 def assemble_stiffness(mesh: Mesh, materials: dict):
     """Global curl-curl stiffness K_nu over all nodes (no Dirichlet applied)."""
-    nus = np.array([_material_for(t, materials).nu for t in mesh.tri_tags])
-    return _assemble_3x3(mesh, nus, "stiffness")
+    return _assemble_3x3(mesh, _triangle_values(mesh, materials, "nu"),
+                         "stiffness")
 
 
 def assemble_conductivity(mesh: Mesh, materials: dict):
     """Global conductivity mass M_sigma over all nodes."""
-    sigmas = np.array([_material_for(t, materials).sigma for t in mesh.tri_tags])
-    return _assemble_3x3(mesh, sigmas, "mass")
+    return _assemble_3x3(mesh, _triangle_values(mesh, materials, "sigma"),
+                         "mass")
 
 
 def region_plane_area(mesh: Mesh, tag: str) -> float:
@@ -361,11 +329,10 @@ def assemble_stranded_column(mesh: Mesh, tag: str, turns: float) -> np.ndarray:
     if idx.size == 0:
         raise StructureError(f"mesh has no region tagged {tag!r}")
     density = turns / region_plane_area(mesh, tag)
-    col = np.zeros(mesh.n_nodes)
-    for t in idx:
-        tri = mesh.triangles[t]
-        col[tri] += element_winding(mesh.nodes[tri], density)
-    return col
+    tris = mesh.triangles[idx]
+    x_e = element_integrals(mesh.nodes[tris], density, "winding")
+    return np.bincount(tris.ravel(), weights=x_e.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def assemble_solid_column(mesh: Mesh, tag: str, m_sigma=None,
@@ -475,14 +442,11 @@ def lumped_inductance(k_nu, x_col) -> float:
     x_arr = np.asarray(to_dense(x_col), dtype=np.float64).ravel()
     if k_csr.shape[0] != x_arr.size:
         raise StructureError("lumped_inductance: dimension mismatch")
-    if k_csr.shape[0] >= 400:
-        try:
-            sol = spla.splu(sp.csc_matrix(k_csr)).solve(x_arr)
-        except RuntimeError as exc:
-            raise NumericalError("stiffness matrix is singular; apply the "
-                                 "Dirichlet reduction first") from exc
-    else:
-        sol = _solve_spd_dense(to_dense(k_csr), x_arr)
+    try:
+        sol = spla.splu(sp.csc_matrix(k_csr)).solve(x_arr)
+    except RuntimeError as exc:
+        raise NumericalError("stiffness matrix is singular; apply the "
+                             "Dirichlet reduction first") from exc
     return float(x_arr @ sol)
 
 

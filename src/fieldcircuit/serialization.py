@@ -93,17 +93,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_trajectory_csv(traj, path: str) -> None:
-    """Header: t,H,D_cum,E_in,<state labels...>,<output labels...>."""
-    header = ["t", "H", "D_cum", "E_in", *traj.state_labels, *traj.output_labels]
+def _write_csv_rows(path: str, header, columns) -> None:
+    """One CSV row per index of the equal-length columns; floating columns
+    use `_fmt`, others `str`."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for k in range(len(traj.times)):
-        row = [traj.times[k], traj.hamiltonians[k], traj.dissipated_cum[k],
-               traj.supplied_cum[k], *traj.states[k], *traj.outputs[k]]
-        writer.writerow(_fmt(v) for v in row)
+    numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
+    for k in range(columns[0].shape[0]):
+        writer.writerow(_fmt(c[k]) if num else str(c[k])
+                        for c, num in zip(columns, numeric))
     write_text_atomic(path, buf.getvalue())
+
+
+def write_trajectory_csv(traj, path: str) -> None:
+    """Header: t,H,D_cum,E_in,<state labels...>,<output labels...>."""
+    header = ["t", "H", "D_cum", "E_in", *traj.state_labels, *traj.output_labels]
+    columns = [traj.times, traj.hamiltonians, traj.dissipated_cum,
+               traj.supplied_cum, *np.asarray(traj.states).T,
+               *np.asarray(traj.outputs).T]
+    _write_csv_rows(path, header,
+                    [np.asarray(c, dtype=np.float64) for c in columns])
 
 
 def write_columns_csv(path: str, header, columns) -> None:
@@ -113,14 +123,7 @@ def write_columns_csv(path: str, header, columns) -> None:
         raise StructureError("header/column count mismatch")
     if len({c.shape[0] for c in columns}) > 1:
         raise StructureError("columns differ in length")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
-    for k in range(columns[0].shape[0]):
-        writer.writerow(_fmt(c[k]) if num else str(c[k])
-                        for c, num in zip(columns, numeric))
-    write_text_atomic(path, buf.getvalue())
+    _write_csv_rows(path, header, columns)
 
 
 def read_trajectory_csv(path: str):

@@ -22,8 +22,7 @@ from fieldcircuit.experiments import (CONVERGENCE_METHODS, EXPECTED_ORDERS,
                                       run_index2, run_oscillator)
 from fieldcircuit.fem import (Material, Rect, assemble_conductivity,
                               assemble_stiffness, build_rect_mesh,
-                              element_mass, element_stiffness,
-                              element_winding, pseudo_solve)
+                              element_integrals, pseudo_solve)
 from fieldcircuit.integrators import consistent_init, simulate
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect, \
     permute_to_partition_order
@@ -318,11 +317,11 @@ def test_criterion_09_fe_assembly_oracle():
             sigma = 10.0 ** rng.uniform(-2, 6)
             turns = 10.0 ** rng.uniform(-1, 3)
             for built, oracle in (
-                    (element_stiffness(coords, nu),
+                    (element_integrals(coords[None], nu, "stiffness")[0],
                      oracle_stiffness(coords, nu)),
-                    (element_mass(coords, sigma),
+                    (element_integrals(coords[None], sigma, "mass")[0],
                      oracle_mass(coords, sigma)),
-                    (element_winding(coords, turns),
+                    (element_integrals(coords[None], turns, "winding")[0],
                      oracle_winding(coords, turns))):
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(built - oracle)) <= 1e-13 * scale

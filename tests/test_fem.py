@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fieldcircuit.fem import (MU0, Material, Mesh, Rect, assemble_conductivity,
-                              assemble_solid_column, assemble_stiffness,
-                              assemble_stranded_column, build_rect_mesh,
-                              check_mesh, check_pencil, element_mass,
-                              element_stiffness, element_winding,
-                              expand_vector, lumped_inductance, parse_geometry,
+from fieldcircuit.experiments import oscillator_geometry
+from fieldcircuit.fem import (MU0, Material, Mesh, Rect, _grid_coords,
+                              assemble_conductivity, assemble_solid_column,
+                              assemble_stiffness, assemble_stranded_column,
+                              build_rect_mesh, check_mesh, check_pencil,
+                              element_integrals, expand_vector,
+                              lumped_inductance, parse_geometry,
                               pseudo_solve, read_geometry, read_mesh,
                               reduce_matrix, reduce_vector, region_plane_area,
                               signed_areas, write_mesh)
@@ -28,7 +29,7 @@ def test_element_stiffness_matches_oracle(rng):
     for _ in range(50):
         tri = random_triangle(rng)
         nu = rng.uniform(0.1, 1e7)
-        assert _rel_err(element_stiffness(tri, nu),
+        assert _rel_err(element_integrals(tri[None], nu, "stiffness")[0],
                         oracle_stiffness(tri, nu)) <= 1e-13
 
 
@@ -36,7 +37,7 @@ def test_element_mass_matches_oracle(rng):
     for _ in range(50):
         tri = random_triangle(rng)
         sigma = rng.uniform(0.1, 6e7)
-        assert _rel_err(element_mass(tri, sigma),
+        assert _rel_err(element_integrals(tri[None], sigma, "mass")[0],
                         oracle_mass(tri, sigma)) <= 1e-13
 
 
@@ -44,14 +45,15 @@ def test_element_winding_matches_oracle(rng):
     for _ in range(50):
         tri = random_triangle(rng)
         dens = rng.uniform(0.5, 1e4)
-        assert _rel_err(element_winding(tri, dens),
+        assert _rel_err(element_integrals(tri[None], dens, "winding")[0],
                         oracle_winding(tri, dens)) <= 1e-13
 
 
 def test_element_matrices_symmetric_and_psd(rng):
     for _ in range(20):
         tri = random_triangle(rng)
-        for mat in (element_stiffness(tri, 1.0), element_mass(tri, 1.0)):
+        for mat in (element_integrals(tri[None], 1.0, "stiffness")[0],
+                    element_integrals(tri[None], 1.0, "mass")[0]):
             scale = np.max(np.abs(mat))
             assert np.max(np.abs(mat - mat.T)) <= 1e-14 * scale
             assert np.min(np.linalg.eigvalsh(mat)) >= -1e-10 * scale
@@ -60,14 +62,14 @@ def test_element_matrices_symmetric_and_psd(rng):
 def test_element_degenerate_triangle_rejected():
     flat = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(StructureError):
-        element_stiffness(flat, 1.0)
+        element_integrals(flat[None], 1.0, "stiffness")
 
 
 def test_zero_coefficient_gives_zero_matrices():
     tri = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 1.0]])
-    assert np.all(element_stiffness(tri, 0.0) == 0.0)
-    assert np.all(element_mass(tri, 0.0) == 0.0)
-    assert np.all(element_winding(tri, 0.0) == 0.0)
+    assert np.all(element_integrals(tri[None], 0.0, "stiffness")[0] == 0.0)
+    assert np.all(element_integrals(tri[None], 0.0, "mass")[0] == 0.0)
+    assert np.all(element_integrals(tri[None], 0.0, "winding")[0] == 0.0)
 
 
 # --- structured meshing -------------------------------------------------------
@@ -108,6 +110,60 @@ def test_mesh_grid_resolves_region_edges():
     rs = np.unique(mesh.nodes[:, 0])
     for edge in (0.3, 0.7):
         assert np.min(np.abs(rs - edge)) < 1e-12
+
+
+def _loop_mesh(rects, h):
+    """Cell-by-cell reference for build_rect_mesh: nodes, node tags, and the
+    triangles and centroid tags of each cell in a double loop."""
+    dom = rects[0]
+    rs = _grid_coords(dom.r0, dom.r1, [c for r in rects for c in (r.r0, r.r1)], h)
+    zs = _grid_coords(dom.z0, dom.z1, [c for r in rects for c in (r.z0, r.z1)], h)
+    nr, nz = len(rs), len(zs)
+    rr, zz = np.meshgrid(rs, zs, indexing="ij")
+    nodes = np.column_stack([rr.ravel(), zz.ravel()])
+    tris, tags = [], []
+    for i in range(nr - 1):
+        for j in range(nz - 1):
+            ll, lr = i * nz + j, (i + 1) * nz + j
+            ul, ur = i * nz + j + 1, (i + 1) * nz + j + 1
+            tris += [(ll, lr, ur), (ll, ur, ul)]
+            cr, cz = (rs[i] + rs[i + 1]) / 2.0, (zs[j] + zs[j + 1]) / 2.0
+            tag = dom.tag
+            for rect in rects[1:]:
+                if (rect.r0 - 1e-12 <= cr <= rect.r1 + 1e-12
+                        and rect.z0 - 1e-12 <= cz <= rect.z1 + 1e-12):
+                    tag = rect.tag
+            tags += [tag, tag]
+    node_tags = np.full(len(nodes), 0, dtype=np.intp)
+    eps = 1e-12 * max(dom.r1 - dom.r0, dom.z1 - dom.z0)
+    on_rmin = np.abs(nodes[:, 0] - dom.r0) <= eps
+    node_tags[(np.abs(nodes[:, 0] - dom.r1) <= eps)
+              | (np.abs(nodes[:, 1] - dom.z0) <= eps)
+              | (np.abs(nodes[:, 1] - dom.z1) <= eps)] = 1
+    node_tags[on_rmin] = 2 if dom.r0 <= eps else 1
+    return (nodes, node_tags, np.asarray(tris, dtype=np.intp),
+            np.asarray(tags, dtype=object).astype(str))
+
+
+_OSCILLATOR_RECTS = parse_geometry(
+    oscillator_geometry("stranded", False, 10.0)).rects
+
+
+@pytest.mark.parametrize("rects, h", [
+    ([Rect("dom", 0.0, 1.0, 0.0, 1.0)], 1.0),
+    (_OSCILLATOR_RECTS, 1e-3),
+    (_OSCILLATOR_RECTS, 0.4e-3),
+    # "b" paints over part of "a"; h divides none of the edges
+    ([Rect("dom", 0.1, 1.0, -0.7, 0.9), Rect("a", 0.2, 0.8, -0.5, 0.5),
+      Rect("b", 0.5, 0.9, 0.0, 0.7), Rect("c", 0.3, 0.45, -0.3, 0.1)], 0.07),
+], ids=["unit-square", "oscillator-1mm", "oscillator-0.4mm", "overpaint"])
+def test_mesh_matches_cell_loop(rects, h):
+    mesh = build_rect_mesh(rects, h)
+    nodes, node_tags, triangles, tri_tags = _loop_mesh(rects, h)
+    for built, ref in ((mesh.nodes, nodes), (mesh.node_tags, node_tags),
+                       (mesh.triangles, triangles), (mesh.tri_tags, tri_tags)):
+        assert built.dtype == ref.dtype
+        np.testing.assert_array_equal(built, ref)
 
 
 # --- assembled matrices --------------------------------------------------------
@@ -179,6 +235,30 @@ def test_solid_column_construction(small_mesh):
     np.testing.assert_allclose(x_sol, to_dense(m_sig) @ chi)
 
 
+def test_assembly_matches_oracle_scatter():
+    # air, a conducting coil and a permeable, conducting core on the axis
+    rects = [Rect("air", 0.0, 1.0, -1.0, 1.0),
+             Rect("core", 0.0, 0.2, -0.5, 0.5),
+             Rect("coil", 0.4, 0.7, -0.4, 0.4)]
+    mesh = build_rect_mesh(rects, 0.1)
+    mats = {"air": Material("air"), "coil": Material("coil", 1.0, 5.8e7),
+            "core": Material("core", 100.0, 1e3)}
+    turns = 25.0
+    density = turns / region_plane_area(mesh, "coil")
+    n = mesh.n_nodes
+    k_ref, m_ref, x_ref = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    for tri, tag in zip(mesh.triangles, mesh.tri_tags):
+        coords = mesh.nodes[tri]
+        k_ref[np.ix_(tri, tri)] += oracle_stiffness(coords, mats[tag].nu)
+        m_ref[np.ix_(tri, tri)] += oracle_mass(coords, mats[tag].sigma)
+        if tag == "coil":
+            x_ref[tri] += oracle_winding(coords, density)
+    for built, ref in ((to_dense(assemble_stiffness(mesh, mats)), k_ref),
+                       (to_dense(assemble_conductivity(mesh, mats)), m_ref),
+                       (assemble_stranded_column(mesh, "coil", turns), x_ref)):
+        assert np.max(np.abs(built - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_solid_region_on_axis_rejected():
     rects = [Rect("air", 0.0, 1.0, 0.0, 1.0), Rect("rod", 0.0, 0.3, 0.2, 0.8)]
     mesh = build_rect_mesh(rects, 0.1)
@@ -244,6 +324,11 @@ def test_lumped_inductance_positive(small_mesh):
     # quadratic form scaling: doubling turns quadruples L
     x2 = reduce_vector(assemble_stranded_column(small_mesh, "coil", 20.0), free)
     assert lumped_inductance(k, x2) == pytest.approx(4.0 * l_val, rel=1e-12)
+
+
+def test_lumped_inductance_singular_stiffness_raises():
+    with pytest.raises(NumericalError, match="singular"):
+        lumped_inductance(np.diag([1.0, 1.0, 0.0, 1.0]), np.ones(4))
 
 
 # --- file formats ----------------------------------------------------------------

@@ -89,6 +89,22 @@ def test_trajectory_csv_round_trip(tmp_path, rng):
                                   traj.states)
 
 
+def test_trajectory_csv_equals_columns_csv(tmp_path, rng):
+    sys_r = random_energy_system(rng, m=2)
+    z0 = rng.standard_normal(sys_r.partition.n)
+    traj = simulate(sys_r, z0, zero_input(2), 0.05, 0.2, "midpoint")
+    traj_path = tmp_path / "traj.csv"
+    cols_path = tmp_path / "cols.csv"
+    write_trajectory_csv(traj, str(traj_path))
+    write_columns_csv(
+        str(cols_path),
+        ["t", "H", "D_cum", "E_in", *traj.state_labels, *traj.output_labels],
+        [traj.times, traj.hamiltonians, traj.dissipated_cum,
+         traj.supplied_cum, *traj.states.T, *traj.outputs.T])
+    assert traj.outputs.shape[1] == 2
+    assert traj_path.read_bytes() == cols_path.read_bytes()
+
+
 def test_columns_csv_mixed_types(tmp_path):
     path = str(tmp_path / "c.csv")
     write_columns_csv(path, ["method", "tau"],
