@@ -175,6 +175,14 @@ def check_tableau(method: Method) -> None:
 # factorized stage solver with iterative refinement
 # ---------------------------------------------------------------------------
 
+def _splu(mat, what: str):
+    """splu of a square matrix; NumericalError naming `what` if singular."""
+    try:
+        return spla.splu(sp.csc_matrix(mat))
+    except RuntimeError as exc:
+        raise NumericalError(f"singular {what}") from exc
+
+
 class _StageSolver:
     """LU factorization of a fixed stage matrix, reused across all steps.
 
@@ -185,12 +193,8 @@ class _StageSolver:
     def __init__(self, mat, context: str):
         self._context = context
         self._mat = sp.csr_array(mat)
-        try:
-            self._lu = spla.splu(sp.csc_matrix(mat))
-        except RuntimeError as exc:
-            raise NumericalError(
-                f"singular stage matrix ({context}); the matrix pencil may "
-                f"be irregular or the model inconsistent") from exc
+        self._lu = _splu(mat, f"stage matrix ({context}); the matrix pencil "
+                              f"may be irregular or the model inconsistent")
         self._row_scale = float(abs(self._mat).sum(axis=1).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -453,30 +457,33 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
 # consistent initialization
 # ---------------------------------------------------------------------------
 
-def default_pinned_mask(sys: EnergySystem) -> np.ndarray:
-    """Differential components: all of z1 plus the image-of-E part of z2."""
-    p = sys.partition
-    mask = np.zeros(p.n, dtype=bool)
-    mask[: p.n1] = True
-    e_cols = sys.E.indices[sys.E.data != 0.0]
-    mask[p.n1 + e_cols] = True
-    return mask
-
-
-def _row_equilibrate(mat: np.ndarray, rhs: np.ndarray):
-    scale = np.max(np.abs(mat), axis=1)
-    scale[scale == 0.0] = 1.0
-    return mat / scale[:, None], rhs / scale
-
-
-_INIT_DENSE_LIMIT = 2500
-
-
 def _row_max_abs(mat) -> np.ndarray:
     """Largest absolute entry of each row of a sparse block (0 if empty)."""
     if not mat.nnz:
         return np.zeros(mat.shape[0])
     return abs(mat).max(axis=1).toarray().ravel()
+
+
+def _left_null_basis(mat) -> sp.csr_array:
+    """Sparse basis V of the left null space of mat, Vᵀ mat = 0: a unit
+    vector per zero row, and one dense SVD per connected block of the other
+    rows (two rows share a block when they share a column)."""
+    mat = sp.csr_array(mat)
+    mat.eliminate_zeros()
+    nz_rows = np.flatnonzero(np.diff(mat.indptr))
+    zero_rows = np.flatnonzero(np.diff(mat.indptr) == 0)
+    m_nz = mat[nz_rows]
+    # rows i and j are linked when they share a column
+    _, labels = csgraph.connected_components(abs(m_nz) @ abs(m_nz).T,
+                                             directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = [sp.eye_array(zero_rows.size)]
+    for rows in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        blk = m_nz[rows]
+        blocks.append(scipy.linalg.null_space(
+            blk[:, np.unique(blk.indices)].toarray().T))
+    rows = np.r_[zero_rows, nz_rows[order]]  # row order of the blocks
+    return sp.block_diag(blocks, "csr")[np.argsort(rows)]
 
 
 def _constraint_basis(dae: LinearDae):
@@ -485,62 +492,76 @@ def _constraint_basis(dae: LinearDae):
 
     The rows are vᵀA and vᵀB for a basis of the left null space of E, taken
     after every row of [E A B] is scaled to unit size so rank detection is
-    not thrown off by mixed physical units.  Zero rows of the scaled E give
-    unit vectors v, so their constraints are a row selection of the scaled A
-    and B.  The other rows split into connected blocks, two rows sharing a
-    block when they share a column; the left null space of E is the direct
-    sum of the blocks' null spaces, so each block gets one dense SVD on its
-    own columns, whatever the size of the system.
+    not thrown off by mixed physical units.  The gradient states P with a
+    nonzero diagonal of F11 = (J−R)₁₁ (the conductive nodes, F11 = −M_σ)
+    are eliminated by one sparse LU of E[P, P]: v = [v_P; w] with w a left
+    null vector of the Schur remainder E[Q, K] − E[Q, P] E[P, P]⁻¹ E[P, K]
+    on the other rows Q and columns K, and v_P = −E[P, P]⁻ᵀ E[Q, P]ᵀ w.
+    In the remainder (`_left_null_basis`) zero rows are a row selection;
+    only the circuit and coupling rows get a dense SVD per connected block.
     """
     row_max = np.maximum.reduce(
         [_row_max_abs(mat) for mat in (dae.E_dae, dae.A_dae, dae.B_dae)])
     row_max[row_max == 0.0] = 1.0
     d_inv = sp.diags_array(1.0 / row_max, format="csr")
     e_eq = d_inv @ dae.E_dae
-    e_eq.eliminate_zeros()
-    zero_rows = np.flatnonzero(np.diff(e_eq.indptr) == 0)
-    nz_rows = np.flatnonzero(np.diff(e_eq.indptr) != 0)
-    e_nz = e_eq[nz_rows]
-    _, labels = csgraph.connected_components(
-        sp.block_array([[None, e_nz], [e_nz.T, None]]), directed=False)
-    order = np.argsort(labels[: nz_rows.size], kind="stable")
-    null_t = [sp.eye_array(zero_rows.size)]
-    for rows in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        blk = e_nz[rows]
-        null_t.append(scipy.linalg.null_space(
-            blk[:, np.unique(blk.indices)].toarray().T).T)
-    # the columns of the block-diagonal v_t are E's rows in this order
-    rows = np.concatenate([zero_rows, nz_rows[order]])
-    v_t = sp.block_diag(null_t, format="csr")
-    return v_t @ (d_inv @ dae.A_dae)[rows], v_t @ (d_inv @ dae.B_dae)[rows]
+    is_piv = e_eq.diagonal() != 0.0
+    is_piv[dae.partition.n1 :] = False
+    piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
+    lu = _splu(e_eq[piv][:, piv], f"gradient-state pivot block F11[P, P] "
+                                  f"of E_dae ({piv.size} x {piv.size})")
+    e_rest = e_eq[rest]
+    e_qp, e_pk, schur = e_rest[:, piv], e_eq[piv][:, rest], e_rest[:, rest]
+    if e_pk.nnz:
+        # only the columns E[P, K] touches change; their order is immaterial
+        cols = np.unique(e_pk.indices)
+        x = sp.csr_array(lu.solve(e_pk[:, cols].toarray()))
+        schur = sp.hstack([schur[:, np.setdiff1d(np.arange(rest.size), cols)],
+                           schur[:, cols] - e_qp @ x])
+    w = _left_null_basis(schur)
+    # v_P vanishes for the null vectors w that E[Q, P] does not reach
+    hit = np.unique(w[np.flatnonzero(np.diff(e_qp.indptr))].indices)
+    v_p = sp.csr_array(-lu.solve((e_qp.T @ w[:, hit]).toarray(), trans="T"))
+    v = sp.vstack([sp.csr_array((v_p.data, hit[v_p.indices], v_p.indptr),
+                                shape=(piv.size, w.shape[1])), w])
+    v_t = sp.csr_array((d_inv @ v[np.argsort(np.r_[piv, rest])]).T)
+    return v_t @ dae.A_dae, v_t @ dae.B_dae
+
+
+def _sparse_lstsq(mat, rhs) -> np.ndarray:
+    """Least-squares x of mat x ≈ rhs, 0 in empty columns: G and b are mat
+    and rhs without empty rows, each row scaled to unit largest entry, and
+    the augmented system [[I, G], [Gᵀ, 0]] [r; x] = [b; 0] is factored once
+    by `splu` (COLAMD ordering)."""
+    mat = sp.csr_array(mat)
+    mat.eliminate_zeros()
+    rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
+    scale = 1.0 / _row_max_abs(mat[rows])
+    g = sp.diags_array(scale) @ mat[rows][:, cols]
+    lu = _splu(sp.bmat([[sp.eye_array(rows.size), g], [g.T, None]]),
+               f"initialization least squares ({rows.size} x {cols.size})")
+    sol = lu.solve(np.r_[scale * rhs[rows], np.zeros(cols.size)])
+    x = np.zeros(mat.shape[1])
+    x[cols] = sol[rows.size :]
+    return x
 
 
 def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
-                    pinned: np.ndarray = None, t0: float = 0.0,
-                    tol: float = 1e-8) -> np.ndarray:
+                    t0: float = 0.0, tol: float = 1e-8) -> np.ndarray:
     """Complete a partial initial state so the algebraic constraints hold at t0.
 
-    differential_values is a full-length vector; only entries flagged by
-    `pinned` (default: z1 and the image-of-E part of z2) are kept, the rest
-    are solved from the algebraic constraints of the linear DAE.  Those come
-    sparse from `_constraint_basis`; only their free columns are densified
-    for the least-squares solve.  When they do not determine all free
-    components (hidden constraints of higher index), the differentiated
-    constraints are appended and the joint system in (x_free, ẋ) is solved
-    densely, for systems up to _INIT_DENSE_LIMIT states; larger ones raise
-    NumericalError.  `u0` may be a waveform so its derivative is available
-    for that case.  Raises StructureError when the pinned values contradict
-    the constraints.
+    The z1 and E z2 of the full-length differential_values are kept.  With
+    z2 = z2_g + N η, N a basis of the null space of E, η and z3 solve the
+    constraint rows C z + D u = 0 that touch them (`_sparse_lstsq`).  If
+    those rows leave a direction free (hidden constraints, higher index),
+    C ẋ = −D u̇ joins them and the joint system in (η, z3, ẋ) is solved the
+    same way, at any size; `u0` may be a waveform for its derivative.
+    Raises StructureError when the kept values contradict the constraints.
     """
     p = sys.partition
     z = np.asarray(differential_values, dtype=np.float64).copy()
     if z.shape != (p.n,):
         raise StructureError(f"expected full-length vector of {p.n} entries")
-    if pinned is None:
-        pinned = default_pinned_mask(sys)
-    pinned = np.asarray(pinned, dtype=bool)
-    if pinned.shape != (p.n,):
-        raise StructureError("pinned mask length mismatch")
 
     if callable(u0):
         u_val = np.asarray(u0(t0), dtype=np.float64)
@@ -554,43 +575,20 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
 
     dae = to_linear_dae(sys)
     c_mat, d_mat = _constraint_basis(dae)
-    free = np.flatnonzero(~pinned)
-    z[free] = 0.0
-
-    if free.size and c_mat.shape[0]:
-        rhs = -(c_mat @ z) - d_mat @ u_val
-        mat_eq, rhs_eq = _row_equilibrate(c_mat[:, free].toarray(), rhs)
-        sol, _, rank, _ = np.linalg.lstsq(mat_eq, rhs_eq, rcond=None)
-        z[free] = sol
-        if rank < free.size:
-            z = _init_with_hidden_constraints(dae, z, free, u_val, u_dot,
-                                              c_mat, d_mat)
+    # the free directions [0; N; 0] of η and [0; 0; I] of z3
+    free = sp.block_diag([sp.csr_array((p.n1, 0)), _left_null_basis(sys.E.T),
+                          sp.eye_array(p.n3)], format="csr")
+    z[p.n1 + p.n2 :] = 0.0
+    mat, rhs = c_mat @ free, -(c_mat @ z) - d_mat @ u_val
+    if csgraph.structural_rank(mat) < free.shape[1]:
+        # rows [E ẋ − A x = B u0] and [C ẋ = −D u̇0]; unknowns [y; ẋ]
+        mat = sp.block_array([[-(dae.A_dae @ free), dae.E_dae],
+                              [None, c_mat]])
+        rhs = np.r_[dae.A_dae @ z + dae.B_dae @ u_val, -(d_mat @ u_dot)]
+    z += free @ _sparse_lstsq(mat, rhs)[: free.shape[1]]
 
     _check_constraint_residual(c_mat, d_mat, z, u_val, tol, p)
     return z
-
-
-def _init_with_hidden_constraints(dae: LinearDae, z, free, u_val, u_dot,
-                                  c_mat, d_mat):
-    """Joint solve in (x_free, ẋ) adding the differentiated constraints."""
-    n = dae.partition.n
-    if n > _INIT_DENSE_LIMIT:
-        raise NumericalError(
-            "consistent initialization with hidden constraints needs a dense "
-            f"least-squares solve; system size {n} exceeds the supported bound")
-    z_pin = z.copy()
-    z_pin[free] = 0.0
-
-    # rows: [E ẋ − A x = B u0] and [C ẋ = −D u̇0]; unknowns [x_free; ẋ]
-    mat = sp.bmat([[-dae.A_dae[:, free], dae.E_dae],
-                   [None, c_mat]]).toarray()
-    rhs = np.concatenate([dae.A_dae @ z_pin + dae.B_dae @ u_val,
-                          -(d_mat @ u_dot)])
-    mat_eq, rhs_eq = _row_equilibrate(mat, rhs)
-    sol, _, _, _ = np.linalg.lstsq(mat_eq, rhs_eq, rcond=None)
-    out = z_pin.copy()
-    out[free] = sol[: free.size]
-    return out
 
 
 def _check_constraint_residual(c_mat, d_mat, z, u_val, tol, p):

@@ -103,11 +103,11 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def min_sym_eig(R, shift: float = 0.0) -> float:
     """Smallest eigenvalue of the symmetrized matrix ½(R + Rᵀ).
 
-    Dense spectrum up to EIG_DENSE_LIMIT.  Beyond that a shifted
-    factorization test is used instead of an eigensolve: if ½(R+Rᵀ)+shift·I
-    admits a no-pivoting triangular factorization with positive diagonal, the
-    spectrum is certified ≥ −shift and that bound is returned; otherwise a
-    Lanczos estimate of the smallest eigenvalue is attempted.
+    0 for an R without nonzeros; dense spectrum up to EIG_DENSE_LIMIT.
+    Beyond that, if ½(R+Rᵀ)+shift·I admits a no-pivoting triangular
+    factorization with positive diagonal, the spectrum is certified ≥ −shift
+    and that bound is returned; otherwise a Lanczos estimate of the smallest
+    eigenvalue is taken (NumericalError when the iteration fails).
     """
     return _min_sym_eig(R, shift)[0]
 
@@ -115,7 +115,7 @@ def min_sym_eig(R, shift: float = 0.0) -> float:
 def _min_sym_eig(R, shift: float):
     """min_sym_eig's value, and whether it is only the certified bound −shift."""
     n = R.shape[0]
-    if n == 0:
+    if not to_csr(R).count_nonzero():
         return 0.0, False
     if n <= EIG_DENSE_LIMIT:
         Rs = 0.5 * (to_dense(R) + to_dense(R).T)
@@ -127,8 +127,8 @@ def _min_sym_eig(R, shift: float):
     try:
         val = spla.eigsh(Rs, k=1, which="SA", return_eigenvectors=False)
         return float(val[0]), False
-    except Exception:
-        return float(np.linalg.eigvalsh(to_dense(Rs))[0]), False
+    except spla.ArpackError as exc:
+        raise NumericalError(f"Lanczos failed on the {n} x {n} R") from exc
 
 
 def _factorization_psd(sym_csr, shift: float) -> bool:

@@ -1,7 +1,9 @@
 """Consistent initialization from the block structure of E_dae: the sparse
 constraint rows against the dense left-null-space formula, cross-row
-constraints at every size, and the memory the initialization takes."""
+constraints at every size, the size of the dense blocks, and the memory the
+initialization takes."""
 
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,13 +11,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from fieldcircuit import experiments
+from fieldcircuit import experiments, mna
 from fieldcircuit.integrators import (_constraint_basis, consistent_init,
                                       to_linear_dae)
 from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
                                     to_dense)
 from fieldcircuit.waveforms import zero_input
 from tests.conftest import random_energy_system
+
+NETLISTS = pathlib.Path(__file__).parent / "netlists" / "valid"
 
 
 def dense_constraints(dae):
@@ -71,12 +75,89 @@ def test_init_matches_dense_null_space_on_random_systems(rng):
                                      n3=1 + k % 2, m=1 + k % 2,
                                      singular_e=singular)
         u0 = rng.standard_normal(sys_r.m)
-        # with singular E, pin z1 only: the cross-row null direction of the
-        # z2 block then decides part of z2
-        pinned = np.arange(sys_r.n) < sys_r.partition.n1 if singular else None
-        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u0,
-                             pinned=pinned)
+        # with singular E, the cross-row null direction of the z2 block
+        # decides part of z2
+        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u0)
         assert_dense_parity(sys_r, z0, u0)
+
+
+def test_init_keeps_z1_and_image_of_e_on_singular_dense_e():
+    # E is singular but has no zero column: the kept image E z2 leaves one
+    # direction of z2 to the constraints
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        sys_r = random_energy_system(rng, n1=1, n2=3, n3=1, m=2,
+                                     singular_e=True)
+        given = rng.standard_normal(sys_r.n)
+        u0 = rng.standard_normal(sys_r.m)
+        z0 = consistent_init(sys_r, given, u0)
+        assert_dense_parity(sys_r, z0, u0)
+        assert z0[0] == given[0]
+        e_z2 = sys_r.E @ z0[1:4]
+        assert np.max(np.abs(e_z2 - sys_r.E @ given[1:4])) \
+            <= 1e-12 * np.max(np.abs(e_z2))
+
+
+def test_init_matches_dense_null_space_with_coupled_pivot_rows(rng):
+    # R11 vanishes on the second gradient state, so F11 has one zero on its
+    # diagonal: that row stays in the Schur remainder, and the pivot row
+    # reaches its column through J11 (E[P, K] ≠ 0)
+    sys_r = random_energy_system(rng, n1=3, n2=2, n3=2, m=2)
+    g = rng.standard_normal((sys_r.n, sys_r.n))
+    g[1] = 0.0
+    r = g @ g.T + 0.5 * np.diag(np.arange(sys_r.n) != 1)
+    sys_c = EnergySystem(sys_r.partition, E=sys_r.E, J=sys_r.J, R=r,
+                         B=sys_r.B, M1=sys_r.M1, M2=sys_r.M2, S=sys_r.S)
+    f11 = to_dense(sys_c.J - sys_c.R)[:3, :3]
+    assert f11[1, 1] == 0.0 and f11[0, 1] != 0.0
+    u0 = rng.standard_normal(sys_c.m)
+    z0 = consistent_init(sys_c, rng.standard_normal(sys_c.n), u0)
+    assert_dense_parity(sys_c, z0, u0)
+
+
+def test_init_dc_block_floats_the_capacitor():
+    # a capacitor between two non-ground nodes: only the charge is kept, so
+    # both plates start at the source voltage with no charge
+    nl = mna.parse_netlist((NETLISTS / "dc_block.cir").read_text())
+    inc = mna.build_incidence(nl)
+    sys_m = mna.mna_system(inc)
+    u = mna.input_stack(nl, inc)
+    z0 = consistent_init(sys_m, np.zeros(sys_m.n), u)
+    assert_dense_parity(sys_m, z0, u(0.0))
+    assert sys_m.state_labels == ("phi_src", "phi_out", "jV_V1")
+    v_src = float(u(0.0)[0])
+    assert v_src == pytest.approx(1.1, rel=1e-9)
+    np.testing.assert_allclose(z0, [v_src, v_src, -v_src / 600.0],
+                               rtol=1e-12)
+
+
+def test_init_dense_blocks_are_circuit_sized(monkeypatch):
+    # the conductive block is eliminated by a sparse LU; only the circuit
+    # and coupling rows reach the dense SVD
+    parts = experiments.build_oscillator(experiments.OscillatorConfig(
+        conductor_kind="solid", core_conductive=True))
+    p = parts.system.partition
+    null_space = scipy.linalg.null_space
+    shapes = []
+
+    def recording_null_space(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return null_space(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "null_space", recording_null_space)
+    z0 = consistent_init(parts.system, parts.z0, parts.u)
+    assert shapes and max(max(shape) for shape in shapes) <= p.n2 + p.n3
+    assert np.array_equal(z0, parts.z0)
+
+
+def test_index2_initializes_past_the_old_dense_bound():
+    # h = 0.4 mm: 4953 states; the source current starts at −C u'(0) = −10π
+    cfg = experiments.OscillatorConfig(mesh_h=0.4e-3, t_end=0.2e-6)
+    report = experiments.run_index2(cfg)
+    parts = report.parts
+    assert parts.system.n > 4900
+    jv0 = parts.z0[parts.system.state_labels.index("jV_V1")]
+    assert abs(jv0 + 10.0 * np.pi) <= 1e-12 * 10.0 * np.pi
 
 
 @pytest.mark.parametrize("pairs", [10, 1300])

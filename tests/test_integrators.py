@@ -236,23 +236,15 @@ def test_consistent_init_solves_algebraic_part(rng):
     assert np.max(np.abs(resid)) <= 1e-8 if resid.size else True
 
 
-def test_consistent_init_detects_contradiction(rng):
-    # pin an algebraic variable to a value violating the constraint
-    sys_r = random_energy_system(rng, n1=0, n2=1, n3=1, m=0)
-    pinned = np.array([True, True])
-    bad = np.array([1.0, 1e6])
-    try:
-        consistent_init(sys_r, bad, zero_input(0), pinned=pinned)
-    except StructureError:
-        return
-    # constraint may be satisfiable for some draws; force one that is not
+def test_consistent_init_detects_contradiction():
+    # the z3 row of J forces z2 = 0, but E z2 = 2 is kept from the given
+    # values: the pinned image contradicts the constraint
     sys_f = EnergySystem(Partition(0, 1, 1, 0), E=np.eye(1),
-                         J=np.zeros((2, 2)), R=np.diag([0.0, 1.0]),
-                         B=np.zeros((2, 0)), M1=np.zeros((0, 0)),
-                         M2=np.eye(1), S=np.eye(1))
+                         J=np.array([[0.0, -1.0], [1.0, 0.0]]),
+                         R=np.zeros((2, 2)), B=np.zeros((2, 0)),
+                         M1=np.zeros((0, 0)), M2=np.eye(1), S=np.eye(1))
     with pytest.raises(StructureError):
-        consistent_init(sys_f, np.array([0.0, 2.0]), zero_input(0),
-                        pinned=np.array([True, True]))
+        consistent_init(sys_f, np.array([2.0, 0.0]), zero_input(0))
 
 
 def test_consistent_init_hidden_index2_constraint():

@@ -55,10 +55,8 @@ def random_draws():
         u = WaveformStack(tuple(
             Sinusoid(rng.uniform(-1, 1), rng.uniform(0.2, 2.0),
                      rng.uniform(0.05, 0.5)) for _ in range(sys_r.m)))
-        # with singular E, pin z1 only (the default mask pins all of z2)
-        pinned = np.arange(sys_r.n) < sys_r.partition.n1 if singular else None
-        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u,
-                             pinned=pinned)
+        # with singular E, the null direction of E in z2 is solved too
+        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u)
         yield sys_r, z0, u
 
 

@@ -28,12 +28,12 @@ def coil():
 @st.composite
 def rlc_netlists(draw):
     """Netlist text: a chain of R/L branches from ground through nodes
-    1..k, an R or C shunt from every node to ground, a stranded port across
-    two points, current sources at nodes and voltage sources behind a
-    resistor each.  So no cutset holds only inductors and current sources,
-    no loop only voltage sources, and every capacitor touches ground: each
-    node potential in the image of E is a differential state, which is
-    what the default pinned mask of consistent_init assumes."""
+    1..k, an R or C shunt from every node to ground, floating capacitors
+    between some consecutive nodes, a stranded port across two points,
+    current sources at nodes and voltage sources behind a resistor each.
+    So no cutset holds only inductors and current sources and no loop only
+    voltage sources.  A floating capacitor keeps only its charge from the
+    given values; consistent_init solves both plate potentials."""
     k = draw(st.integers(min_value=1, max_value=4))
     points = ["0"] + [f"n{i}" for i in range(1, k + 1)]
     values = {"R": _r, "L": _l, "C": _c}
@@ -44,6 +44,8 @@ def rlc_netlists(draw):
                      f"{draw(values[kind])!r}")
         shunt = draw(st.sampled_from("RC"))
         lines.append(f"{shunt}s{i} {points[i]} 0 {draw(values[shunt])!r}")
+        if i > 1 and draw(st.booleans()):
+            lines.append(f"Cf{i} {points[i - 1]} {points[i]} {draw(_c)!r}")
     a, b = draw(st.lists(st.sampled_from(points), min_size=2, max_size=2,
                          unique=True))
     lines.append(f"FW1 {a} {b} stranded coil")

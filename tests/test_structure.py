@@ -1,11 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
-                                    dae_residual, effort_flow, fro_norm,
-                                    hamiltonian, min_sym_eig, output,
-                                    power_terms, to_dense, validate)
+from fieldcircuit import structure
+from fieldcircuit.structure import (EIG_DENSE_LIMIT, EnergySystem,
+                                    NumericalError, Partition,
+                                    StructureError, dae_residual, effort_flow,
+                                    fro_norm, hamiltonian, min_sym_eig,
+                                    output, power_terms, to_dense, validate)
 from tests.conftest import random_energy_system
 
 
@@ -169,6 +174,34 @@ def test_min_sym_eig_sparse_indefinite_detected(rng):
     diag[7] = -5.0
     mat = sp.diags_array(diag, format="csr")
     assert min_sym_eig(mat, shift=1e-8) < -1.0
+
+
+def test_validate_zero_r_past_dense_limit_is_fast():
+    # lossless: R has no nonzeros, so its smallest eigenvalue is 0 without
+    # any eigensolve (a dense n×n spectrum would take seconds)
+    n = 3000
+    assert n > EIG_DENSE_LIMIT
+    eye = sp.identity(n, format="csr")
+    skew = sp.diags_array([np.ones(n - 1), -np.ones(n - 1)], offsets=[1, -1],
+                          format="csr")
+    sys_z = EnergySystem(Partition(0, n, 0, 0), E=eye, J=skew,
+                         R=sp.csr_array((n, n)), B=np.zeros((n, 0)),
+                         M1=np.zeros((0, 0)), M2=eye, S=eye)
+    start = time.perf_counter()
+    rep = validate(sys_z)
+    assert time.perf_counter() - start < 1.0
+    assert rep.ok and rep.min_R_eig == 0.0 and not rep.min_R_eig_is_bound
+
+
+def test_min_sym_eig_raises_when_lanczos_fails(monkeypatch):
+    def failing_eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                       np.zeros((0, 0)))
+
+    monkeypatch.setattr(structure.spla, "eigsh", failing_eigsh)
+    n = EIG_DENSE_LIMIT + 1
+    with pytest.raises(NumericalError, match=f"{n} x {n}"):
+        min_sym_eig(sp.identity(n, format="csr"))
 
 
 def test_fro_norm_zero_block():
