@@ -16,7 +16,7 @@ import numpy as np
 from fieldcircuit import conductors as cond_mod
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import IncidenceSet, Netlist, input_stack
-from fieldcircuit.structure import EnergySystem, StructureError, to_dense
+from fieldcircuit.structure import EnergySystem, StructureError
 from fieldcircuit.waveforms import Constant, WaveformStack
 
 _KIND_OF_MODEL = {
@@ -190,50 +190,3 @@ class CouplingLayout:
         z3 = slice(off, off + n3c)
         off += n3c
         return CouplingLayout(tuple(field), tuple(alg), z2, z3, off)
-
-
-def verify_coupling_identities(layout: CouplingLayout, models, binding: PortBinding,
-                               inc: IncidenceSet, traj, tau: float) -> dict:
-    """Max deviation of the coupling identities along a trajectory.
-
-    At each completed step the conductor-side expression for a bound port
-    quantity (from the field state) is compared with the circuit-side one
-    (from the node potentials and source currents): winding voltage row vs
-    A_strᵀφ, solid region current vs j_sol, foil terminal voltage vs A_foilᵀφ.
-    Expressions use step midpoints; exact for midpoint/trapezoidal runs.
-    """
-    states = traj.states
-    report = {}
-    a_i = to_dense(inc.a_i)
-    phi_slice = slice(layout.circuit_z2.start,
-                      layout.circuit_z2.start + inc.n_phi)
-    b_i = a_i.shape[1]
-    for port in binding.ports:
-        model = models[port.conductor]
-        z1_sl = layout.field_slices[port.conductor]
-        z3_sl = layout.algebraic_slices[port.conductor]
-        dev = 0.0
-        for k in range(1, states.shape[0]):
-            mid = 0.5 * (states[k] + states[k - 1])
-            diff = (states[k] - states[k - 1]) / tau
-            phi_mid = mid[phi_slice]
-            a_dot = diff[z1_sl]
-            z3_mid = mid[z3_sl]
-            if isinstance(model, cond_mod.StrandedModel):
-                row = (to_dense(model.X_str).T @ a_dot
-                       + to_dense(model.R_str) @ z3_mid)
-                lhs = row[port.column]
-                rhs = a_i[:, port.circuit_index] @ phi_mid
-            elif isinstance(model, cond_mod.SolidModel):
-                chi = to_dense(model.X_sol)
-                row = (to_dense(model.G_sol) @ z3_mid
-                       - chi.T @ (model.M_sigma @ a_dot))
-                lhs = row[port.column]
-                jv_mid = mid[layout.circuit_z3]
-                rhs = jv_mid[port.circuit_index - b_i]
-            else:
-                lhs = float(np.asarray(model.c) @ z3_mid[:-1])
-                rhs = a_i[:, port.circuit_index] @ phi_mid
-            dev = max(dev, abs(float(lhs) - float(rhs)))
-        report[port.name] = dev
-    return report

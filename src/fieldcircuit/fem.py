@@ -15,6 +15,7 @@ files are millimetres and are converted to metres on read.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fieldcircuit import serialization
 from fieldcircuit.structure import (
     NumericalError,
     StructureError,
@@ -372,12 +374,6 @@ def reduce_vector(vec: np.ndarray, free: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)[free]
 
 
-def expand_vector(vec: np.ndarray, free: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[free] = vec
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra on assembled blocks
 # ---------------------------------------------------------------------------
@@ -473,40 +469,16 @@ def check_pencil(m_sigma, k_nu, seed: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 def write_mesh(mesh: Mesh, path: str) -> None:
-    """`node r z tag` / `tri a b c region` records, zero-based indices."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k in range(mesh.n_nodes):
-            r, z = mesh.nodes[k]
-            fh.write(f"node {float(r)!r} {float(z)!r} {int(mesh.node_tags[k])}\n")
-        for k in range(mesh.n_triangles):
-            a, b, c = mesh.triangles[k]
-            fh.write(f"tri {a} {b} {c} {mesh.tri_tags[k]}\n")
-
-
-def read_mesh(path: str) -> Mesh:
-    nodes, node_tags, tris, tri_tags = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "node" and len(parts) == 4:
-                    nodes.append((float(parts[1]), float(parts[2])))
-                    node_tags.append(int(parts[3]))
-                elif parts[0] == "tri" and len(parts) == 5:
-                    tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-                    tri_tags.append(parts[4])
-                else:
-                    raise ValueError
-            except ValueError:
-                raise StructureError(
-                    f"{path}:{lineno}: malformed mesh record {line!r}") from None
-    mesh = Mesh(np.asarray(nodes), np.asarray(node_tags),
-                np.asarray(tris), np.asarray(tri_tags))
-    check_mesh(mesh)
-    return mesh
+    """`node r z tag` / `tri a b c region` records, zero-based indices,
+    written through `serialization.write_text_atomic`."""
+    buf = io.StringIO()
+    for k in range(mesh.n_nodes):
+        r, z = mesh.nodes[k]
+        buf.write(f"node {float(r)!r} {float(z)!r} {int(mesh.node_tags[k])}\n")
+    for k in range(mesh.n_triangles):
+        a, b, c = mesh.triangles[k]
+        buf.write(f"tri {a} {b} {c} {mesh.tri_tags[k]}\n")
+    serialization.write_text_atomic(path, buf.getvalue())
 
 
 @dataclass

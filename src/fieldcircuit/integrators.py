@@ -1,15 +1,17 @@
 """Time integration of energy-based DAE systems with energy bookkeeping.
 
 Every system is rewritten as one implicit linear DAE, E_dae ẋ = A_dae x +
-B_dae u, and stepped with fixed-step implicit schemes: midpoint, trapezoidal,
-implicit Euler, BDF2 and the fully implicit Runge-Kutta methods Gauss-4 and
-Radau IIA of order 5.  The stages of the Runge-Kutta methods are decoupled
-through the eigenvalues λ of the Butcher matrix: each step solves one n×n
-pencil E_dae − τλ A_dae per real λ and per conjugate pair (one complex
-solve for Gauss-4, one real and one complex for Radau IIA), never a stacked
-sn×sn stage system.  Trajectories carry the Hamiltonian and cumulative
-dissipated/supplied energy so the discrete power balance can be audited after
-the fact.
+B_dae u, and stepped with fixed-step implicit schemes by one of two
+steppers.  Trapezoidal uses the endpoint formula, which is also the startup
+step of BDF2.  Every method with an invertible Butcher matrix (midpoint and
+implicit Euler, the one-stage Gauss and Radau IIA methods, Gauss-4 and Radau
+IIA of order 5) goes through one Runge-Kutta stepper whose stages are
+decoupled through the eigenvalues λ of the Butcher matrix: each step solves
+one n×n pencil E_dae − τλ A_dae per real λ and per conjugate pair (one real
+solve for midpoint and implicit Euler, one complex for Gauss-4, one real and
+one complex for Radau IIA), never a stacked sn×sn stage system.
+Trajectories carry the Hamiltonian and cumulative dissipated/supplied energy
+so the discrete power balance can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -116,8 +118,10 @@ _TABLEAUX = {
         np.array([1.0]),
         np.array([0.5]),
     ),
-    # Lobatto IIIA; kept for reference, stepped via the endpoint formula
-    # because the explicit first stage cannot be evaluated behind singular E.
+    # Lobatto IIIA; its Butcher matrix is singular (an explicit first stage,
+    # which cannot be evaluated behind a singular E_dae), so `_make_stepper`
+    # steps it by the endpoint formula instead; the tableau serves the order
+    # conditions.
     "trapezoidal": (
         np.array([[0.0, 0.0], [0.5, 0.5]]),
         np.array([0.5, 0.5]),
@@ -161,16 +165,6 @@ def method_from_tag(tag) -> Method:
     return Method(key, a, b, c)
 
 
-def check_tableau(method: Method) -> None:
-    """Basic consistency: weights sum to one, abscissae inside [0, 1]."""
-    if method.A is None:
-        return
-    if abs(float(np.sum(method.b)) - 1.0) > 1e-14:
-        raise StructureError(f"tableau weights of {method.tag} do not sum to 1")
-    if np.any(method.c < -1e-15) or np.any(method.c > 1.0 + 1e-15):
-        raise StructureError(f"tableau abscissae of {method.tag} leave [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # factorized stage solver with iterative refinement
 # ---------------------------------------------------------------------------
@@ -212,45 +206,6 @@ class _StageSolver:
 
 
 # ---------------------------------------------------------------------------
-# single steps
-# ---------------------------------------------------------------------------
-
-def _midpoint_matrices(dae: LinearDae, tau: float):
-    lhs = dae.E_dae - (tau / 2.0) * dae.A_dae
-    rhs = dae.E_dae + (tau / 2.0) * dae.A_dae
-    return lhs, rhs
-
-
-def step_midpoint(sys: EnergySystem, z_k: np.ndarray, u_mid: np.ndarray,
-                  tau: float):
-    """One midpoint step; returns (z_next, y_mid).
-
-    y_mid is the discrete port output Bᵀ [(z1⁺−z1)/τ; S z2_mid; z3_mid] that
-    enters the exact discrete power balance.
-    """
-    u_mid = np.asarray(u_mid, dtype=np.float64)
-    traj = simulate(sys, z_k, lambda t: u_mid, tau, tau, "midpoint")
-    return traj.states[1], traj.outputs[1]
-
-
-def step_irk(dae: LinearDae, method, z_k: np.ndarray, u, t_k: float,
-             tau: float) -> np.ndarray:
-    """One step of a one-step method on E_dae ẋ = A_dae x + B_dae u.
-
-    `u` is an evaluable waveform.  The step is the one `simulate` takes:
-    trapezoidal uses the endpoint formula (its tableau has an explicit first
-    stage, which a singular E_dae cannot evaluate), Gauss-4 and Radau IIA
-    one pencil solve per eigenvalue of their Butcher matrix (a conjugate
-    pair counts once), each matrix factorized when the stepper is built.
-    """
-    method = method_from_tag(method)
-    if method.tag == "bdf2":
-        raise StructureError("bdf2 is a multistep scheme; use simulate()")
-    z_k = np.asarray(z_k, dtype=np.float64)
-    return _make_stepper(dae, method, tau)(0, z_k, None, t_k, u)
-
-
-# ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
@@ -261,8 +216,11 @@ class Trajectory:
     outputs[k] for k >= 1 is the discrete port flow Bᵀ w of the step ending
     at times[k] (the quantity entering the discrete power balance);
     outputs[0] is zero since no step precedes the initial instant.
-    dissipated_cum/supplied_cum integrate the discrete power terms with the
-    same input convention the stepping scheme used.
+    dissipated_cum/supplied_cum integrate the discrete power terms; the
+    supplied energy pairs the output with the endpoint average of u for
+    trapezoidal and with u(t + τ/2) for every other method (see
+    `_energy_bookkeeping`), so the balance is exact only for midpoint and
+    trapezoidal.
     """
 
     times: np.ndarray
@@ -342,11 +300,14 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
     trajectory, from its stored states.
 
     Step k contributes τ wᵀRw and τ⟨y, u_k⟩ with the discrete flow
-    w = [(z1⁺−z1)/τ; S z2_mid; z3_mid] and y = Bᵀw; u_k is the input the
-    scheme used: the endpoint average for trapezoidal, the midpoint value
-    otherwise.  Steps are taken in blocks of `block_rows` states, so no
-    temporary grows with the trajectory; every step's arithmetic is the
-    same whatever block it falls in.
+    w = [(z1⁺−z1)/τ; S z2_mid; z3_mid] and y = Bᵀw.  u_k is the endpoint
+    average (u(t) + u(t+τ))/2 for trapezoidal and u(t + τ/2) otherwise.
+    That is the input the scheme used only for trapezoidal and midpoint,
+    whose balance is therefore exact; implicit Euler and BDF2 step with
+    u(t+τ), Gauss-4 and Radau IIA with their stage values u(t + c_i τ).
+    Steps are taken in blocks of `block_rows` states, so no temporary grows
+    with the trajectory; every step's arithmetic is the same whatever block
+    it falls in.
     """
     p = sys.partition
     if method.tag == "trapezoidal":
@@ -376,53 +337,32 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
 
 def _make_stepper(dae: LinearDae, method: Method, tau: float):
     """Bind the per-step update, factorizing every needed matrix up front."""
-    if method.tag in ("midpoint", "trapezoidal"):
-        lhs, rhs = _midpoint_matrices(dae, tau)
-        solver = _StageSolver(lhs, f"{method.tag}, tau = {tau}")
-
-        if method.tag == "midpoint":
-            def step(k, z, states, t_k, u):
-                u_mid = np.asarray(u(t_k + 0.5 * tau), dtype=np.float64)
-                return solver.solve(rhs @ z + tau * (dae.B_dae @ u_mid))
-        else:
-            def step(k, z, states, t_k, u):
-                u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-                return solver.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
-        return step
-
-    if method.tag == "implicit_euler":
-        solver = _StageSolver(dae.E_dae - tau * dae.A_dae,
-                              f"implicit_euler, tau = {tau}")
+    if method.tag in ("trapezoidal", "bdf2"):
+        # endpoint formula (E − τ/2 A) z⁺ = (E + τ/2 A) z + τ B ū; it is also
+        # BDF2's startup step, which keeps second order
+        rhs = dae.E_dae + (tau / 2.0) * dae.A_dae
+        trap = _StageSolver(dae.E_dae - (tau / 2.0) * dae.A_dae,
+                            f"trapezoidal, tau = {tau}")
+        if method.tag == "bdf2":
+            bdf2 = _StageSolver(3.0 * dae.E_dae - 2.0 * tau * dae.A_dae,
+                                f"bdf2, tau = {tau}")
 
         def step(k, z, states, t_k, u):
-            u_next = np.asarray(u(t_k + tau), dtype=np.float64)
-            return solver.solve(dae.E_dae @ z + tau * (dae.B_dae @ u_next))
+            if k and method.tag == "bdf2":
+                u_next = np.asarray(u(t_k + tau), dtype=np.float64)
+                return bdf2.solve(dae.E_dae @ (4.0 * z - states[k - 1])
+                                  + 2.0 * tau * (dae.B_dae @ u_next))
+            u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
+            return trap.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
         return step
 
-    if method.tag == "bdf2":
-        # startup: one trapezoidal step keeps second order
-        lhs, rhs = _midpoint_matrices(dae, tau)
-        trap = _StageSolver(lhs, f"bdf2 startup, tau = {tau}")
-        solver = _StageSolver(3.0 * dae.E_dae - 2.0 * tau * dae.A_dae,
-                              f"bdf2, tau = {tau}")
-
-        def step(k, z, states, t_k, u):
-            if k == 0:
-                u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-                return trap.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
-            z_prev = states[k - 1]
-            u_next = np.asarray(u(t_k + tau), dtype=np.float64)
-            return solver.solve(dae.E_dae @ (4.0 * z - z_prev)
-                                + 2.0 * tau * (dae.B_dae @ u_next))
-        return step
-
-    # fully implicit Runge-Kutta, decoupled through the eigenvalues of the
-    # Butcher matrix: with T⁻¹ A_tab T = Λ the stage system splits into one
-    # pencil E − τλ_j A per eigenvalue, solved for w_j from row j of T⁻¹
-    # applied to the stage right-hand sides, and z⁺ = z + τ Σ_j γ_j w_j with
-    # γ = bᵀT (Butcher, BIT 16, 1976).  Of a conjugate pair only the member
-    # with Im λ > 0 is solved; its partner's w is the complex conjugate, so
-    # the pair adds 2 Re(γ_j w_j).
+    # implicit Runge-Kutta (midpoint and implicit Euler are its one-stage
+    # cases), decoupled through the eigenvalues of the Butcher matrix: with
+    # T⁻¹ A_tab T = Λ the stage system splits into one pencil E − τλ_j A per
+    # eigenvalue, solved for w_j with the right side Σ_i T⁻¹_ji (A z + B u_i),
+    # and z⁺ = z + τ Σ_j γ_j w_j with γ = bᵀT (Butcher, BIT 16, 1976).  Of a
+    # conjugate pair only the member with Im λ > 0 is solved; its partner's w
+    # is the complex conjugate, so the pair adds 2 Re(γ_j w_j).
     lam, t_mat = np.linalg.eig(np.asarray(method.A, dtype=np.float64))
     if np.linalg.cond(t_mat) > 1e8:
         raise StructureError(
@@ -438,17 +378,17 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float):
         solver = _StageSolver(dae.E_dae - (tau * lam_j) * dae.A_dae,
                               f"{method.tag}, lambda = {lam_j:.6g}, "
                               f"tau = {tau}")
-        pencils.append((solver, row, weight))
+        pencils.append((solver, row, row.sum(), weight))
 
     def step(k, z, states, t_k, u):
-        u_stages = np.column_stack(
-            [np.asarray(u(t_k + float(ci) * tau), dtype=np.float64)
-             for ci in method.c])
-        # column i: the stage right-hand side A z + B u(t_k + c_i τ)
-        f = (dae.A_dae @ z)[:, None] + dae.B_dae @ u_stages
-        z_next = z.copy()
-        for solver, row, weight in pencils:
-            z_next += tau * np.real(weight * solver.solve(f @ row))
+        # row i: the input at stage i, u(t_k + c_i τ)
+        u_stages = np.array([u(t_k + float(ci) * tau) for ci in method.c],
+                            dtype=np.float64)
+        az = dae.A_dae @ z
+        z_next = z
+        for solver, row, row_sum, weight in pencils:
+            w = solver.solve(row_sum * az + dae.B_dae @ (row @ u_stages))
+            z_next = z_next + tau * np.real(weight * w)
         return z_next
     return step
 

@@ -43,12 +43,6 @@ class InterconnectionSpec:
                            as_block(self.F_sym, (m, m), "F_sym"))
 
 
-def direct_sum_spec(m_a: int, m_b: int) -> InterconnectionSpec:
-    """The trivial spec (no coupling): F_skew = F_sym = 0."""
-    m = m_a + m_b
-    return InterconnectionSpec(np.zeros((m, m)), np.zeros((m, m)), m)
-
-
 def permute_to_partition_order(p_a: Partition, p_b: Partition) -> np.ndarray:
     """Gather permutation from concatenated states [z_A; z_B] to interleaved order.
 

@@ -56,8 +56,8 @@ def read_matrix(path: str):
 def save_system(system: EnergySystem, dirpath: str) -> None:
     os.makedirs(dirpath, exist_ok=True)
     p = system.partition
-    with open(os.path.join(dirpath, "partition"), "w", encoding="utf-8") as fh:
-        fh.write(f"partition {p.n1} {p.n2} {p.n3} {p.m}\n")
+    write_text_atomic(os.path.join(dirpath, "partition"),
+                      f"partition {p.n1} {p.n2} {p.n3} {p.m}\n")
     for name in _MATRIX_FILES:
         write_matrix(os.path.join(dirpath, name + ".mtx"), getattr(system, name))
 

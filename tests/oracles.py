@@ -3,11 +3,14 @@
 Element integrals are evaluated here through the affine map onto the
 reference triangle and its Jacobian, a different route than the production
 assembly (which works with barycentric gradient coefficients directly).
-Quadrature points are the published degree-5 values.
+Quadrature points are the published degree-5 values.  `direct_sum_spec`,
+the uncoupled interconnection, serves the interconnection tests.
 """
 import math
 
 import numpy as np
+
+from fieldcircuit.interconnect import InterconnectionSpec
 
 _S15 = math.sqrt(15.0)
 _RULE = [((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 9.0 / 40.0)]
@@ -78,3 +81,9 @@ def random_triangle(rng, r_min=0.2):
             area2 = -area2
         if area2 > 1e-3:
             return pts
+
+
+def direct_sum_spec(m_a, m_b):
+    """The trivial spec (no coupling): F_skew = F_sym = 0."""
+    m = m_a + m_b
+    return InterconnectionSpec(np.zeros((m, m)), np.zeros((m, m)), m)

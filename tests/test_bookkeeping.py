@@ -9,14 +9,14 @@ from fieldcircuit.conductors import (SolidModel, StrandedModel, foil_system,
                                      solid_system, stranded_system, synth_foil)
 from fieldcircuit.coupling import bind_circuit, couple
 from fieldcircuit.integrators import METHOD_TAGS, simulate
-from fieldcircuit.interconnect import (InterconnectionSpec, direct_sum_spec,
-                                       interconnect)
+from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
 from fieldcircuit.serialization import load_system, save_system
 from fieldcircuit.structure import (EnergySystem, Partition, hamiltonian,
                                     to_dense)
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_energy_system
+from tests.oracles import direct_sum_spec
 
 # Set before the first run: the batched sums reorder floating-point
 # additions, so agreement is to a few ulps of the summed magnitudes.

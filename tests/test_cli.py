@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fieldcircuit import serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                               EXIT_STRUCTURE, cli_main)
 from fieldcircuit.conductors import StrandedModel, save_model
@@ -138,6 +139,33 @@ def test_export_matrices(tmp_path):
     assert int(man["free_dofs"]) == k.shape[0]
     x = read_matrix(os.path.join(out, "X_coil.mtx"))
     assert x.shape == (k.shape[0], 1)
+
+
+def test_mesh_and_partition_are_written_atomically(tmp_path, rng,
+                                                   monkeypatch):
+    # every file goes through a temp file and a rename, so an interrupted
+    # export or save never leaves a truncated mesh.txt or partition header
+    renamed = []
+    replace = serialization.replace_atomic
+
+    def recording_replace(tmp, path):
+        renamed.append(os.path.basename(path))
+        replace(tmp, path)
+
+    monkeypatch.setattr(serialization, "replace_atomic", recording_replace)
+    geo = tmp_path / "g.geo"
+    geo.write_text("rect air 0 10 -10 10\n"
+                   "rect coil 4 6 -4 4\n"
+                   "winding coil 10\n", encoding="utf-8")
+    assert cli_main(["export-matrices", str(geo), str(tmp_path / "mats"),
+                     "--mesh-h", "2e-3"]) == EXIT_OK
+    assert "mesh.txt" in renamed
+    renamed.clear()
+    save_system(random_energy_system(rng), str(tmp_path / "sys"))
+    assert sorted(renamed) == sorted(
+        ["partition", "E.mtx", "J.mtx", "R.mtx", "B.mtx", "M1.mtx",
+         "M2.mtx", "S.mtx"])
+    assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
 
 
 def test_export_matrices_then_simulate(tmp_path):

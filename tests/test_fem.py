@@ -8,9 +8,8 @@ from fieldcircuit.fem import (MU0, Material, Mesh, Rect, _grid_coords,
                               assemble_conductivity, assemble_solid_column,
                               assemble_stiffness, assemble_stranded_column,
                               build_rect_mesh, check_mesh, check_pencil,
-                              element_integrals, expand_vector,
-                              lumped_inductance, parse_geometry,
-                              pseudo_solve, read_geometry, read_mesh,
+                              element_integrals, lumped_inductance,
+                              parse_geometry, pseudo_solve, read_geometry,
                               reduce_matrix, reduce_vector, region_plane_area,
                               signed_areas, write_mesh)
 from fieldcircuit.structure import (NumericalError, StructureError, min_sym_eig,
@@ -269,6 +268,13 @@ def test_solid_region_on_axis_rejected():
 
 # --- reduction / linear algebra -------------------------------------------------
 
+def expand_vector(vec, free, n):
+    """Inverse of the Dirichlet reduction: zeros on the fixed nodes."""
+    out = np.zeros(n)
+    out[free] = vec
+    return out
+
+
 def test_reduce_expand_round_trip(small_mesh, rng):
     free = small_mesh.free_nodes()
     vec = rng.standard_normal(small_mesh.n_nodes)
@@ -332,6 +338,33 @@ def test_lumped_inductance_singular_stiffness_raises():
 
 
 # --- file formats ----------------------------------------------------------------
+
+def read_mesh(path):
+    """Parse the `node r z tag` / `tri a b c region` records of `write_mesh`."""
+    nodes, node_tags, tris, tri_tags = [], [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                if parts[0] == "node" and len(parts) == 4:
+                    nodes.append((float(parts[1]), float(parts[2])))
+                    node_tags.append(int(parts[3]))
+                elif parts[0] == "tri" and len(parts) == 5:
+                    tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                    tri_tags.append(parts[4])
+                else:
+                    raise ValueError
+            except ValueError:
+                raise StructureError(
+                    f"{path}:{lineno}: malformed mesh record {line!r}") from None
+    mesh = Mesh(np.asarray(nodes), np.asarray(node_tags),
+                np.asarray(tris), np.asarray(tri_tags))
+    check_mesh(mesh)
+    return mesh
+
 
 def test_mesh_file_round_trip(tmp_path, small_mesh):
     path = str(tmp_path / "m.txt")

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fieldcircuit.interconnect import (InterconnectionSpec, direct_sum_spec,
-                                       interconnect,
+from fieldcircuit.interconnect import (InterconnectionSpec, interconnect,
                                        permute_to_partition_order)
 from fieldcircuit.structure import (Partition, StructureError, hamiltonian,
                                     to_dense, validate)
 from tests.conftest import random_energy_system
+from tests.oracles import direct_sum_spec
 
 
 def random_skew(rng, m):

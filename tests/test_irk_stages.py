@@ -1,6 +1,7 @@
-"""Gauss-4 and Radau IIA stages decoupled through the eigenvalues of the
-Butcher matrix: parity with the Kronecker-stacked stage system, and the
-shape of every matrix the stepper factorizes."""
+"""Runge-Kutta stages decoupled through the eigenvalues of the Butcher
+matrix (midpoint, implicit Euler, Gauss-4, Radau IIA): parity with the
+Kronecker-stacked stage system, and the shape of every matrix the stepper
+factorizes."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ import scipy.sparse as sp
 
 from fieldcircuit import experiments, integrators
 from fieldcircuit.integrators import (Method, _StageSolver, consistent_init,
-                                      method_from_tag, simulate, step_irk,
-                                      to_linear_dae)
+                                      method_from_tag, simulate, to_linear_dae)
 from fieldcircuit.structure import StructureError
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_energy_system
 
-IRK_METHODS = ("gauss4", "radau5")
+IRK_METHODS = ("midpoint", "implicit_euler", "gauss4", "radau5")
 
 
 def stacked_states(sys, z0, u, tau, steps, method):
@@ -86,6 +86,8 @@ def test_decoupled_stages_match_stacked_on_oscillators(kind, bound, method):
 @pytest.mark.parametrize("method,expected", [
     ("gauss4", ["complex128"]),
     ("radau5", ["complex128", "float64"]),
+    ("midpoint", ["float64"]),
+    ("implicit_euler", ["float64"]),
 ])
 def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
         monkeypatch, rng, method, expected):
@@ -113,5 +115,5 @@ def test_defective_butcher_matrix_is_refused(rng):
                        np.array([0.5, 0.5]), np.array([0.5, 1.0]))
     sys_r = random_energy_system(rng, n1=1, n2=2, n3=1, m=1)
     with pytest.raises(StructureError, match="not diagonalizable"):
-        step_irk(to_linear_dae(sys_r), defective, np.zeros(sys_r.n),
-                 lambda t: np.zeros(1), 0.0, 0.1)
+        simulate(sys_r, np.zeros(sys_r.n), lambda t: np.zeros(1), 0.1, 0.1,
+                 defective)
