@@ -214,11 +214,7 @@ def _cmd_export_matrices(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     mesh = geo.mesh(args.mesh_h)
-    free = mesh.free_nodes()
-    k_nu = fem.assemble_stiffness(mesh, geo.materials)
-    m_sigma = fem.assemble_conductivity(mesh, geo.materials)
-    k_red = fem.reduce_matrix(k_nu, free)
-    m_red = fem.reduce_matrix(m_sigma, free)
+    free, k_red, m_red = fem.reduced_field_matrices(mesh, geo.materials)
     os.makedirs(args.out_dir, exist_ok=True)
     files = []
     for name, mat in (("K_nu", k_red), ("M_sigma", m_red)):

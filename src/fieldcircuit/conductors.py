@@ -11,11 +11,18 @@ The solid model stores the voltage-distribution columns chi; its dissipation
 block is the congruence [I, -chi]ᵀ M_sigma [I, -chi].  The foil model stores
 the already conductivity-weighted coupling columns, which must lie in the
 column space of M_sigma.
+
+All three share one block contract (M_sigma and K_nu n_w×n_w, n_w×k
+coupling columns, a symmetric PSD k×k port block).  The table `KINDS` is the
+one place that names the kinds: it maps each kind name to its model class,
+the file roles of its model directory and its energy-system builder, and
+`save_model`, `load_model`, `system_for` and `coupling.bind_circuit` read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,29 +33,60 @@ from fieldcircuit.structure import (
     Partition,
     StructureError,
     as_block,
+    max_abs,
+    min_sym_eig,
     to_csr,
     to_dense,
 )
 from fieldcircuit.serialization import read_manifest, read_matrix, write_manifest, write_matrix
 
-import os
-
 
 def _check_sym_psd(mat, name: str, tol: float = 1e-10) -> None:
-    dense = to_dense(mat)
-    if dense.size == 0:
-        return
-    scale = max(float(np.max(np.abs(dense))), 1e-300)
-    if np.max(np.abs(dense - dense.T)) > tol * scale:
+    scale = max(max_abs(mat), 1e-300)
+    if max_abs(mat - mat.T) > tol * scale:
         raise StructureError(f"{name} is not symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-    if eig[0] < -tol * max(scale, 1.0):
+    eig = min_sym_eig(mat)
+    if eig < -tol * max(scale, 1.0):
         raise StructureError(f"{name} is not positive semi-definite "
-                             f"(min eig {eig[0]:.3e})")
+                             f"(min eig {eig:.3e})")
+
+
+def _columns(x, n_w: int) -> np.ndarray:
+    """Coupling columns as an n_w×k array: a 1-d vector or a k×n_w stack is
+    read as columns."""
+    x = np.atleast_2d(np.asarray(to_dense(x), dtype=np.float64))
+    if x.shape[0] != n_w and x.shape[1] == n_w:
+        x = x.T
+    return x
+
+
+class _Conductor:
+    """Block contract shared by the conductor models, whose fields come in
+    the order of their file roles: M_sigma and K_nu are n_w×n_w, the third
+    field holds the n_w×k coupling columns and the last one is the
+    symmetric PSD k×k port block."""
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        x_name, port_name = names[2], names[-1]
+        n_w = to_csr(self.K_nu).shape[0]
+        x = _columns(getattr(self, x_name), n_w)
+        k = x.shape[1]
+        for name, value, shape in (
+                ("M_sigma", self.M_sigma, (n_w, n_w)),
+                ("K_nu", self.K_nu, (n_w, n_w)),
+                (x_name, x, (n_w, k)),
+                (port_name, getattr(self, port_name), (k, k))):
+            object.__setattr__(self, name, as_block(value, shape, name))
+        _check_sym_psd(getattr(self, port_name), port_name)
+
+    @property
+    def n_w(self) -> int:
+        return self.K_nu.shape[0]
 
 
 @dataclass(frozen=True)
-class StrandedModel:
+class StrandedModel(_Conductor):
     """Homogenized multi-turn winding; losses live in the winding resistance."""
 
     M_sigma: object
@@ -56,29 +94,13 @@ class StrandedModel:
     X_str: object
     R_str: object
 
-    def __post_init__(self):
-        n_w = to_csr(self.K_nu).shape[0]
-        object.__setattr__(self, "M_sigma", as_block(self.M_sigma, (n_w, n_w), "M_sigma"))
-        object.__setattr__(self, "K_nu", as_block(self.K_nu, (n_w, n_w), "K_nu"))
-        x = np.atleast_2d(to_dense(self.X_str))
-        if x.shape[0] != n_w:
-            x = x.T
-        object.__setattr__(self, "X_str", as_block(x, (n_w, x.shape[1]), "X_str"))
-        n_str = self.n_str
-        object.__setattr__(self, "R_str", as_block(self.R_str, (n_str, n_str), "R_str"))
-        _check_sym_psd(self.R_str, "R_str")
-
-    @property
-    def n_w(self) -> int:
-        return self.K_nu.shape[0]
-
     @property
     def n_str(self) -> int:
         return self.X_str.shape[1]
 
 
 @dataclass(frozen=True)
-class SolidModel:
+class SolidModel(_Conductor):
     """Massive conductor; X_sol holds the voltage-distribution columns chi."""
 
     M_sigma: object
@@ -87,17 +109,9 @@ class SolidModel:
     G_sol: object
 
     def __post_init__(self):
-        n_w = to_csr(self.K_nu).shape[0]
-        object.__setattr__(self, "M_sigma", as_block(self.M_sigma, (n_w, n_w), "M_sigma"))
-        object.__setattr__(self, "K_nu", as_block(self.K_nu, (n_w, n_w), "K_nu"))
-        x = np.atleast_2d(to_dense(self.X_sol))
-        if x.shape[0] != n_w:
-            x = x.T
-        object.__setattr__(self, "X_sol", as_block(x, (n_w, x.shape[1]), "X_sol"))
-        n_sol = self.n_sol
-        object.__setattr__(self, "G_sol", as_block(self.G_sol, (n_sol, n_sol), "G_sol"))
-        _check_sym_psd(self.G_sol, "G_sol")
-        gram = to_dense(self.X_sol).T @ (self.M_sigma @ to_dense(self.X_sol))
+        super().__post_init__()
+        chi = to_dense(self.X_sol)
+        gram = chi.T @ (self.M_sigma @ chi)
         scale = max(float(np.max(np.abs(gram))), 1e-300)
         if np.max(np.abs(gram - to_dense(self.G_sol))) > 1e-8 * scale:
             raise StructureError(
@@ -105,16 +119,12 @@ class SolidModel:
                 "X_solᵀ M_sigma X_sol of the stored distribution columns")
 
     @property
-    def n_w(self) -> int:
-        return self.K_nu.shape[0]
-
-    @property
     def n_sol(self) -> int:
         return self.X_sol.shape[1]
 
 
 @dataclass(frozen=True)
-class FoilModel:
+class FoilModel(_Conductor):
     """Foil winding with partition potentials e and total current i_foil."""
 
     M_sigma: object
@@ -124,20 +134,11 @@ class FoilModel:
     G_foil: object
 
     def __post_init__(self):
-        n_w = to_csr(self.K_nu).shape[0]
-        object.__setattr__(self, "M_sigma", as_block(self.M_sigma, (n_w, n_w), "M_sigma"))
-        object.__setattr__(self, "K_nu", as_block(self.K_nu, (n_w, n_w), "K_nu"))
-        x = np.atleast_2d(to_dense(self.X_foil))
-        if x.shape[0] != n_w and x.shape[1] == n_w:
-            x = x.T
-        object.__setattr__(self, "X_foil", as_block(x, (n_w, x.shape[1]), "X_foil"))
+        super().__post_init__()
         c = np.asarray(to_dense(self.c), dtype=np.float64).ravel()
-        n_p = self.X_foil.shape[1]
-        if c.shape != (n_p,):
-            raise StructureError(f"c: expected {n_p} entries, got {c.shape}")
+        if c.shape != (self.n_p,):
+            raise StructureError(f"c: expected {self.n_p} entries, got {c.shape}")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "G_foil", as_block(self.G_foil, (n_p, n_p), "G_foil"))
-        _check_sym_psd(self.G_foil, "G_foil")
         self._check_column_space()
 
     def _check_column_space(self):
@@ -153,10 +154,6 @@ class FoilModel:
                 f"X_foil leaves the column space of M_sigma: {exc}") from exc
         schur = to_dense(self.G_foil) - x_dense.T @ y
         _check_sym_psd(0.5 * (schur + schur.T), "foil Schur complement", tol=1e-8)
-
-    @property
-    def n_w(self) -> int:
-        return self.K_nu.shape[0]
 
     @property
     def n_p(self) -> int:
@@ -242,9 +239,7 @@ def foil_system(model: FoilModel) -> EnergySystem:
 def stranded_resistance(m_winding, x_str) -> np.ndarray:
     """Winding resistance Gram matrix X_strᵀ M⁺ X_str against the winding
     conductivity mass (with the winding material's sigma, not the eddy one)."""
-    x = np.atleast_2d(np.asarray(to_dense(x_str), dtype=np.float64))
-    if x.shape[0] != to_csr(m_winding).shape[0]:
-        x = x.T
+    x = _columns(x_str, to_csr(m_winding).shape[0])
     y = fem.pseudo_solve(m_winding, x)
     r = x.T @ y
     return 0.5 * (r + r.T)
@@ -263,9 +258,7 @@ def stranded_from_mesh(mesh, materials: dict, tag: str, turns: float,
         raise StructureError(
             f"stranded region {tag!r} must have zero bulk conductivity; its "
             f"loss is modeled by sigma_winding")
-    free = mesh.free_nodes()
-    k_nu = fem.reduce_matrix(fem.assemble_stiffness(mesh, materials), free)
-    m_sig = fem.reduce_matrix(fem.assemble_conductivity(mesh, materials), free)
+    free, k_nu, m_sig = fem.reduced_field_matrices(mesh, materials)
     x_full = fem.assemble_stranded_column(mesh, tag, turns)
     x_str = fem.reduce_vector(x_full, free)[:, None]
     if sigma_winding > 0.0:
@@ -283,12 +276,8 @@ def solid_from_mesh(mesh, materials: dict, tag: str) -> SolidModel:
     mat = materials.get(tag)
     if mat is None or mat.sigma <= 0.0:
         raise StructureError(f"solid region {tag!r} needs positive conductivity")
-    free = mesh.free_nodes()
-    k_nu = fem.reduce_matrix(fem.assemble_stiffness(mesh, materials), free)
-    m_full = fem.assemble_conductivity(mesh, materials)
-    _, chi_full = fem.assemble_solid_column(mesh, tag, m_sigma=m_full)
-    m_sig = fem.reduce_matrix(m_full, free)
-    chi = fem.reduce_vector(chi_full, free)[:, None]
+    free, k_nu, m_sig = fem.reduced_field_matrices(mesh, materials)
+    chi = fem.reduce_vector(fem.solid_distribution(mesh, tag), free)[:, None]
     g = chi.T @ (m_sig @ chi)
     return SolidModel(m_sig, k_nu, chi, 0.5 * (g + g.T))
 
@@ -296,8 +285,9 @@ def solid_from_mesh(mesh, materials: dict, tag: str) -> SolidModel:
 def synth_foil(m_sigma, n_p: int, seed: int, k_nu=None) -> FoilModel:
     """Random foil model with the column-space condition built in.
 
-    X_foil = M_sigma · W guarantees the columns stay inside the column space;
-    G_foil is the exact Gram matrix, making the Schur complement zero.
+    X_foil = M_sigma · W keeps the columns inside the column space;
+    G_foil = Wᵀ X_foil is the exact Gram matrix X_foilᵀ M⁺ X_foil, making
+    the Schur complement zero.
     """
     m_csr = to_csr(m_sigma)
     n_w = m_csr.shape[0]
@@ -305,45 +295,55 @@ def synth_foil(m_sigma, n_p: int, seed: int, k_nu=None) -> FoilModel:
     w = rng.standard_normal((n_w, n_p))
     x = m_csr @ w
     c = rng.uniform(0.5, 2.0, n_p)
-    if np.max(np.abs(x)) > 0.0:
-        y = fem.pseudo_solve(m_csr, x)
-        g = x.T @ y
-        g = 0.5 * (g + g.T)
-    else:
-        g = np.zeros((n_p, n_p))
+    g = w.T @ x
     if k_nu is None:
         d = rng.uniform(1.0, 2.0, n_w)
         k_nu = sp.diags_array(d, format="csr") if n_w else sp.csr_array((0, 0))
-    return FoilModel(m_csr, k_nu, x, c, g)
+    return FoilModel(m_csr, k_nu, x, c, 0.5 * (g + g.T))
 
 
 # ---------------------------------------------------------------------------
-# model directories
+# the conductor-kind table and model directories
 # ---------------------------------------------------------------------------
 
-_KIND_FIELDS = {
-    "stranded": ("M_sigma", "K_nu", "X", "R"),
-    "solid": ("M_sigma", "K_nu", "X", "G"),
-    "foil": ("M_sigma", "K_nu", "X", "c", "G"),
+@dataclass(frozen=True)
+class ConductorKind:
+    """One conductor kind: its model class, the file roles of a model
+    directory (one per model field, in field order) and its energy-system
+    builder."""
+
+    model: type
+    roles: tuple
+    system: object
+
+
+KINDS = {
+    "stranded": ConductorKind(StrandedModel, ("M_sigma", "K_nu", "X", "R"),
+                              stranded_system),
+    "solid": ConductorKind(SolidModel, ("M_sigma", "K_nu", "X", "G"),
+                           solid_system),
+    "foil": ConductorKind(FoilModel, ("M_sigma", "K_nu", "X", "c", "G"),
+                          foil_system),
 }
 
 
+def kind_of(model) -> str:
+    """The name of the conductor kind of `model` in `KINDS`."""
+    for name, kind in KINDS.items():
+        if type(model) is kind.model:
+            return name
+    raise StructureError(f"not a conductor model: {type(model).__name__}")
+
+
 def save_model(model, dirpath: str) -> None:
+    kind = kind_of(model)
     os.makedirs(dirpath, exist_ok=True)
-    if isinstance(model, StrandedModel):
-        kind, parts = "stranded", {"X": model.X_str, "R": model.R_str}
-    elif isinstance(model, SolidModel):
-        kind, parts = "solid", {"X": model.X_sol, "G": model.G_sol}
-    elif isinstance(model, FoilModel):
-        kind, parts = "foil", {"X": model.X_foil, "c": model.c[:, None],
-                               "G": model.G_foil}
-    else:
-        raise StructureError(f"not a conductor model: {type(model).__name__}")
-    parts = {"M_sigma": model.M_sigma, "K_nu": model.K_nu, **parts}
     manifest = {"kind": kind}
-    for role, mat in parts.items():
+    for role, field in zip(KINDS[kind].roles, fields(model)):
+        block = getattr(model, field.name)
         fname = role + ".mtx"
-        write_matrix(os.path.join(dirpath, fname), mat)
+        write_matrix(os.path.join(dirpath, fname),
+                     block.reshape(-1, 1) if block.ndim == 1 else block)
         manifest[role] = fname
     write_manifest(os.path.join(dirpath, "manifest"), manifest)
 
@@ -354,27 +354,16 @@ def load_model(dirpath: str):
         raise StructureError(f"conductor model directory {dirpath!r} lacks a manifest")
     manifest = read_manifest(mpath)
     kind = manifest.get("kind")
-    if kind not in _KIND_FIELDS:
+    if kind not in KINDS:
         raise StructureError(f"{mpath}: unknown or missing model kind {kind!r}")
-    mats = {}
-    for role in _KIND_FIELDS[kind]:
+    mats = []
+    for role in KINDS[kind].roles:
         fname = manifest.get(role)
         if fname is None:
             raise StructureError(f"{mpath}: missing role {role!r}")
-        mats[role] = read_matrix(os.path.join(dirpath, fname))
-    if kind == "stranded":
-        return StrandedModel(mats["M_sigma"], mats["K_nu"], mats["X"], mats["R"])
-    if kind == "solid":
-        return SolidModel(mats["M_sigma"], mats["K_nu"], mats["X"], mats["G"])
-    return FoilModel(mats["M_sigma"], mats["K_nu"], mats["X"],
-                     to_dense(mats["c"]).ravel(), mats["G"])
+        mats.append(read_matrix(os.path.join(dirpath, fname)))
+    return KINDS[kind].model(*mats)
 
 
 def system_for(model) -> EnergySystem:
-    if isinstance(model, StrandedModel):
-        return stranded_system(model)
-    if isinstance(model, SolidModel):
-        return solid_system(model)
-    if isinstance(model, FoilModel):
-        return foil_system(model)
-    raise StructureError(f"not a conductor model: {type(model).__name__}")
+    return KINDS[kind_of(model)].system(model)

@@ -19,13 +19,6 @@ from fieldcircuit.mna import IncidenceSet, Netlist, input_stack
 from fieldcircuit.structure import EnergySystem, StructureError
 from fieldcircuit.waveforms import Constant, WaveformStack
 
-_KIND_OF_MODEL = {
-    cond_mod.StrandedModel: "stranded",
-    cond_mod.SolidModel: "solid",
-    cond_mod.FoilModel: "foil",
-}
-
-
 @dataclass(frozen=True)
 class BoundPort:
     name: str
@@ -115,7 +108,7 @@ def couple(circuit: EnergySystem, conductor_systems, binding: PortBinding) -> En
 def bind_circuit(inc: IncidenceSet, models: dict):
     """Resolve the incidence set's field ports against conductor models.
 
-    models maps model_ref -> StrandedModel/SolidModel/FoilModel.  Each
+    models maps model_ref -> a conductor model of `conductors.KINDS`.  Each
     distinct reference instantiates one conductor system (shared by all of
     its bound columns).  Returns (conductor models in binding order,
     conductor systems, PortBinding).
@@ -128,7 +121,7 @@ def bind_circuit(inc: IncidenceSet, models: dict):
             errors.append(f"field port {port.name!r}: no model named "
                           f"{port.model_ref!r} supplied")
             continue
-        kind = _KIND_OF_MODEL.get(type(model))
+        kind = cond_mod.kind_of(model)
         if kind != port.kind:
             errors.append(f"field port {port.name!r} expects a {port.kind} "
                           f"model, {port.model_ref!r} is {kind}")

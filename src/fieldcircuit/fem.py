@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -337,13 +336,10 @@ def assemble_stranded_column(mesh: Mesh, tag: str, turns: float) -> np.ndarray:
                        minlength=mesh.n_nodes)
 
 
-def assemble_solid_column(mesh: Mesh, tag: str, m_sigma=None,
-                          materials: dict = None):
-    """Voltage-distribution column for a solid conductor region.
-
-    chi carries 1/(2π r) on the region's nodes; the returned coupling column
-    is M_sigma · chi.  The region must stay clear of the axis.
-    """
+def solid_distribution(mesh: Mesh, tag: str) -> np.ndarray:
+    """Voltage distribution chi of a solid conductor region over all nodes:
+    1/(2π r) on the region's nodes, zero elsewhere.  The region must stay
+    clear of the axis."""
     nodes = mesh.region_nodes(tag)
     if nodes.size == 0:
         raise StructureError(f"mesh has no region tagged {tag!r}")
@@ -354,6 +350,14 @@ def assemble_solid_column(mesh: Mesh, tag: str, m_sigma=None,
             f"1/(2π r) is undefined there")
     chi = np.zeros(mesh.n_nodes)
     chi[nodes] = 1.0 / (2.0 * math.pi * radii)
+    return chi
+
+
+def assemble_solid_column(mesh: Mesh, tag: str, m_sigma=None,
+                          materials: dict = None):
+    """Coupling column M_sigma · chi of a solid conductor region, and chi
+    (see `solid_distribution`)."""
+    chi = solid_distribution(mesh, tag)
     if m_sigma is None:
         if materials is None:
             raise StructureError("assemble_solid_column needs m_sigma or materials")
@@ -374,6 +378,15 @@ def reduce_vector(vec: np.ndarray, free: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)[free]
 
 
+def reduced_field_matrices(mesh: Mesh, materials: dict):
+    """The mesh's free nodes, and K_nu and M_sigma assembled and reduced to
+    them."""
+    free = mesh.free_nodes()
+    k_nu = reduce_matrix(assemble_stiffness(mesh, materials), free)
+    m_sigma = reduce_matrix(assemble_conductivity(mesh, materials), free)
+    return free, k_nu, m_sigma
+
+
 # ---------------------------------------------------------------------------
 # linear algebra on assembled blocks
 # ---------------------------------------------------------------------------
@@ -381,9 +394,11 @@ def reduce_vector(vec: np.ndarray, free: np.ndarray) -> np.ndarray:
 def pseudo_solve(m_mat, x, rtol: float = 1e-10):
     """Solve M Y = X for symmetric PSD M with X in range(M).
 
-    The support of M (rows with any entry) is factorized; X must vanish off
-    the support and the solution is verified against rtol.  Raises
-    StructureError when X leaves the column space.
+    The support of M (rows with any entry) is factorized by one sparse LU;
+    only a block the LU finds exactly singular (a rank-deficient M) is
+    solved by least squares.  X must vanish off the support and the
+    solution is verified against rtol.  Raises StructureError when X leaves
+    the column space.
     """
     m_csr = to_csr(m_mat)
     x_arr = np.asarray(to_dense(x) if sp.issparse(x) else x, dtype=np.float64)
@@ -405,15 +420,12 @@ def pseudo_solve(m_mat, x, rtol: float = 1e-10):
             "(not in the column space)")
     y = np.zeros_like(x_arr)
     if support.size:
-        block = m_csr[support, :][:, support]
+        block = sp.csc_matrix(m_csr[support, :][:, support])
         rhs = x_arr[support]
-        if support.size < 400:
-            sol = _solve_spd_dense(to_dense(block), rhs)
-        else:
-            try:
-                sol = spla.splu(sp.csc_matrix(block)).solve(rhs)
-            except RuntimeError:
-                sol = np.linalg.lstsq(to_dense(block), rhs, rcond=None)[0]
+        try:
+            sol = spla.splu(block).solve(rhs)
+        except RuntimeError:
+            sol = np.linalg.lstsq(block.toarray(), rhs, rcond=None)[0]
         y[support] = sol
     res = m_csr @ y - x_arr
     if x_arr.size and np.max(np.abs(res)) > rtol * max(x_scale, scale * np.max(np.abs(y), initial=0.0), 1e-300):
@@ -421,14 +433,6 @@ def pseudo_solve(m_mat, x, rtol: float = 1e-10):
             "pseudo_solve: residual exceeds tolerance; right-hand side is not "
             "in the column space of M")
     return y[:, 0] if vec_in else y
-
-
-def _solve_spd_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(a, rhs, rcond=None)[0]
 
 
 def lumped_inductance(k_nu, x_col) -> float:

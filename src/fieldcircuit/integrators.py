@@ -216,11 +216,9 @@ class Trajectory:
     outputs[k] for k >= 1 is the discrete port flow Bᵀ w of the step ending
     at times[k] (the quantity entering the discrete power balance);
     outputs[0] is zero since no step precedes the initial instant.
-    dissipated_cum/supplied_cum integrate the discrete power terms; the
-    supplied energy pairs the output with the endpoint average of u for
-    trapezoidal and with u(t + τ/2) for every other method (see
-    `_energy_bookkeeping`), so the balance is exact only for midpoint and
-    trapezoidal.
+    dissipated_cum/supplied_cum integrate the discrete power terms of
+    `_energy_bookkeeping`: the balance is exact for midpoint and
+    trapezoidal, and exact up to the numerical dissipation of implicit Euler.
     """
 
     times: np.ndarray
@@ -300,21 +298,25 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
     trajectory, from its stored states.
 
     Step k contributes τ wᵀRw and τ⟨y, u_k⟩ with the discrete flow
-    w = [(z1⁺−z1)/τ; S z2_mid; z3_mid] and y = Bᵀw.  u_k is the endpoint
-    average (u(t) + u(t+τ))/2 for trapezoidal and u(t + τ/2) otherwise.
-    That is the input the scheme used only for trapezoidal and midpoint,
-    whose balance is therefore exact; implicit Euler and BDF2 step with
-    u(t+τ), Gauss-4 and Radau IIA with their stage values u(t + c_i τ).
+    w = [(z1⁺−z1)/τ; S z2*; z3*] and y = Bᵀw.  For implicit Euler z* is the
+    endpoint z⁺ and u_k = u(t+τ), the flow and input the scheme used, so
+    each step satisfies ΔH − τ⟨y, u_k⟩ + τ wᵀRw = −½(Δz1ᵀM1Δz1 + Δz2ᵀM2Δz2)
+    exactly.  Otherwise z* is the step midpoint and u_k is the endpoint
+    average (u(t) + u(t+τ))/2 for trapezoidal and u(t + τ/2) for the rest;
+    that is the input the scheme used for trapezoidal and midpoint, whose
+    balance is therefore exact, but not for BDF2 (u(t+τ)) or Gauss-4 and
+    Radau IIA (their stage values u(t + c_i τ)).
     Steps are taken in blocks of `block_rows` states, so no temporary grows
     with the trajectory; every step's arithmetic is the same whatever block
     it falls in.
     """
     p = sys.partition
+    endpoint = method.tag == "implicit_euler"
     if method.tag == "trapezoidal":
         u_step = [0.5 * (np.asarray(u(t)) + np.asarray(u(t + tau)))
                   for t in times[:-1]]
     else:
-        u_step = [u(t + 0.5 * tau) for t in times[:-1]]
+        u_step = [u(t + (tau if endpoint else 0.5 * tau)) for t in times[:-1]]
     u_step = np.asarray(u_step, dtype=np.float64)
     n_steps = len(times) - 1
     y = np.empty((n_steps, p.m))
@@ -322,10 +324,10 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
     rows = block_rows(p.n)
     for k in range(0, n_steps, rows):
         blk = states[k : k + rows + 1]
-        z_mid = 0.5 * (blk[:-1] + blk[1:])
+        z_at = blk[1:] if endpoint else 0.5 * (blk[:-1] + blk[1:])
         w = np.hstack([(blk[1:, : p.n1] - blk[:-1, : p.n1]) / tau,
-                       (sys.S @ z_mid[:, p.n1 : p.n1 + p.n2].T).T,
-                       z_mid[:, p.n1 + p.n2 :]])
+                       (sys.S @ z_at[:, p.n1 : p.n1 + p.n2].T).T,
+                       z_at[:, p.n1 + p.n2 :]])
         y[k : k + rows] = (sys.B.T @ w.T).T
         dissipated[k : k + rows] = quadratic_forms(sys.R, w)
     zero = np.zeros(1)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from fieldcircuit.conductors import (SolidModel, StrandedModel, foil_system,
                                      solid_system, stranded_system, synth_foil)
 from fieldcircuit.coupling import bind_circuit, couple
+from fieldcircuit.experiments import OscillatorConfig, build_oscillator
 from fieldcircuit.integrators import METHOD_TAGS, simulate
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
@@ -27,13 +28,14 @@ _BLOCKS = ("E", "J", "R", "B", "M1", "M2", "S")
 
 # --- reference: the per-step bookkeeping, one step at a time -----------------
 
-def _discrete_flow(sys, z_k, z_next, tau):
-    """w at the step midpoint: [(z1⁺−z1)/τ; S z2_mid; z3_mid]."""
+def _discrete_flow(sys, z_k, z_next, tau, endpoint=False):
+    """w = [(z1⁺−z1)/τ; S z2*; z3*] with z* the step midpoint, or the
+    endpoint z⁺."""
     p = sys.partition
-    z_mid = 0.5 * (z_k + z_next)
-    _, z2m, z3m = p.split(z_mid)
+    z_at = z_next if endpoint else 0.5 * (z_k + z_next)
+    _, z2, z3 = p.split(z_at)
     d1 = (z_next[: p.n1] - z_k[: p.n1]) / tau
-    return np.concatenate([d1, to_dense(sys.S) @ z2m, z3m])
+    return np.concatenate([d1, to_dense(sys.S) @ z2, z3])
 
 
 def _reference_bookkeeping(sys, traj, u, tau, method):
@@ -46,10 +48,13 @@ def _reference_bookkeeping(sys, traj, u, tau, method):
     d_abs, s_abs = np.zeros(steps + 1), np.zeros(steps + 1)
     for k in range(steps):
         t_k = times[k]
-        w = _discrete_flow(sys, states[k], states[k + 1], tau)
+        endpoint = method == "implicit_euler"
+        w = _discrete_flow(sys, states[k], states[k + 1], tau, endpoint)
         y = b_mat.T @ w
         if method == "trapezoidal":
             u_step = 0.5 * (u(t_k) + u(t_k + tau))
+        elif endpoint:
+            u_step = u(t_k + tau)
         else:
             u_step = u(t_k + 0.5 * tau)
         diss = float(w @ r_mat @ w)
@@ -84,6 +89,35 @@ def test_batched_bookkeeping_matches_per_step(rng, method):
         assert np.all(np.abs(traj.supplied_cum - s_cum) <= RTOL * s_abs)
         np.testing.assert_array_equal(
             traj.hamiltonians, [hamiltonian(sys_r, z) for z in traj.states])
+
+
+def _implicit_euler_identity_defect(sys, traj):
+    """Largest |ΔH − supplied + dissipated + ½(Δz1ᵀM1Δz1 + Δz2ᵀM2Δz2)| over
+    the steps, relative to the largest stored energy: ΔH cancels digits of
+    H, so round-off scales with H, not with the step terms."""
+    p = sys.partition
+    dz = np.diff(traj.states, axis=0)
+    numerical = hamiltonian(sys, np.hstack(
+        [dz[:, : p.n1 + p.n2], np.zeros((len(dz), p.n3))]))
+    terms = (np.diff(traj.hamiltonians), np.diff(traj.supplied_cum),
+             np.diff(traj.dissipated_cum), numerical)
+    defect = terms[0] - terms[1] + terms[2] + terms[3]
+    return np.max(np.abs(defect)) / np.max(np.abs(traj.hamiltonians))
+
+
+def test_implicit_euler_balance_is_exact_up_to_numerical_dissipation(rng):
+    cfg = OscillatorConfig(method="implicit_euler", conductor_kind="solid",
+                           core_conductive=True, t_end=10e-6)
+    parts = build_oscillator(cfg)
+    traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
+                    cfg.method)
+    assert _implicit_euler_identity_defect(parts.system, traj) <= 1e-12
+    tau = 0.05
+    for k in range(6):
+        sys_r = random_energy_system(rng, 3, 3, 2, 2, singular_e=k % 2 == 1)
+        z0 = rng.standard_normal(sys_r.partition.n)
+        traj = simulate(sys_r, z0, _drive(2), tau, 40 * tau, "implicit_euler")
+        assert _implicit_euler_identity_defect(sys_r, traj) <= 1e-12
 
 
 def test_hamiltonian_of_a_stack_equals_each_state(rng):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from fieldcircuit import serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                               EXIT_STRUCTURE, cli_main)
-from fieldcircuit.conductors import StrandedModel, save_model
+from fieldcircuit.conductors import (SolidModel, StrandedModel, save_model,
+                                     synth_foil)
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
 from fieldcircuit.serialization import (read_manifest, read_matrix,
                                         read_trajectory_csv, save_system,
@@ -81,6 +83,55 @@ def test_simulate_models_dir_override(tmp_path, rng):
                      "--out", out]) == EXIT_OK
     # without the override the model directory is missing next to the netlist
     assert cli_main(["simulate", str(p), "--out", out]) == EXIT_STRUCTURE
+
+
+# the corpus netlists with field ports, and the exit each must give
+FIELD_PORT_NETLISTS = {"foil_port": EXIT_OK, "mixed_ports": EXIT_OK,
+                       "solid_port": EXIT_OK, "stranded_port": EXIT_OK,
+                       "transformer_columns": EXIT_OK,
+                       "foil_second_terminal": EXIT_STRUCTURE}
+VALID_NETLISTS = Path(__file__).resolve().parent / "netlists" / "valid"
+
+
+@pytest.fixture(scope="module")
+def port_models(tmp_path_factory):
+    """One 4-dof model directory per model name of the field-port netlists."""
+    rng = np.random.default_rng(7)
+
+    def spd(n):
+        g = rng.standard_normal((n, n))
+        return g @ g.T + 0.1 * np.eye(n)
+
+    k_nu, m_sig = spd(4), spd(4)
+    # conductive on two of the four dofs, as an FE conductivity mass is
+    m_part = np.zeros((4, 4))
+    m_part[:2, :2] = spd(2)
+    chi = rng.standard_normal((4, 1))
+    stranded = StrandedModel(np.zeros((4, 4)), k_nu,
+                             rng.standard_normal((4, 1)), np.array([[0.1]]))
+    two_windings = StrandedModel(np.zeros((4, 4)), k_nu,
+                                 rng.standard_normal((4, 2)), np.zeros((2, 2)))
+    solid = SolidModel(m_sig, k_nu, chi, chi.T @ m_sig @ chi)
+    foils = [synth_foil(m_part, 1, seed, k_nu=k_nu) for seed in range(3)]
+    models = tmp_path_factory.mktemp("models")
+    for name, model in (("coil", stranded), ("ws", stranded),
+                        ("xfmr", two_windings), ("bar", solid),
+                        ("sol", solid), ("winding", foils[0]),
+                        ("hv", foils[1]), ("fl", foils[2])):
+        save_model(model, str(models / name))
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_PORT_NETLISTS))
+def test_simulate_field_port_corpus(tmp_path, port_models, name):
+    out = str(tmp_path / "run")
+    code = cli_main(["simulate", str(VALID_NETLISTS / f"{name}.cir"),
+                     "--models", str(port_models), "--out", out])
+    assert code == FIELD_PORT_NETLISTS[name]
+    if code == EXIT_OK:
+        man = read_manifest(os.path.join(out, "run.manifest"))
+        for key in ("H_final_J", "E_in_final_J", "D_cum_final_J"):
+            assert np.isfinite(float(man[key])), key
 
 
 def test_simulate_missing_file(tmp_path):

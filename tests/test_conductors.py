@@ -1,3 +1,6 @@
+import os
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +12,7 @@ from fieldcircuit.conductors import (FoilModel, SolidModel, StrandedModel,
                                      stranded_system, synth_foil, system_for)
 from fieldcircuit.fem import Material, Rect, build_rect_mesh, lumped_inductance
 from fieldcircuit.integrators import simulate
+from fieldcircuit.serialization import read_manifest
 from fieldcircuit.structure import (StructureError, dae_residual, hamiltonian,
                                     power_terms, to_dense, validate)
 from fieldcircuit.waveforms import Sinusoid, Tabulated, WaveformStack
@@ -245,7 +249,12 @@ def test_power_balance_second_order(kind, rng):
 
 # --- model directories ----------------------------------------------------------
 
-def test_model_round_trip_all_kinds(tmp_path, cond_mesh, rng):
+ROLES = {"stranded": ["M_sigma", "K_nu", "X", "R"],
+         "solid": ["M_sigma", "K_nu", "X", "G"],
+         "foil": ["M_sigma", "K_nu", "X", "c", "G"]}
+
+
+def _saved_models(tmp_path, cond_mesh, rng):
     mats_s = {"air": Material("air"), "bar": Material("bar")}
     mats_c = {"air": Material("air"), "bar": Material("bar", 1.0, 1e5)}
     models = {
@@ -256,13 +265,45 @@ def test_model_round_trip_all_kinds(tmp_path, cond_mesh, rng):
                            k_nu=_spd(rng, 4)),
     }
     for kind, model in models.items():
+        save_model(model, str(tmp_path / kind))
+    return models
+
+
+def test_model_round_trip_all_kinds(tmp_path, cond_mesh, rng):
+    for kind, model in _saved_models(tmp_path, cond_mesh, rng).items():
         d = str(tmp_path / kind)
-        save_model(model, d)
         back = load_model(d)
         assert type(back) is type(model)
-        np.testing.assert_allclose(to_dense(back.K_nu), to_dense(model.K_nu))
+        for field in fields(model):
+            np.testing.assert_array_equal(
+                to_dense(getattr(back, field.name)),
+                to_dense(getattr(model, field.name)), err_msg=field.name)
+        manifest = read_manifest(os.path.join(d, "manifest"))
+        assert list(manifest) == ["kind"] + ROLES[kind]
+        assert manifest["kind"] == kind
         sys_back = system_for(back)
         assert validate(sys_back).ok
+
+
+def test_model_dispatch_rejects_non_models(tmp_path):
+    for call in (lambda m: save_model(m, str(tmp_path / "x")), system_for):
+        with pytest.raises(StructureError, match="not a conductor model"):
+            call(np.eye(2))
+    assert not (tmp_path / "x").exists()
+
+
+def test_load_model_rejects_unknown_kind_and_missing_role(tmp_path, cond_mesh,
+                                                          rng):
+    _saved_models(tmp_path, cond_mesh, rng)
+    man_path = tmp_path / "foil" / "manifest"
+    text = man_path.read_text(encoding="utf-8")
+    man_path.write_text(text.replace("kind = foil", "kind = sheet"),
+                        encoding="utf-8")
+    with pytest.raises(StructureError, match="unknown or missing model kind"):
+        load_model(str(tmp_path / "foil"))
+    man_path.write_text(text.replace("c = c.mtx\n", ""), encoding="utf-8")
+    with pytest.raises(StructureError, match="missing role 'c'"):
+        load_model(str(tmp_path / "foil"))
 
 
 def test_load_model_missing_manifest(tmp_path):

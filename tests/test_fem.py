@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fieldcircuit.experiments import oscillator_geometry
 from fieldcircuit.fem import (MU0, Material, Mesh, Rect, _grid_coords,
@@ -291,6 +292,9 @@ def test_pseudo_solve_trivials():
                                [2.0, 0.0])
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(pseudo_solve(np.eye(3), x), x)
+    # exactly singular support block: solved by least squares
+    np.testing.assert_allclose(pseudo_solve(np.ones((2, 2)), np.array([2.0, 2.0])),
+                               [1.0, 1.0])
 
 
 def test_pseudo_solve_random_gram(rng):
@@ -299,6 +303,15 @@ def test_pseudo_solve_random_gram(rng):
     w = rng.standard_normal((6, 2))
     x = m @ w
     y = pseudo_solve(m, x)
+    assert np.max(np.abs(m @ y - x)) <= 1e-11 * np.max(np.abs(x))
+    # a support of more than 400 rows next to empty rows
+    n = 450
+    lap = sp.diags_array([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)],
+                         offsets=[-1, 0, 1])
+    m = sp.block_diag((lap, sp.csr_array((3, 3))), format="csr")
+    x = m @ rng.standard_normal((n + 3, 2))
+    y = pseudo_solve(m, x)
+    assert np.all(y[n:] == 0.0)
     assert np.max(np.abs(m @ y - x)) <= 1e-11 * np.max(np.abs(x))
 
 
