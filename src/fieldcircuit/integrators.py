@@ -38,6 +38,9 @@ from fieldcircuit.structure import (
 from fieldcircuit.waveforms import WaveformStack, zero_input
 
 _EPS = np.finfo(np.float64).eps
+# smallest min|U_ii| / max|U_ii| accepted in the LU of the row-scaled pivot
+# block of `_constraint_basis` (FE masses measure 1e-7 and above)
+_PIVOT_RATIO = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +453,14 @@ def _constraint_basis(dae: LinearDae):
     is_piv = e_eq.diagonal() != 0.0
     is_piv[dae.partition.n1 :] = False
     piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
-    lu = _splu(e_eq[piv][:, piv], f"gradient-state pivot block F11[P, P] "
-                                  f"of E_dae ({piv.size} x {piv.size})")
+    what = (f"gradient-state pivot block F11[P, P] of E_dae "
+            f"({piv.size} x {piv.size})")
+    lu = _splu(e_eq[piv][:, piv], what)
+    # the rows are scaled to unit size, so a tiny pivot ratio is a rank
+    # defect (a PSD conductivity with a full diagonal), not mixed units
+    u_diag = np.abs(lu.U.diagonal())
+    if piv.size and u_diag.min() < _PIVOT_RATIO * u_diag.max():
+        raise NumericalError(f"singular {what}")
     e_rest = e_eq[rest]
     e_qp, e_pk, schur = e_rest[:, piv], e_eq[piv][:, rest], e_rest[:, rest]
     if e_pk.nnz:

@@ -4,11 +4,15 @@ plain-text manifests.
 A system directory holds E.mtx, J.mtx, R.mtx, B.mtx, M1.mtx, M2.mtx, S.mtx in
 Matrix Market coordinate format (1-based, `real general`) plus a one-line
 header file `partition` with the four dimensions.  Trajectories are plain CSV
-with 17 significant digits so a round trip is bit-exact.
+with 17 significant digits so a round trip is bit-exact.  CSV files are
+streamed to disk in blocks of rows (`structure.block_rows`), so memory does
+not grow with the file.  Every file is written to a sibling temp file that
+is renamed into place, and removed if writing fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -17,7 +21,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from fieldcircuit.structure import EnergySystem, Partition, StructureError, to_csr
+from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
+                                    block_rows, to_csr)
 
 _MATRIX_FILES = ("E", "J", "R", "B", "M1", "M2", "S")
 
@@ -26,24 +31,33 @@ def replace_atomic(tmp_path: str, path: str) -> None:
     os.replace(tmp_path, path)
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+@contextlib.contextmanager
+def _atomic_open(path: str, mode: str, **kwargs):
+    """Open a sibling temp file and rename it to `path` once the block has
+    written it, so readers never see a partial file.  If the block raises,
+    the temp file is removed and an existing file at `path` is untouched."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     replace_atomic(tmp, path)
+
+
+def write_text_atomic(path: str, text) -> None:
+    """Write a string, or an iterable of string chunks, atomically."""
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 def write_matrix(path: str, mat) -> None:
     """Matrix Market coordinate format, general symmetry, 1-based indices."""
     coo = sp.coo_matrix(to_csr(mat))
-    buf = io.BytesIO()
-    scipy.io.mmwrite(buf, coo, symmetry="general", precision=17)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    replace_atomic(tmp, path)
+    with _atomic_open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, coo, symmetry="general", precision=17)
 
 
 def read_matrix(path: str):
@@ -93,17 +107,38 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_text(column, alone: bool) -> np.ndarray:
+    """`str` of every value, quoted as `csv.writer` quotes it: a value with
+    a comma, quote or line break, and an empty value alone on its row."""
+    cells = [str(v) for v in column]
+    for k, cell in enumerate(cells):
+        if any(ch in cell for ch in ',"\r\n') or (alone and not cell):
+            cells[k] = '"' + cell.replace('"', '""') + '"'
+    return np.array(cells, dtype=object)
+
+
 def _write_csv_rows(path: str, header, columns) -> None:
-    """One CSV row per index of the equal-length columns; floating columns
-    use `_fmt`, others `str`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    """One CSV row per index of the equal-length columns, formatted by one
+    `%` string per row: `%.17g` for floating columns, `%s` for the rest.
+    The header goes through `csv.writer`; the rows are streamed to the file
+    `block_rows` at a time, so the byte format is that of `csv.writer` with
+    `_fmt` for floats and `str` for the other values."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
     numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
-    for k in range(columns[0].shape[0]):
-        writer.writerow(_fmt(c[k]) if num else str(c[k])
-                        for c, num in zip(columns, numeric))
-    write_text_atomic(path, buf.getvalue())
+    row = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
+    columns = [c if num else _csv_text(c, len(columns) == 1)
+               for c, num in zip(columns, numeric)]
+    n_rows = columns[0].shape[0] if columns else 0
+    rows = block_rows(len(columns))
+
+    def chunks():
+        yield head.getvalue()
+        for k in range(0, n_rows, rows):
+            yield "".join(row % cells for cells in
+                          zip(*[c[k : k + rows].tolist() for c in columns]))
+
+    write_text_atomic(path, chunks())
 
 
 def write_trajectory_csv(traj, path: str) -> None:
@@ -112,6 +147,7 @@ def write_trajectory_csv(traj, path: str) -> None:
     columns = [traj.times, traj.hamiltonians, traj.dissipated_cum,
                traj.supplied_cum, *np.asarray(traj.states).T,
                *np.asarray(traj.outputs).T]
+    # the state and output columns are views: neither matrix is copied
     _write_csv_rows(path, header,
                     [np.asarray(c, dtype=np.float64) for c in columns])
 

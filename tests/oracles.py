@@ -5,7 +5,11 @@ reference triangle and its Jacobian, a different route than the production
 assembly (which works with barycentric gradient coefficients directly).
 Quadrature points are the published degree-5 values.  `direct_sum_spec`,
 the uncoupled interconnection, serves the interconnection tests.
+`reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
+CSV writer must reproduce byte for byte.
 """
+import csv
+import io
 import math
 
 import numpy as np
@@ -87,3 +91,16 @@ def direct_sum_spec(m_a, m_b):
     """The trivial spec (no coupling): F_skew = F_sym = 0."""
     m = m_a + m_b
     return InterconnectionSpec(np.zeros((m, m)), np.zeros((m, m)), m)
+
+
+def reference_csv(header, columns) -> bytes:
+    """CSV bytes of equal-length columns through `csv.writer`, one value at
+    a time: floating values as `%.17g`, the others as `str`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
+    for k in range(columns[0].shape[0]):
+        writer.writerow(format(float(c[k]), ".17g") if num else str(c[k])
+                        for c, num in zip(columns, numeric))
+    return buf.getvalue().encode("utf-8")

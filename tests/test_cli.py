@@ -134,6 +134,28 @@ def test_simulate_field_port_corpus(tmp_path, port_models, name):
             assert np.isfinite(float(man[key])), key
 
 
+@pytest.mark.parametrize("seed", [7, 8, 9, 10, 11])
+def test_rank_deficient_foil_conductivity_is_refused(tmp_path, capsys, seed):
+    # g gᵀ with g of shape 4 x 2 is PSD of rank 2 with a full diagonal, so
+    # the pivot block of the initialization is singular; the LU of seeds 8,
+    # 10 and 11 finds no exact zero pivot, and the pivot ratio must catch it
+    rng = np.random.default_rng(seed)
+
+    def spd(n):
+        g = rng.standard_normal((n, n))
+        return g @ g.T + 0.1 * np.eye(n)
+
+    k_nu, _ = spd(4), spd(4)
+    g = rng.standard_normal((4, 2))
+    models = tmp_path / "models"
+    for name in ("winding", "hv", "fl"):
+        save_model(synth_foil(g @ g.T, 1, 0, k_nu=k_nu), str(models / name))
+    code = cli_main(["simulate", str(VALID_NETLISTS / "foil_port.cir"),
+                     "--models", str(models), "--out", str(tmp_path / "run")])
+    assert code == EXIT_NUMERICAL
+    assert "singular gradient-state pivot block" in capsys.readouterr().err
+
+
 def test_simulate_missing_file(tmp_path):
     assert cli_main(["simulate", str(tmp_path / "nope.cir")]) == EXIT_PARSE
 

@@ -1,18 +1,32 @@
+import importlib.util
+import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
-from fieldcircuit.integrators import simulate
+from fieldcircuit import serialization
+from fieldcircuit.integrators import Trajectory, simulate
 from fieldcircuit.serialization import (read_manifest, read_matrix,
                                         read_trajectory_csv, load_system,
                                         save_system, write_columns_csv,
                                         write_manifest, write_matrix,
+                                        write_text_atomic,
                                         write_trajectory_csv)
-from fieldcircuit.structure import StructureError, to_dense, validate
+from fieldcircuit.structure import (StructureError, block_rows, to_dense,
+                                    validate)
 from fieldcircuit.waveforms import zero_input
 from tests.conftest import random_energy_system
+from tests.oracles import reference_csv
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+# values whose %.17g text is easy to get wrong; 3.0 is written `3`
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300,
+                        1.7976931348623157e308, 3.0])
 
 
 def test_matrix_round_trip_dense(tmp_path, rng):
@@ -154,3 +168,121 @@ def test_read_trajectory_rejects_empty(tmp_path):
     open(path, "w").close()
     with pytest.raises(StructureError, match="empty"):
         read_trajectory_csv(path)
+
+
+def _trajectory(rng, rows, n_states, n_outputs, labels=None):
+    """A trajectory of random values with the edge values spread over every
+    column, and its header and columns as `write_columns_csv` takes them."""
+    width = 4 + n_states + n_outputs
+    data = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+        -300, 300, (rows, width))
+    for j in range(width):
+        k = min(rows, EDGE_VALUES.size)
+        data[:k, j] = np.roll(EDGE_VALUES, j)[:k]
+    states, outputs = data[:, 4 : 4 + n_states], data[:, 4 + n_states :]
+    state_labels = labels or tuple(f"x{i}" for i in range(n_states))
+    traj = Trajectory(data[:, 0], states, outputs, data[:, 1], data[:, 2],
+                      data[:, 3], state_labels,
+                      tuple(f"y{i}" for i in range(n_outputs)))
+    header = ["t", "H", "D_cum", "E_in", *traj.state_labels,
+              *traj.output_labels]
+    return traj, header, list(data.T)
+
+
+@pytest.mark.parametrize("rows, n_states, n_outputs, blocks", [
+    (12, 3, 2, 1),       # every edge value in every column
+    (263, 995, 1, 3),    # width 1000: blocks of 131, 131 and 1 rows
+    (0, 2, 1, 0),        # header only
+])
+def test_trajectory_csv_bytes_match_reference(tmp_path, rng, rows, n_states,
+                                              n_outputs, blocks):
+    traj, header, columns = _trajectory(rng, rows, n_states, n_outputs)
+    assert -(-rows // block_rows(len(columns))) == blocks
+    expected = reference_csv(header, columns)
+    traj_path, cols_path = tmp_path / "traj.csv", tmp_path / "cols.csv"
+    write_trajectory_csv(traj, str(traj_path))
+    write_columns_csv(str(cols_path), header, columns)
+    assert traj_path.read_bytes() == expected
+    assert cols_path.read_bytes() == expected
+    if rows:
+        assert b",3," in expected or b",3\r\n" in expected
+
+
+def test_trajectory_csv_quotes_labels_like_csv_writer(tmp_path, rng):
+    traj, header, columns = _trajectory(rng, 3, 2, 0, labels=("a,b", 'q"t'))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_bytes() == reference_csv(header, columns)
+    assert path.read_bytes().startswith(b't,H,D_cum,E_in,"a,b","q""t"\r\n')
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["x"], [EDGE_VALUES]),
+    (["x"], [np.zeros(0)]),
+    (["s"], [np.array(["", "a,b", 'q"t', "", "p\nq", "r\rs"])]),
+    (["a,b", 'q"t', "flag", "n", "v"],
+     [np.array(["a,b", 'q"t', "", "plain", " x "] * 2),
+      np.array(['"', ",", "c", "", "d", "e", "f", "g", "h", "i"]),
+      np.array([True, False] * 5),
+      np.arange(-5, 5),
+      np.r_[EDGE_VALUES, 0.5]]),
+], ids=["single-float", "zero-rows", "single-text", "mixed"])
+def test_columns_csv_bytes_match_reference(tmp_path, header, columns):
+    path = tmp_path / "c.csv"
+    write_columns_csv(str(path), header, columns)
+    assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_traced_trajectory_write_counts_values_and_bytes(tmp_path, rng):
+    spec = importlib.util.spec_from_file_location("_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traj, _, columns = _trajectory(rng, 263, 995, 1)
+    path = tmp_path / "traj.csv"
+    with tracing.Tracer() as tracer:
+        serialization.write_trajectory_csv(traj, str(path))
+    writes = [s for s in tracer.spans if s[0] == "serialization.write"]
+    files = [s for s in tracer.spans if s[0] == "serialization.write_file"]
+    assert len(writes) == 1 and writes[0][4] == 263 * (4 + 995 + 1)
+    assert len(files) == 1 and files[0][4] == path.stat().st_size
+    assert files[0][3] == tracer.spans.index(writes[0])
+
+
+def test_failed_text_write_keeps_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\r\n")
+
+    def chunks():
+        yield "new,"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        write_text_atomic(str(path), chunks())
+    assert path.read_bytes() == b"old\r\n"
+    assert not (tmp_path / "out.csv.tmp").exists()
+
+
+def test_failed_matrix_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.mtx"
+    write_matrix(str(path), np.eye(2))
+    old = path.read_bytes()
+
+    def failing_mmwrite(target, *args, **kwargs):
+        target.write(b"%%MatrixMarket matrix coordinate")
+        raise OSError("mmwrite failed")
+
+    monkeypatch.setattr(scipy.io, "mmwrite", failing_mmwrite)
+    with pytest.raises(OSError, match="mmwrite failed"):
+        write_matrix(str(path), np.ones((3, 3)))
+    assert path.read_bytes() == old
+    assert not (tmp_path / "a.mtx.tmp").exists()
+
+
+def test_matrix_file_bytes_match_mmwrite(tmp_path):
+    mat = sp.random(30, 20, density=0.1, random_state=3, format="csr")
+    buf = io.BytesIO()
+    scipy.io.mmwrite(buf, sp.coo_matrix(mat), symmetry="general",
+                     precision=17)
+    path = tmp_path / "m.mtx"
+    write_matrix(str(path), mat)
+    assert path.read_bytes() == buf.getvalue()
