@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from fieldcircuit import conductors, coupling, experiments, fem, mna, serialization
-from fieldcircuit.integrators import METHOD_TAGS, consistent_init, simulate
+from fieldcircuit.integrators import (METHOD_TAGS, consistent_init,
+                                     method_from_tag, simulate)
 from fieldcircuit.mna import NetlistError
 from fieldcircuit.structure import NumericalError, StructureError, validate
 
@@ -178,6 +179,12 @@ def _cmd_index2(args) -> int:
 
 def _cmd_convergence(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    try:
+        for method in methods:
+            method_from_tag(method)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         taus = tuple(float(t) for t in args.taus.split(",") if t.strip())
     except ValueError:

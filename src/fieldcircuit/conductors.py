@@ -15,8 +15,9 @@ column space of M_sigma.
 All three share one block contract (M_sigma and K_nu n_w×n_w, n_w×k
 coupling columns, a symmetric PSD k×k port block).  The table `KINDS` is the
 one place that names the kinds: it maps each kind name to its model class,
-the file roles of its model directory and its energy-system builder, and
-`save_model`, `load_model`, `system_for` and `coupling.bind_circuit` read it.
+the file roles of its model directory, its energy-system builder and the
+circuit slot of its port, and `save_model`, `load_model`, `system_for`,
+`coupling.bind_circuit` and the netlist parser of `mna` read it.
 """
 
 from __future__ import annotations
@@ -309,21 +310,24 @@ def synth_foil(m_sigma, n_p: int, seed: int, k_nu=None) -> FoilModel:
 @dataclass(frozen=True)
 class ConductorKind:
     """One conductor kind: its model class, the file roles of a model
-    directory (one per model field, in field order) and its energy-system
-    builder."""
+    directory (one per model field, in field order), its energy-system
+    builder and the circuit slot of its port: "I" for a current-source slot
+    (the port takes the branch voltage), "V" for a voltage-source slot (the
+    port takes the branch current)."""
 
     model: type
     roles: tuple
     system: object
+    slot: str
 
 
 KINDS = {
     "stranded": ConductorKind(StrandedModel, ("M_sigma", "K_nu", "X", "R"),
-                              stranded_system),
+                              stranded_system, "I"),
     "solid": ConductorKind(SolidModel, ("M_sigma", "K_nu", "X", "G"),
-                           solid_system),
+                           solid_system, "V"),
     "foil": ConductorKind(FoilModel, ("M_sigma", "K_nu", "X", "c", "G"),
-                          foil_system),
+                          foil_system, "I"),
 }
 
 

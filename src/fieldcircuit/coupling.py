@@ -2,9 +2,11 @@
 
 Every bound pair contributes a +1 entry at [circuit port, conductor port] and
 a -1 entry at the transposed position of the interconnection matrix; the
-symmetric part is zero, so the coupling is lossless by construction.  The
-coupled state is ordered: conductor field blocks (binding order), circuit
-dynamic states, conductor algebraic states, circuit source currents.
+symmetric part is zero, so the coupling is lossless by construction.  All
+conductors and the circuit are joined by one `interconnect` call, so the
+coupled state has the order of `interconnect.partition_slices`: conductor
+field blocks (binding order), circuit dynamic states, conductor algebraic
+states, circuit source currents.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fieldcircuit import conductors as cond_mod
-from fieldcircuit.interconnect import InterconnectionSpec, interconnect
+from fieldcircuit.interconnect import (InterconnectionSpec, interconnect,
+                                       partition_slices)
 from fieldcircuit.mna import IncidenceSet, Netlist, input_stack
 from fieldcircuit.structure import EnergySystem, StructureError
 from fieldcircuit.waveforms import Constant, WaveformStack
@@ -65,7 +68,8 @@ class PortBinding:
 
 
 def couple(circuit: EnergySystem, conductor_systems, binding: PortBinding) -> EnergySystem:
-    """Interconnect the conductor systems with the circuit.
+    """Interconnect the conductor systems with the circuit in one
+    `interconnect` call over [*conductor_systems, circuit].
 
     Conductor inputs (v_str, i_sol, v_foil) are fed from circuit outputs and
     vice versa; external sources stay available through the circuit's
@@ -82,13 +86,7 @@ def couple(circuit: EnergySystem, conductor_systems, binding: PortBinding) -> En
     if not conductor_systems:
         return circuit
 
-    acc = conductor_systems[0]
-    for sysk in conductor_systems[1:]:
-        m_a, m_b = acc.partition.m, sysk.partition.m
-        zero = np.zeros((m_a + m_b, m_a + m_b))
-        acc = interconnect(acc, sysk, InterconnectionSpec(zero, zero, m_a + m_b))
-
-    m_cond = acc.partition.m
+    m_cond = sum(binding.conductor_port_counts)
     m_circ = circuit.partition.m
     m = m_cond + m_circ
     f_skew = np.zeros((m, m))
@@ -102,7 +100,7 @@ def couple(circuit: EnergySystem, conductor_systems, binding: PortBinding) -> En
         f_skew[p, q] = 1.0
         f_skew[q, p] = -1.0
     spec = InterconnectionSpec(f_skew, np.zeros((m, m)), m)
-    return interconnect(acc, circuit, spec)
+    return interconnect([*conductor_systems, circuit], spec)
 
 
 def bind_circuit(inc: IncidenceSet, models: dict):
@@ -156,7 +154,8 @@ def coupled_input_stack(binding: PortBinding, nl: Netlist,
 
 @dataclass(frozen=True)
 class CouplingLayout:
-    """Index maps from the coupled state vector back to the parts."""
+    """Index maps from the coupled state vector back to the parts, read from
+    `interconnect.partition_slices` of [*conductor_systems, circuit]."""
 
     field_slices: tuple      # z1 range per conductor
     algebraic_slices: tuple  # conductor z3 range per conductor
@@ -166,20 +165,9 @@ class CouplingLayout:
 
     @staticmethod
     def build(circuit: EnergySystem, conductor_systems) -> "CouplingLayout":
-        n1s = [s.partition.n1 for s in conductor_systems]
-        n3s = [s.partition.n3 for s in conductor_systems]
-        n2c = circuit.partition.n2
-        n3c = circuit.partition.n3
-        field, alg = [], []
-        off = 0
-        for n1 in n1s:
-            field.append(slice(off, off + n1))
-            off += n1
-        z2 = slice(off, off + n2c)
-        off += n2c
-        for n3 in n3s:
-            alg.append(slice(off, off + n3))
-            off += n3
-        z3 = slice(off, off + n3c)
-        off += n3c
-        return CouplingLayout(tuple(field), tuple(alg), z2, z3, off)
+        systems = [*conductor_systems, circuit]
+        *conductor, circ = partition_slices(s.partition for s in systems)
+        return CouplingLayout(tuple(z1 for z1, _, _ in conductor),
+                              tuple(z3 for _, _, z3 in conductor),
+                              circ[1], circ[2],
+                              sum(s.partition.n for s in systems))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,9 +19,9 @@ import scipy.sparse.linalg as spla
 
 from fieldcircuit import conductors, coupling, fem, mna, serialization
 from fieldcircuit.integrators import (Trajectory, consistent_init,
-                                      energy_audit, error_measures,
-                                      method_from_tag, simulate)
-from fieldcircuit.structure import StructureError, hamiltonian, to_dense
+                                      error_measures, method_from_tag,
+                                      simulate)
+from fieldcircuit.structure import StructureError, to_dense
 
 SIGMA_CORE_CONDUCTIVE = 100.0       # S/m
 SIGMA_SOLID = 58.0e6                # S/m, solid winding material
@@ -115,11 +115,11 @@ def _oscillator_netlist_text(cfg: OscillatorConfig, extra_cards=()) -> str:
     # matches the closed-form reference orientation
     kind_prefix = {"stranded": "FW1 0 1 stranded coil",
                    "solid": "FS1 0 1 solid coil"}
-    lines = [f"C1 1 0 {serialization._fmt(cfg.capacitance)}",
+    lines = [f"C1 1 0 {mna.format_value(cfg.capacitance)}",
              kind_prefix[cfg.conductor_kind]]
     lines.extend(extra_cards)
-    lines.append(f".tran {serialization._fmt(cfg.tau)} "
-                 f"{serialization._fmt(cfg.t_end)}")
+    lines.append(f".tran {mna.format_value(cfg.tau)} "
+                 f"{mna.format_value(cfg.t_end)}")
     lines.append(f".method {cfg.method}")
     return "\n".join(lines) + "\n"
 
@@ -339,8 +339,8 @@ def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
             "the index-2 experiment uses the stranded oscillator with a "
             "nonconducting core")
     cfg = replace(cfg, v0=0.0, i0=0.0)
-    amp = serialization._fmt(amplitude)
-    frq = serialization._fmt(freq_hz)
+    amp = mna.format_value(amplitude)
+    frq = mna.format_value(freq_hz)
     parts = build_oscillator(cfg, extra_cards=(f"V1 1 0 SIN 0 {amp} {frq}",))
     traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
                     cfg.method)

@@ -1,9 +1,11 @@
-"""Power-preserving interconnection of two energy-based systems.
+"""Power-preserving interconnection of energy-based systems.
 
-Coupling two systems through u = (F_skew − F_sym) y + ũ closes the loop
-without destroying the structure: the coupled system keeps a skew J and a PSD
-R, its Hamiltonian is the sum of the parts, and the residual input ũ keeps
-the full port dimension of both subsystems.
+Coupling any number of systems through u = (F_skew − F_sym) y + ũ, with y
+and u the stacked outputs and inputs of all of them, closes the loop without
+destroying the structure: the coupled system keeps a skew J and a PSD R, its
+Hamiltonian is the sum of the parts, and the residual input ũ keeps the full
+port dimension of every subsystem.  `partition_slices` is the one place that
+orders the coupled state.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ _TOL_SPEC = 1e-10
 
 @dataclass(frozen=True)
 class InterconnectionSpec:
-    """Coupling matrices acting on the stacked outputs of two subsystems,
+    """Coupling matrices acting on the stacked outputs of the subsystems,
     held as float64 CSR arrays like the blocks of an EnergySystem."""
 
     F_skew: object
@@ -43,38 +45,41 @@ class InterconnectionSpec:
                            as_block(self.F_sym, (m, m), "F_sym"))
 
 
-def permute_to_partition_order(p_a: Partition, p_b: Partition) -> np.ndarray:
-    """Gather permutation from concatenated states [z_A; z_B] to interleaved order.
+def partition_slices(partitions) -> list:
+    """Each system's (z1, z2, z3) slices of the coupled state, whose order
+    [z1_1; …; z1_k; z2_1; …; z2_k; z3_1; …; z3_k] is defined here alone."""
+    partitions = list(partitions)
+    slices = [[] for _ in partitions]
+    off = 0
+    for block in ("n1", "n2", "n3"):
+        for own, p in zip(slices, partitions):
+            size = getattr(p, block)
+            own.append(slice(off, off + size))
+            off += size
+    return [tuple(own) for own in slices]
 
-    The coupled system orders states as [z1A; z1B; z2A; z2B; z3A; z3B]; the
-    returned index array perm satisfies z_interleaved = z_concat[perm].
+
+def permute_to_partition_order(*partitions) -> np.ndarray:
+    """Gather permutation from concatenated states [z_1; …; z_k] to the
+    coupled order of `partition_slices`: z_coupled = z_concat[perm]."""
+    where = np.concatenate([np.arange(s.start, s.stop, dtype=np.intp)
+                            for own in partition_slices(partitions)
+                            for s in own])
+    return np.argsort(where)
+
+
+def interconnect(systems, spec: InterconnectionSpec) -> EnergySystem:
+    """Close the loop between any number of systems in one step; returns the
+    coupled EnergySystem.
+
+    The coupled partition is the componentwise sum, the state order is that
+    of `partition_slices`, and the coupled input is the residual input ũ of
+    full dimension m_1 + … + m_k.  J and R are ⊕J_i + B F_skew Bᵀ and
+    ⊕R_i + B F_sym Bᵀ with B = ⊕B_i.
     """
-    off_b = p_a.n
-    ranges = [
-        np.arange(0, p_a.n1),
-        off_b + np.arange(0, p_b.n1),
-        p_a.n1 + np.arange(0, p_a.n2),
-        off_b + p_b.n1 + np.arange(0, p_b.n2),
-        p_a.n1 + p_a.n2 + np.arange(0, p_a.n3),
-        off_b + p_b.n1 + p_b.n2 + np.arange(0, p_b.n3),
-    ]
-    return np.concatenate(ranges).astype(np.intp)
-
-
-def _block_diag(a, b):
-    return sp.block_diag([a, b], format="csr")
-
-
-def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
-                 spec: InterconnectionSpec) -> EnergySystem:
-    """Close the loop between two systems; returns the coupled EnergySystem.
-
-    The coupled partition is the componentwise sum, state ordering is the
-    interleaved one of permute_to_partition_order, and the coupled input is
-    the residual input ũ of full dimension m_A + m_B.
-    """
-    p_a, p_b = sys_a.partition, sys_b.partition
-    m = p_a.m + p_b.m
+    systems = list(systems)
+    parts = [s.partition for s in systems]
+    m = sum(p.m for p in parts)
     if spec.residual_input_dim != m:
         raise StructureError(
             f"interconnection spec sized for {spec.residual_input_dim} ports, "
@@ -91,30 +96,34 @@ def interconnect(sys_a: EnergySystem, sys_b: EnergySystem,
     if min_eig < -_TOL_SPEC * max(fro_norm(f_sym), 1.0):
         raise StructureError(f"F_sym is not PSD, min eigenvalue {min_eig:.3e}")
 
-    perm = permute_to_partition_order(p_a, p_b)
-    b_cat = _block_diag(sys_a.B, sys_b.B)
-    j_cat = _block_diag(sys_a.J, sys_b.J) + b_cat @ f_skew @ b_cat.T
-    r_cat = _block_diag(sys_a.R, sys_b.R) + b_cat @ f_sym @ b_cat.T
+    def block(name):
+        return sp.block_diag([getattr(s, name) for s in systems], format="csr")
+
+    perm = permute_to_partition_order(*parts)
+    b_cat = block("B")
+    j_cat = block("J") + b_cat @ f_skew @ b_cat.T
+    r_cat = block("R") + b_cat @ f_sym @ b_cat.T
 
     labels = None
-    if sys_a.state_labels is not None or sys_b.state_labels is not None:
-        cat = list(sys_a.default_state_labels()) + list(sys_b.default_state_labels())
+    if any(s.state_labels is not None for s in systems):
+        cat = [lab for s in systems for lab in s.default_state_labels()]
         labels = tuple(cat[i] for i in perm)
     out_labels = None
-    if sys_a.output_labels is not None or sys_b.output_labels is not None:
-        out_labels = tuple(sys_a.default_output_labels()
-                           + sys_b.default_output_labels())
+    if any(s.output_labels is not None for s in systems):
+        out_labels = tuple(lab for s in systems
+                           for lab in s.default_output_labels())
 
-    part = Partition(p_a.n1 + p_b.n1, p_a.n2 + p_b.n2, p_a.n3 + p_b.n3, m)
+    part = Partition(sum(p.n1 for p in parts), sum(p.n2 for p in parts),
+                     sum(p.n3 for p in parts), m)
     return EnergySystem(
         partition=part,
-        E=_block_diag(sys_a.E, sys_b.E),
+        E=block("E"),
         J=j_cat[perm][:, perm],
         R=r_cat[perm][:, perm],
         B=b_cat[perm],
-        M1=_block_diag(sys_a.M1, sys_b.M1),
-        M2=_block_diag(sys_a.M2, sys_b.M2),
-        S=_block_diag(sys_a.S, sys_b.S),
+        M1=block("M1"),
+        M2=block("M2"),
+        S=block("S"),
         state_labels=labels,
         output_labels=out_labels,
     )

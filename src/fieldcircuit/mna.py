@@ -5,7 +5,9 @@ Grammar: one card per line, the first character of the name selects the type
 M G (case-sensitive).  Sources carry `DC <v>` or `SIN <offset> <amplitude>
 <freq_hz> [phase_rad]` waveforms.  Directives: `.tran <tau> <tend>` and
 `.method <tag>`.  Field ports (F cards) declare where a conductor model
-attaches: `F<name> <n+> <n-> <stranded|solid|foil> <model_ref> [<column>]`.
+attaches: `F<name> <n+> <n-> <kind> <model_ref> [<column>]`, with <kind> a
+name of `conductors.KINDS`, whose entry also gives the circuit slot of the
+port.
 
 Parsing is total: every problem is collected with its line and column and
 reported at once through NetlistError.
@@ -19,8 +21,9 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse as sp
 
+from fieldcircuit.conductors import KINDS
 from fieldcircuit.integrators import method_from_tag
-from fieldcircuit.structure import EnergySystem, Partition, StructureError
+from fieldcircuit.structure import EnergySystem, Partition
 from fieldcircuit.waveforms import Constant, Sinusoid, WaveformStack
 
 
@@ -37,7 +40,6 @@ _SUFFIX = {"p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                         r"([pnumkMG]?)$")
 
-FIELD_KINDS = ("stranded", "solid", "foil")
 GROUND = "0"
 
 
@@ -83,9 +85,6 @@ class Netlist:
                 if node != GROUND and node not in seen:
                     seen.append(node)
         return tuple(seen)
-
-    def cards_of(self, kind: str):
-        return tuple(c for c in self.cards if c.kind == kind)
 
 
 def _token_columns(raw_line: str):
@@ -195,9 +194,9 @@ def parse_netlist(text: str, origin: str = "<netlist>") -> Netlist:
                 err(f"{head!r} needs <kind> <model_ref> [<column>]",
                     3 if body else 2)
                 continue
-            if body[0] not in FIELD_KINDS:
+            if body[0] not in KINDS:
                 err(f"unknown field-port kind {body[0]!r} "
-                    f"(expected one of {', '.join(FIELD_KINDS)})", 3)
+                    f"(expected one of {', '.join(KINDS)})", 3)
                 continue
             column = 0
             if len(body) == 3:
@@ -282,9 +281,8 @@ def read_netlist(path: str) -> Netlist:
 class FieldPort:
     """A circuit branch that a conductor model occupies.
 
-    u_index points into the circuit input stack u = [currents; voltages]:
-    stranded/foil ports are current-source-like, solid ports are
-    voltage-source-like.
+    u_index points into the circuit input stack u = [currents; voltages];
+    the `slot` of the port's kind in `conductors.KINDS` says which block.
     """
 
     name: str
@@ -335,10 +333,11 @@ def _hcat(cols, n: int):
 def build_incidence(nl: Netlist) -> IncidenceSet:
     """Signed incidence per element group, ground row eliminated.
 
-    Branch ordering mirrors the coupling splittings: the current-source block
-    is [stranded ports, foil ports, I sources], the voltage-source block is
-    [solid ports, V sources].  Raises NetlistError naming any node with no
-    path to ground.
+    Each field port takes a branch of the source block named by the `slot`
+    of its kind in `conductors.KINDS`: the current-source block is [field
+    ports of slot "I", I sources], the voltage-source block is [field ports
+    of slot "V", V sources], field ports grouped by kind in `KINDS` order.
+    Raises NetlistError naming any node with no path to ground.
     """
     nodes = nl.nodes
     node_index = {nm: k for k, nm in enumerate(nodes)}
@@ -361,32 +360,19 @@ def build_incidence(nl: Netlist) -> IncidenceSet:
         raise NetlistError(
             [f"node {nm!r} has no path to ground" for nm in floating])
 
-    groups = {"C": [], "R": [], "L": [], "V": [], "I": []}
-    values = {"C": [], "R": [], "L": []}
-    str_ports, foil_ports, sol_ports = [], [], []
+    groups = {"C": [], "R": [], "L": [], "V": [], "I": [], "F": []}
     for card in nl.cards:
-        if card.kind in ("C", "R", "L"):
-            groups[card.kind].append(card)
-            values[card.kind].append(card.value)
-        elif card.kind in ("V", "I"):
-            groups[card.kind].append(card)
-        else:
-            {"stranded": str_ports, "foil": foil_ports,
-             "solid": sol_ports}[card.field_kind].append(card)
+        groups[card.kind].append(card)
+    ports = {"I": [], "V": []}
+    for name, kind in KINDS.items():
+        ports[kind.slot] += [c for c in groups["F"] if c.field_kind == name]
 
-    i_cards = str_ports + foil_ports + groups["I"]
-    v_cards = sol_ports + groups["V"]
-
-    field_ports = []
-    for idx, card in enumerate(i_cards):
-        if card.kind == "F":
-            field_ports.append(FieldPort(card.name, card.field_kind,
-                                         card.model_ref, card.column, idx))
-    for idx, card in enumerate(v_cards):
-        if card.kind == "F":
-            field_ports.append(FieldPort(card.name, card.field_kind,
-                                         card.model_ref, card.column,
-                                         len(i_cards) + idx))
+    i_cards = ports["I"] + groups["I"]
+    v_cards = ports["V"] + groups["V"]
+    field_ports = tuple(FieldPort(card.name, card.field_kind, card.model_ref,
+                                  card.column, idx)
+                        for idx, card in enumerate(i_cards + v_cards)
+                        if card.kind == "F")
 
     return IncidenceSet(
         node_order=nodes,
@@ -395,14 +381,13 @@ def build_incidence(nl: Netlist) -> IncidenceSet:
         a_l=_hcat([_column(node_index, c, n) for c in groups["L"]], n),
         a_v=_hcat([_column(node_index, c, n) for c in v_cards], n),
         a_i=_hcat([_column(node_index, c, n) for c in i_cards], n),
-        c_diag=np.asarray(values["C"], dtype=np.float64),
-        g_diag=1.0 / np.asarray(values["R"], dtype=np.float64)
-        if values["R"] else np.zeros(0),
-        l_diag=np.asarray(values["L"], dtype=np.float64),
+        c_diag=np.array([c.value for c in groups["C"]], dtype=np.float64),
+        g_diag=1.0 / np.array([c.value for c in groups["R"]], dtype=np.float64),
+        l_diag=np.array([c.value for c in groups["L"]], dtype=np.float64),
         i_branch_names=tuple(c.name for c in i_cards),
         v_branch_names=tuple(c.name for c in v_cards),
         l_branch_names=tuple(c.name for c in groups["L"]),
-        field_ports=tuple(field_ports),
+        field_ports=field_ports,
     )
 
 

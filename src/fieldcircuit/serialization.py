@@ -61,7 +61,12 @@ def write_matrix(path: str, mat) -> None:
 
 
 def read_matrix(path: str):
-    mat = scipy.io.mmread(path)
+    """CSR array of a MatrixMarket file; StructureError if it is malformed."""
+    try:
+        mat = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise StructureError(f"{path}: not a readable MatrixMarket file: "
+                             f"{exc}") from None
     if not sp.issparse(mat):
         mat = sp.coo_matrix(np.atleast_2d(mat))
     return sp.csr_array(mat)

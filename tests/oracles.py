@@ -4,7 +4,9 @@ Element integrals are evaluated here through the affine map onto the
 reference triangle and its Jacobian, a different route than the production
 assembly (which works with barycentric gradient coefficients directly).
 Quadrature points are the published degree-5 values.  `direct_sum_spec`,
-the uncoupled interconnection, serves the interconnection tests.
+the uncoupled interconnection, serves the interconnection tests;
+`reference_couple` joins conductors and circuit two systems at a time, the
+fold that the one-step `couple` must reproduce exactly.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
 """
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from fieldcircuit.interconnect import InterconnectionSpec
+from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 
 _S15 = math.sqrt(15.0)
 _RULE = [((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 9.0 / 40.0)]
@@ -91,6 +93,24 @@ def direct_sum_spec(m_a, m_b):
     """The trivial spec (no coupling): F_skew = F_sym = 0."""
     m = m_a + m_b
     return InterconnectionSpec(np.zeros((m, m)), np.zeros((m, m)), m)
+
+
+def reference_couple(circuit, conductor_systems, binding):
+    """The conductors folded pairwise by zero-coupling interconnections,
+    then that sum joined to the circuit through the port coupling."""
+    acc = conductor_systems[0]
+    for sysk in conductor_systems[1:]:
+        acc = interconnect([acc, sysk],
+                           direct_sum_spec(acc.partition.m, sysk.partition.m))
+    m_cond = acc.partition.m
+    m = m_cond + circuit.partition.m
+    f_skew = np.zeros((m, m))
+    for port in binding.ports:
+        q = binding.conductor_port_index(port)
+        f_skew[m_cond + port.circuit_index, q] = 1.0
+        f_skew[q, m_cond + port.circuit_index] = -1.0
+    spec = InterconnectionSpec(f_skew, np.zeros((m, m)), m)
+    return interconnect([acc, circuit], spec)
 
 
 def reference_csv(header, columns) -> bytes:

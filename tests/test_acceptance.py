@@ -225,7 +225,7 @@ def test_criterion_06_structural_constructors():
             f = rng.standard_normal((3, 3))
             g = rng.standard_normal((3, 3))
             spec = InterconnectionSpec(f - f.T, g @ g.T, 3)
-            c = interconnect(a, b, spec)
+            c = interconnect([a, b], spec)
             assert validate(c).ok
             za = rng.standard_normal(a.partition.n)
             zb = rng.standard_normal(b.partition.n)

@@ -183,7 +183,7 @@ def test_interconnection_is_csr(rng):
     spec = InterconnectionSpec(f - f.T, np.zeros((3, 3)), 3)
     _assert_csr_blocks(spec, ("F_skew", "F_sym"))
     _assert_csr_blocks(direct_sum_spec(2, 1), ("F_skew", "F_sym"))
-    _assert_csr_blocks(interconnect(a, b, spec), _BLOCKS)
+    _assert_csr_blocks(interconnect([a, b], spec), _BLOCKS)
 
     stranded = StrandedModel(_spd(rng, 3, rank=2), _spd(rng, 3),
                              rng.standard_normal((3, 1)), np.array([[0.5]]))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcircuit import serialization
+from fieldcircuit import experiments, serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                               EXIT_STRUCTURE, cli_main)
 from fieldcircuit.conductors import (SolidModel, StrandedModel, save_model,
@@ -191,6 +191,30 @@ def test_validate_good_and_corrupted(tmp_path, rng, capsys):
     assert "skew" in out
 
 
+def test_validate_malformed_matrix(tmp_path, rng, capsys):
+    d = tmp_path / "sys"
+    save_system(random_energy_system(rng), str(d))
+    (d / "R.mtx").write_text("garbage\n", encoding="utf-8")
+    assert cli_main(["validate", str(d)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(d / "R.mtx") in err and "Traceback" not in err
+
+
+def test_simulate_malformed_model_matrix(tmp_path, rng, capsys):
+    g = rng.standard_normal((2, 2))
+    model = StrandedModel(np.zeros((2, 2)), g @ g.T + 0.1 * np.eye(2),
+                          rng.standard_normal((2, 1)), np.zeros((1, 1)))
+    lib = tmp_path / "library"
+    save_model(model, str(lib / "w1"))
+    (lib / "w1" / "K_nu.mtx").write_text("garbage\n", encoding="utf-8")
+    p = tmp_path / "c.cir"
+    p.write_text("FW1 0 1 stranded w1\nC1 1 0 1u\n.tran 1e-6 5e-5\n",
+                 encoding="utf-8")
+    assert cli_main(["simulate", str(p), "--models", str(lib),
+                     "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
+    assert str(lib / "w1" / "K_nu.mtx") in capsys.readouterr().err
+
+
 def test_validate_missing_directory(tmp_path):
     assert cli_main(["validate", str(tmp_path / "void")]) == EXIT_PARSE
 
@@ -308,3 +332,15 @@ def test_convergence_command(tmp_path, capsys):
 def test_convergence_bad_taus(tmp_path):
     assert cli_main(["convergence", "--taus", "fast,slow",
                      "--out", str(tmp_path / "x")]) == EXIT_PARSE
+
+
+def test_convergence_unknown_method(tmp_path, capsys, monkeypatch):
+    # the tags are checked before any mesh is built
+    def fail(*args, **kwargs):
+        raise AssertionError("run_convergence called with an unknown tag")
+
+    monkeypatch.setattr(experiments, "run_convergence", fail)
+    assert cli_main(["convergence", "--methods", "trapezoidal,nosuch",
+                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown method 'nosuch'" in err

@@ -1,16 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fieldcircuit import coupling
 from fieldcircuit.conductors import (FoilModel, SolidModel, StrandedModel,
                                      synth_foil, system_for)
 from fieldcircuit.coupling import (BoundPort, CouplingLayout, PortBinding,
                                    bind_circuit, couple, coupled_input_stack)
 from fieldcircuit.experiments import OscillatorConfig, build_oscillator
 from fieldcircuit.integrators import simulate
-from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
+from fieldcircuit.interconnect import interconnect, permute_to_partition_order
+from fieldcircuit.mna import (build_incidence, mna_system, parse_netlist,
+                              read_netlist)
 from fieldcircuit.structure import (StructureError, hamiltonian, to_dense,
                                     validate)
 from fieldcircuit.waveforms import Constant
+from tests.oracles import reference_couple
+
+VALID_NETLISTS = Path(__file__).resolve().parent / "netlists" / "valid"
 
 
 def _spd(rng, n, rank=None):
@@ -36,6 +44,45 @@ def _mixed_parts(rng):
     inc = build_incidence(nl)
     models = {"ws": stranded, "sol": solid, "fl": foil}
     return nl, inc, models
+
+
+def _random_conductor(rng, kind):
+    n = int(rng.integers(2, 5))
+    if kind == "stranded":
+        return StrandedModel(_spd(rng, n, rank=n - 1), _spd(rng, n),
+                             rng.standard_normal((n, 1)),
+                             np.array([[rng.uniform(0.1, 1.0)]]))
+    if kind == "solid":
+        m_sig = _spd(rng, n)
+        chi = rng.standard_normal((n, 1))
+        return SolidModel(m_sig, _spd(rng, n), chi, chi.T @ m_sig @ chi)
+    return synth_foil(_spd(rng, n, rank=n - 1), int(rng.integers(1, 3)),
+                      int(rng.integers(100)), k_nu=_spd(rng, n))
+
+
+def _random_coupling_parts(rng, n_conductors):
+    """Circuit, conductor systems and binding of a shuffled netlist with
+    `n_conductors` field ports of random kinds between random nodes."""
+    lines = ["C1 1 0 1u", "R1 1 2 10", "R2 2 3 5", "L1 3 0 1m",
+             "V1 2 0 DC 1", "I1 3 0 DC 0.5"]
+    models = {}
+    for k in range(n_conductors):
+        kind = str(rng.choice(["stranded", "solid", "foil"]))
+        n_plus, n_minus = rng.choice(["0", "1", "2", "3"], 2, replace=False)
+        lines.append(f"F{k} {n_plus} {n_minus} {kind} m{k}")
+        models[f"m{k}"] = _random_conductor(rng, kind)
+    rng.shuffle(lines)
+    inc = build_incidence(parse_netlist("\n".join(lines) + "\n"))
+    _, systems, binding = bind_circuit(inc, models)
+    return mna_system(inc), systems, binding
+
+
+def _mixed_ports_parts(rng):
+    """The corpus netlist `mixed_ports` with the models of `_mixed_parts`."""
+    _, _, models = _mixed_parts(rng)
+    inc = build_incidence(read_netlist(str(VALID_NETLISTS / "mixed_ports.cir")))
+    _, systems, binding = bind_circuit(inc, models)
+    return mna_system(inc), systems, binding
 
 
 # --- binding validation ---------------------------------------------------------
@@ -85,6 +132,61 @@ def test_couple_rejects_count_mismatch(rng):
                              rng.standard_normal((2, 1)), np.zeros((1, 1)))
     with pytest.raises(StructureError, match="binding does not match"):
         couple(circuit, [system_for(stranded)], PortBinding((), ()))
+
+
+@pytest.mark.parametrize("draw", ["mixed_ports", 3, 3, 4, 4])
+def test_couple_equals_pairwise_fold(rng, draw):
+    if draw == "mixed_ports":
+        circuit, systems, binding = _mixed_ports_parts(rng)
+    else:
+        circuit, systems, binding = _random_coupling_parts(rng, draw)
+    got = couple(circuit, systems, binding)
+    want = reference_couple(circuit, systems, binding)
+    assert got.partition == want.partition
+    for name in ("E", "J", "R", "B", "M1", "M2", "S"):
+        assert np.array_equal(to_dense(getattr(got, name)),
+                              to_dense(getattr(want, name))), name
+    assert got.state_labels == want.state_labels
+    assert got.output_labels == want.output_labels
+
+
+@pytest.mark.parametrize("draw", ["mixed_ports", 1, 2, 3, 4])
+def test_couple_interconnects_once(rng, monkeypatch, draw):
+    if draw == "mixed_ports":
+        circuit, systems, binding = _mixed_ports_parts(rng)
+    else:
+        circuit, systems, binding = _random_coupling_parts(rng, draw)
+    calls = []
+
+    def counting(parts, spec):
+        calls.append(len(parts))
+        return interconnect(parts, spec)
+
+    monkeypatch.setattr(coupling, "interconnect", counting)
+    couple(circuit, systems, binding)
+    assert calls == [len(systems) + 1]
+
+
+def test_partition_order_is_the_layout(rng):
+    circuit, systems, _ = _random_coupling_parts(rng, 2)
+    parts = [s.partition for s in (*systems, circuit)]
+    perm = permute_to_partition_order(*parts)
+    offsets = np.cumsum([0] + [p.n for p in parts])
+    assert sorted(perm) == list(range(offsets[-1]))
+
+    # each layout slice of the coupled state gathers that part's own block
+    layout = CouplingLayout.build(circuit, systems)
+    assert layout.n == offsets[-1]
+    for k, p in enumerate(parts[:-1]):
+        assert list(perm[layout.field_slices[k]]) == list(
+            range(offsets[k], offsets[k] + p.n1))
+        assert list(perm[layout.algebraic_slices[k]]) == list(
+            range(offsets[k] + p.n1 + p.n2, offsets[k + 1]))
+    start = offsets[-2] + parts[-1].n1
+    assert list(perm[layout.circuit_z2]) == list(
+        range(start, start + parts[-1].n2))
+    assert list(perm[layout.circuit_z3]) == list(
+        range(start + parts[-1].n2, offsets[-1]))
 
 
 # --- bind_circuit -------------------------------------------------------------------

@@ -17,7 +17,7 @@ def random_skew(rng, m):
 def test_direct_sum_keeps_validity(rng):
     a = random_energy_system(rng, n1=2, n2=2, n3=1, m=2)
     b = random_energy_system(rng, n1=1, n2=3, n3=2, m=1)
-    c = interconnect(a, b, direct_sum_spec(2, 1))
+    c = interconnect([a, b], direct_sum_spec(2, 1))
     assert c.partition == Partition(3, 5, 3, 3)
     assert validate(c).ok
 
@@ -26,7 +26,7 @@ def test_hamiltonian_additivity(rng):
     a = random_energy_system(rng, n1=2, n2=2, n3=1, m=2)
     b = random_energy_system(rng, n1=1, n2=3, n3=2, m=1)
     spec = InterconnectionSpec(random_skew(rng, 3), np.zeros((3, 3)), 3)
-    c = interconnect(a, b, spec)
+    c = interconnect([a, b], spec)
     za = rng.standard_normal(5)
     zb = rng.standard_normal(6)
     perm = permute_to_partition_order(a.partition, b.partition)
@@ -41,7 +41,7 @@ def test_skew_coupling_preserves_structure(rng):
         a = random_energy_system(rng, n1=1, n2=2, n3=1, m=2)
         b = random_energy_system(rng, n1=2, n2=1, n3=1, m=2)
         spec = InterconnectionSpec(random_skew(rng, 4), np.zeros((4, 4)), 4)
-        assert validate(interconnect(a, b, spec)).ok
+        assert validate(interconnect([a, b], spec)).ok
 
 
 def test_sym_coupling_adds_dissipation(rng):
@@ -50,7 +50,7 @@ def test_sym_coupling_adds_dissipation(rng):
         b = random_energy_system(rng, m=1)
         g = rng.standard_normal((2, 2))
         spec = InterconnectionSpec(random_skew(rng, 2), g @ g.T, 2)
-        assert validate(interconnect(a, b, spec)).ok
+        assert validate(interconnect([a, b], spec)).ok
 
 
 def test_direct_sum_fold_is_associative(rng):
@@ -60,9 +60,9 @@ def test_direct_sum_fold_is_associative(rng):
         a = random_energy_system(rng, n1=1, n2=2, n3=1, m=1)
         b = random_energy_system(rng, n1=2, n2=1, n3=0, m=2)
         c = random_energy_system(rng, n1=0, n2=2, n3=2, m=1)
-        left = interconnect(interconnect(a, b, direct_sum_spec(1, 2)), c,
+        left = interconnect([interconnect([a, b], direct_sum_spec(1, 2)), c],
                             direct_sum_spec(3, 1))
-        right = interconnect(a, interconnect(b, c, direct_sum_spec(2, 1)),
+        right = interconnect([a, interconnect([b, c], direct_sum_spec(2, 1))],
                              direct_sum_spec(1, 3))
         assert left.partition == right.partition
         for name in ("E", "J", "R", "B", "M1", "M2", "S"):
@@ -75,14 +75,15 @@ def test_non_skew_f_rejected(rng):
     a = random_energy_system(rng, m=1)
     b = random_energy_system(rng, m=1)
     with pytest.raises(StructureError):
-        interconnect(a, b, InterconnectionSpec(np.eye(2), np.zeros((2, 2)), 2))
+        interconnect([a, b],
+                     InterconnectionSpec(np.eye(2), np.zeros((2, 2)), 2))
 
 
 def test_indefinite_f_sym_rejected(rng):
     a = random_energy_system(rng, m=1)
     b = random_energy_system(rng, m=1)
     with pytest.raises(StructureError):
-        interconnect(a, b,
+        interconnect([a, b],
                      InterconnectionSpec(np.zeros((2, 2)), -np.eye(2), 2))
 
 
@@ -90,7 +91,7 @@ def test_spec_dimension_mismatch(rng):
     a = random_energy_system(rng, m=2)
     b = random_energy_system(rng, m=2)
     with pytest.raises(StructureError):
-        interconnect(a, b, direct_sum_spec(1, 1))
+        interconnect([a, b], direct_sum_spec(1, 1))
 
 
 def test_zero_state_blocks(rng):
@@ -98,7 +99,7 @@ def test_zero_state_blocks(rng):
     a = random_energy_system(rng, n1=2, n2=0, n3=1, m=1)
     b = random_energy_system(rng, n1=0, n2=2, n3=0, m=1)
     spec = InterconnectionSpec(random_skew(rng, 2), np.zeros((2, 2)), 2)
-    c = interconnect(a, b, spec)
+    c = interconnect([a, b], spec)
     assert c.partition == Partition(2, 2, 1, 2)
     assert validate(c).ok
     za = rng.standard_normal(3)
@@ -125,7 +126,7 @@ def test_coupled_flow_is_power_consistent(rng):
     a = random_energy_system(rng, n1=0, n2=3, n3=0, m=1, lossless=True)
     b = random_energy_system(rng, n1=0, n2=2, n3=0, m=1, lossless=True)
     spec = InterconnectionSpec(random_skew(rng, 2), np.zeros((2, 2)), 2)
-    c = interconnect(a, b, spec)
+    c = interconnect([a, b], spec)
     z0 = rng.standard_normal(5)
     traj = simulate(c, z0, zero_input(2), tau=1e-2, t_end=0.5,
                     method="midpoint")

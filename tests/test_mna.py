@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldcircuit.conductors import KINDS
 from fieldcircuit.mna import (GROUND, NetlistError, build_incidence,
                               input_stack, mna_system, parse_netlist,
                               parse_value, print_netlist)
@@ -163,6 +164,25 @@ def test_branch_ordering_and_port_indices():
     assert ports["FS1"].u_index == 2     # after the 2 current slots
     # FW1 written ground -> node: node 1 is the minus terminal
     np.testing.assert_array_equal(to_dense(inc.a_i)[:, 0], [-1.0, 0.0])
+
+
+def test_field_ports_take_the_slot_of_their_kind():
+    # ports written in reverse table order land in table order, each in the
+    # source block that its kind's slot names, ahead of the sources
+    kinds = list(KINDS)
+    nl = parse_netlist("".join(f"F{k} 1 0 {kind} m{k}\n"
+                               for k, kind in reversed(list(enumerate(kinds))))
+                       + "I1 1 0 DC 1\nV1 2 0 DC 1\nR1 1 2 5\n")
+    inc = build_incidence(nl)
+    names = {"I": [f"F{k}" for k, kind in enumerate(kinds)
+                   if KINDS[kind].slot == "I"] + ["I1"],
+             "V": [f"F{k}" for k, kind in enumerate(kinds)
+                   if KINDS[kind].slot == "V"] + ["V1"]}
+    assert list(inc.i_branch_names) == names["I"]
+    assert list(inc.v_branch_names) == names["V"]
+    u_order = names["I"] + names["V"]
+    for port in inc.field_ports:
+        assert port.u_index == u_order.index(port.name)
 
 
 def test_incidence_column_signs():

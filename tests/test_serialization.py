@@ -286,3 +286,15 @@ def test_matrix_file_bytes_match_mmwrite(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix(str(path), mat)
     assert path.read_bytes() == buf.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    "garbage\n", "",
+    "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n"])
+def test_malformed_matrix_file_is_a_structure_error(tmp_path, text):
+    path = tmp_path / "M.mtx"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(StructureError) as err:
+        serialization.read_matrix(str(path))
+    assert str(path) in str(err.value)
