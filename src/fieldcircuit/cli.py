@@ -8,6 +8,7 @@ failures (singular solves, non-finite results).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,6 +24,21 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_STRUCTURE = 3
 EXIT_NUMERICAL = 4
+
+
+def _number(positive: bool):
+    """argparse type of a finite float option, positive with `positive`."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite{' positive' if positive else ''} number, "
+                f"got {text!r}")
+        return value
+    return number
+
+
+_FINITE, _POSITIVE = _number(False), _number(True)
 
 
 def _add_common(parser):
@@ -41,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory holding field-model folders "
                             "(default: next to the netlist)")
     p_sim.add_argument("--method", default=None, choices=sorted(METHOD_TAGS))
-    p_sim.add_argument("--tau", type=float, default=None)
-    p_sim.add_argument("--tend", type=float, default=None)
+    p_sim.add_argument("--tau", type=_POSITIVE, default=None)
+    p_sim.add_argument("--tend", type=_POSITIVE, default=None)
     _add_common(p_sim)
 
     p_osc = sub.add_parser("oscillator", help="LC oscillator experiment")
@@ -51,23 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_osc.add_argument("--conductive-core", action="store_true")
     p_osc.add_argument("--method", default="trapezoidal",
                        choices=sorted(METHOD_TAGS))
-    p_osc.add_argument("--tau", type=float, default=0.1e-6)
-    p_osc.add_argument("--tend", type=float, default=50e-6)
-    p_osc.add_argument("--mesh-h", type=float, default=1.0e-3)
-    p_osc.add_argument("--turns", type=float, default=10.0)
-    p_osc.add_argument("--v0", type=float, default=1.0)
-    p_osc.add_argument("--i0", type=float, default=0.0)
+    p_osc.add_argument("--tau", type=_POSITIVE, default=0.1e-6)
+    p_osc.add_argument("--tend", type=_POSITIVE, default=50e-6)
+    p_osc.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
+    p_osc.add_argument("--turns", type=_POSITIVE, default=10.0)
+    p_osc.add_argument("--v0", type=_FINITE, default=1.0)
+    p_osc.add_argument("--i0", type=_FINITE, default=0.0)
     _add_common(p_osc)
 
     p_idx = sub.add_parser("index2", help="oscillator with parallel "
                                           "voltage source (index-2 DAE)")
     p_idx.add_argument("--method", default="trapezoidal",
                        choices=sorted(METHOD_TAGS))
-    p_idx.add_argument("--tau", type=float, default=0.1e-6)
-    p_idx.add_argument("--tend", type=float, default=50e-6)
-    p_idx.add_argument("--mesh-h", type=float, default=1.0e-3)
-    p_idx.add_argument("--amplitude", type=float, default=1.0)
-    p_idx.add_argument("--freq", type=float, default=50e3)
+    p_idx.add_argument("--tau", type=_POSITIVE, default=0.1e-6)
+    p_idx.add_argument("--tend", type=_POSITIVE, default=50e-6)
+    p_idx.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
+    p_idx.add_argument("--amplitude", type=_FINITE, default=1.0)
+    p_idx.add_argument("--freq", type=_FINITE, default=50e3)
     _add_common(p_idx)
 
     p_cnv = sub.add_parser("convergence", help="step-size study on the "
@@ -79,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=",".join(repr(t) for t in
                                         experiments.CONVERGENCE_TAUS),
                        help="comma-separated step sizes in seconds")
-    p_cnv.add_argument("--tend", type=float,
+    p_cnv.add_argument("--tend", type=_POSITIVE,
                        default=experiments.CONVERGENCE_T_END)
-    p_cnv.add_argument("--mesh-h", type=float, default=1.0e-3)
+    p_cnv.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
     _add_common(p_cnv)
 
     p_val = sub.add_parser("validate", help="check a saved system directory")
@@ -93,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "directory per winding")
     p_exp.add_argument("geometry")
     p_exp.add_argument("out_dir")
-    p_exp.add_argument("--mesh-h", type=float, default=1.0e-3)
+    p_exp.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
     return top
 
 
@@ -180,15 +196,18 @@ def _cmd_index2(args) -> int:
 def _cmd_convergence(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
+        if not methods:
+            raise ValueError("--methods names no method")
         for method in methods:
             method_from_tag(method)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        taus = tuple(float(t) for t in args.taus.split(",") if t.strip())
-    except ValueError:
-        print(f"error: cannot parse --taus {args.taus!r}", file=sys.stderr)
+        taus = tuple(_POSITIVE(t) for t in args.taus.split(",") if t.strip())
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"error: cannot parse --taus {args.taus!r}: {exc}",
+              file=sys.stderr)
         return EXIT_PARSE
     cfg = experiments.OscillatorConfig(mesh_h=args.mesh_h)
     table = experiments.run_convergence(methods, taus, cfg, t_end=args.tend,

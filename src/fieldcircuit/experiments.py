@@ -68,8 +68,8 @@ class OscillatorConfig:
                 f"conductor_kind must be stranded or solid, "
                 f"got {self.conductor_kind!r}")
         for name in ("capacitance", "tau", "t_end", "mesh_h", "turns"):
-            if getattr(self, name) <= 0:
-                raise StructureError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise StructureError(f"{name} must be positive and finite")
         method_from_tag(self.method)
 
 

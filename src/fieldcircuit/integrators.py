@@ -1,15 +1,14 @@
 """Time integration of energy-based DAE systems with energy bookkeeping.
 
 Every system is rewritten as one implicit linear DAE, E_dae ẋ = A_dae x +
-B_dae u, and stepped with fixed-step implicit schemes by one of two
-steppers.  Trapezoidal uses the endpoint formula, which is also the startup
-step of BDF2.  Every method with an invertible Butcher matrix (midpoint and
-implicit Euler, the one-stage Gauss and Radau IIA methods, Gauss-4 and Radau
-IIA of order 5) goes through one Runge-Kutta stepper whose stages are
-decoupled through the eigenvalues λ of the Butcher matrix: each step solves
-one n×n pencil E_dae − τλ A_dae per real λ and per conjugate pair (one real
-solve for midpoint and implicit Euler, one complex for Gauss-4, one real and
-one complex for Radau IIA), never a stacked sn×sn stage system.
+B_dae u, and stepped with fixed-step implicit schemes by one stepper: each
+step solves for the increment with one n×n pencil E_dae − τλ A_dae per
+real λ and per conjugate pair, never a stacked sn×sn stage system.  Every
+method with an invertible Butcher matrix (midpoint, implicit Euler, Gauss-4,
+Radau IIA of order 5) takes λ from the eigenvalues of that matrix (one real
+solve for midpoint and implicit Euler, one complex for Gauss-4, one real
+and one complex for Radau IIA); trapezoidal (λ = ½) and BDF2 (λ = ⅔, after
+a trapezoidal first step) are one real pencil each.
 Trajectories carry the Hamiltonian and cumulative dissipated/supplied energy
 so the discrete power balance can be audited after the fact.
 """
@@ -122,8 +121,8 @@ _TABLEAUX = {
         np.array([0.5]),
     ),
     # Lobatto IIIA; its Butcher matrix is singular (an explicit first stage,
-    # which cannot be evaluated behind a singular E_dae), so `_make_stepper`
-    # steps it by the endpoint formula instead; the tableau serves the order
+    # which cannot be evaluated behind a singular E_dae), so it steps by its
+    # one-pencil plan in `_INCREMENT_PLANS`; the tableau serves the order
     # conditions.
     "trapezoidal": (
         np.array([[0.0, 0.0], [0.5, 0.5]]),
@@ -150,6 +149,14 @@ _TABLEAUX = {
         np.array([(16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0]),
         np.array([(4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0]),
     ),
+}
+
+# (nodes c, [(λ, row r, weight γ)], history h) of `_pencil_plan`: the
+# endpoint formula (E − τ/2 A) z⁺ = (E + τ/2 A) z + τ B (u(t) + u(t+τ))/2 and
+# BDF2 (3E − 2τA) z⁺ = E (4z − z⁻) + 2τ B u(t+τ), solved for (z⁺ − z)/τ
+_INCREMENT_PLANS = {
+    "trapezoidal": ((0.0, 1.0), [(0.5, np.array([0.5, 0.5]), 1.0)], 0.0),
+    "bdf2": ((1.0,), [(2.0 / 3.0, np.array([2.0 / 3.0]), 1.0)], 1.0 / 3.0),
 }
 
 _ALIASES = {"euler": "implicit_euler", "trap": "trapezoidal"}
@@ -198,12 +205,12 @@ class _StageSolver:
         x = self._lu.solve(rhs)
         for _ in range(2):
             r = rhs - self._mat @ x
-            bound = 32.0 * _EPS * (np.linalg.norm(rhs, np.inf)
-                                   + self._row_scale * np.linalg.norm(x, np.inf))
-            if np.linalg.norm(r, np.inf) <= bound:
+            scale = self._row_scale * np.abs(x).max(initial=0.0)
+            bound = 32.0 * _EPS * (np.abs(rhs).max(initial=0.0) + scale)
+            if np.abs(r).max(initial=0.0) <= bound:
                 break
             x = x + self._lu.solve(r)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
 
@@ -263,8 +270,8 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     afterwards from the stored states, all steps at once.
     """
     method = method_from_tag(method)
-    if tau <= 0:
-        raise StructureError("tau must be positive")
+    if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
+        raise StructureError("tau must be positive and finite, t_end - t0 finite")
     span = t_end - t0
     n_steps_f = span / tau
     n_steps = int(round(n_steps_f))
@@ -284,7 +291,8 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     states[0] = z0
     for k in range(n_steps):
         try:
-            states[k + 1] = stepper(k, states[k], states, times[k], u)
+            states[k + 1] = stepper(k, states[k], states[max(k - 1, 0)],
+                                    times[k], u)
         except NumericalError as exc:
             raise NumericalError(f"step {k + 1} at t = {times[k]}: {exc}") from exc
 
@@ -340,60 +348,53 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray,
     return outputs, d_cum, s_cum
 
 
-def _make_stepper(dae: LinearDae, method: Method, tau: float):
-    """Bind the per-step update, factorizing every needed matrix up front."""
-    if method.tag in ("trapezoidal", "bdf2"):
-        # endpoint formula (E − τ/2 A) z⁺ = (E + τ/2 A) z + τ B ū; it is also
-        # BDF2's startup step, which keeps second order
-        rhs = dae.E_dae + (tau / 2.0) * dae.A_dae
-        trap = _StageSolver(dae.E_dae - (tau / 2.0) * dae.A_dae,
-                            f"trapezoidal, tau = {tau}")
-        if method.tag == "bdf2":
-            bdf2 = _StageSolver(3.0 * dae.E_dae - 2.0 * tau * dae.A_dae,
-                                f"bdf2, tau = {tau}")
-
-        def step(k, z, states, t_k, u):
-            if k and method.tag == "bdf2":
-                u_next = np.asarray(u(t_k + tau), dtype=np.float64)
-                return bdf2.solve(dae.E_dae @ (4.0 * z - states[k - 1])
-                                  + 2.0 * tau * (dae.B_dae @ u_next))
-            u_avg = 0.5 * (np.asarray(u(t_k)) + np.asarray(u(t_k + tau)))
-            return trap.solve(rhs @ z + tau * (dae.B_dae @ u_avg))
-        return step
-
-    # implicit Runge-Kutta (midpoint and implicit Euler are its one-stage
-    # cases), decoupled through the eigenvalues of the Butcher matrix: with
-    # T⁻¹ A_tab T = Λ the stage system splits into one pencil E − τλ_j A per
-    # eigenvalue, solved for w_j with the right side Σ_i T⁻¹_ji (A z + B u_i),
-    # and z⁺ = z + τ Σ_j γ_j w_j with γ = bᵀT (Butcher, BIT 16, 1976).  Of a
-    # conjugate pair only the member with Im λ > 0 is solved; its partner's w
-    # is the complex conjugate, so the pair adds 2 Re(γ_j w_j).
+def _pencil_plan(method: Method):
+    """(nodes c, [(λ_j, row r_j, weight γ_j)], history h) of a method: its
+    `_INCREMENT_PLANS` entry, or the Runge-Kutta stages decoupled through
+    the eigenvalues of the Butcher matrix.  With T⁻¹ A_tab T = Λ the stage
+    system splits into one pencil per λ_j, with r_j = T⁻¹_j and γ = bᵀT
+    (Butcher, BIT 16, 1976).  Of a conjugate pair only the member with
+    Im λ > 0 is kept; its partner's w is the complex conjugate, so the pair
+    adds 2 Re(γ_j w_j)."""
+    if method.tag in _INCREMENT_PLANS:
+        return _INCREMENT_PLANS[method.tag]
     lam, t_mat = np.linalg.eig(np.asarray(method.A, dtype=np.float64))
     if np.linalg.cond(t_mat) > 1e8:
         raise StructureError(
             f"Butcher matrix of {method.tag} is not diagonalizable")
     t_inv = np.linalg.inv(t_mat)
     gamma = np.asarray(method.b, dtype=np.float64) @ t_mat
-    pencils = []
-    for j in np.flatnonzero(lam.imag >= 0.0):
-        if lam[j].imag == 0.0:
-            lam_j, row, weight = lam[j].real, t_inv[j].real, gamma[j].real
-        else:
-            lam_j, row, weight = lam[j], t_inv[j], 2.0 * gamma[j]
-        solver = _StageSolver(dae.E_dae - (tau * lam_j) * dae.A_dae,
-                              f"{method.tag}, lambda = {lam_j:.6g}, "
-                              f"tau = {tau}")
-        pencils.append((solver, row, row.sum(), weight))
+    return method.c, [(lam[j], t_inv[j], 2.0 * gamma[j]) if lam[j].imag else
+                      (lam[j].real, t_inv[j].real, gamma[j].real)
+                      for j in np.flatnonzero(lam.imag >= 0.0)], 0.0
 
-    def step(k, z, states, t_k, u):
-        # row i: the input at stage i, u(t_k + c_i τ)
-        u_stages = np.array([u(t_k + float(ci) * tau) for ci in method.c],
-                            dtype=np.float64)
+
+def _make_stepper(dae: LinearDae, method: Method, tau: float):
+    """Bind the per-step update, factorizing every pencil up front: per
+    pencil (λ_j, r_j, γ_j) of `_pencil_plan` a step solves (E − τλ_j A) w_j
+    = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ) + h E (z − z⁻)/τ, and
+    z⁺ = z + τ Σ_j Re(γ_j w_j).  BDF2's first step is trapezoidal's."""
+    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
+    plans = []
+    for m in startup + [method]:
+        nodes, pencils, history = _pencil_plan(m)
+        solvers = [(_StageSolver(dae.E_dae - (tau * lam) * dae.A_dae,
+                                 f"{m.tag}, lambda = {lam:.6g}, tau = {tau}"),
+                    row, row.sum(), weight) for lam, row, weight in pencils]
+        plans.append(([float(ci) * tau for ci in nodes], solvers,
+                      history / tau))
+
+    def step(k, z, z_prev, t_k, u):
+        offsets, pencils, lag = plans[min(k, len(plans) - 1)]
+        # row i: the input at node i, u(t_k + c_i τ)
+        u_nodes = np.array([u(t_k + dt) for dt in offsets], dtype=np.float64)
         az = dae.A_dae @ z
         z_next = z
         for solver, row, row_sum, weight in pencils:
-            w = solver.solve(row_sum * az + dae.B_dae @ (row @ u_stages))
-            z_next = z_next + tau * np.real(weight * w)
+            rhs = row_sum * az + dae.B_dae @ (row @ u_nodes)
+            if lag:
+                rhs = rhs + lag * (dae.E_dae @ (z - z_prev))
+            z_next = z_next + tau * np.real(weight * solver.solve(rhs))
         return z_next
     return step
 

@@ -7,6 +7,9 @@ Quadrature points are the published degree-5 values.  `direct_sum_spec`,
 the uncoupled interconnection, serves the interconnection tests;
 `reference_couple` joins conductors and circuit two systems at a time, the
 fold that the one-step `couple` must reproduce exactly.
+`reference_endpoint_states` steps trapezoidal, and BDF2 after its
+trapezoidal first step, by the endpoint formulas solved for z⁺, the
+reference of the increment form the stepper uses.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
 """
@@ -16,6 +19,7 @@ import math
 
 import numpy as np
 
+from fieldcircuit.integrators import _StageSolver, to_linear_dae
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 
 _S15 = math.sqrt(15.0)
@@ -111,6 +115,29 @@ def reference_couple(circuit, conductor_systems, binding):
         f_skew[q, m_cond + port.circuit_index] = -1.0
     spec = InterconnectionSpec(f_skew, np.zeros((m, m)), m)
     return interconnect([acc, circuit], spec)
+
+
+def reference_endpoint_states(sys, z0, u, tau, steps, method):
+    """States of `steps` trapezoidal or BDF2 steps by the endpoint formulas
+    (E − τ/2 A) z⁺ = (E + τ/2 A) z + τ B (u(t) + u(t+τ))/2 and, for BDF2
+    after its trapezoidal first step, (3E − 2τA) z⁺ = E (4z − z⁻)
+    + 2τ B u(t+τ)."""
+    dae = to_linear_dae(sys)
+    e, a, b = dae.E_dae, dae.A_dae, dae.B_dae
+    trap = _StageSolver(e - (tau / 2.0) * a, "reference trapezoidal")
+    bdf2 = _StageSolver(3.0 * e - 2.0 * tau * a, "reference bdf2")
+    states = [np.asarray(z0, dtype=np.float64)]
+    for k in range(steps):
+        z, t_k = states[-1], k * tau
+        u_next = np.asarray(u(t_k + tau), dtype=np.float64)
+        if k and method == "bdf2":
+            rhs = e @ (4.0 * z - states[-2]) + 2.0 * tau * (b @ u_next)
+            states.append(bdf2.solve(rhs))
+        else:
+            u_avg = 0.5 * (np.asarray(u(t_k), dtype=np.float64) + u_next)
+            rhs = (e + (tau / 2.0) * a) @ z + tau * (b @ u_avg)
+            states.append(trap.solve(rhs))
+    return np.array(states)
 
 
 def reference_csv(header, columns) -> bytes:

@@ -7,7 +7,7 @@ import pytest
 
 from fieldcircuit import experiments, serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
-                              EXIT_STRUCTURE, cli_main)
+                              EXIT_STRUCTURE, _build_parser, cli_main)
 from fieldcircuit.conductors import (SolidModel, StrandedModel, save_model,
                                      synth_foil)
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
@@ -344,3 +344,54 @@ def test_convergence_unknown_method(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "x")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown method 'nosuch'" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["simulate", "c.cir", "--tau", "nan"], "--tau"),
+    (["simulate", "c.cir", "--tend", "inf"], "--tend"),
+    (["simulate", "c.cir", "--tau=-1e-6"], "--tau"),
+    (["oscillator", "--mesh-h", "nan"], "--mesh-h"),
+    (["oscillator", "--tau", "nan"], "--tau"),
+    (["oscillator", "--turns", "0"], "--turns"),
+    (["oscillator", "--v0=-inf"], "--v0"),
+    (["index2", "--tend", "nan"], "--tend"),
+    (["index2", "--amplitude", "nan"], "--amplitude"),
+    (["convergence", "--tend", "inf"], "--tend"),
+    (["export-matrices", "g.geo", "out", "--mesh-h", "-1"], "--mesh-h"),
+])
+def test_out_of_range_float_options_are_refused(argv, option, capsys):
+    # refused while parsing, so nothing is read, meshed or stepped
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a finite" in err
+    assert "Traceback" not in err
+
+
+def test_finite_options_keep_their_values():
+    args = _build_parser().parse_args(["oscillator", "--v0", "-2",
+                                       "--i0", "0", "--tau", "1e-7"])
+    assert (args.v0, args.i0, args.tau) == (-2.0, 0.0, 1e-7)
+
+
+def _no_convergence_run(*args, **kwargs):
+    raise AssertionError("run_convergence called with refused arguments")
+
+
+@pytest.mark.parametrize("taus", ["8e-7,nan", "8e-7,inf", "8e-7,0"])
+def test_convergence_non_finite_taus(tmp_path, capsys, monkeypatch, taus):
+    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
+    assert cli_main(["convergence", "--taus", taus,
+                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cannot parse --taus")
+
+
+@pytest.mark.parametrize("methods", ["", ",", " , ,"])
+def test_convergence_empty_method_list(tmp_path, capsys, monkeypatch,
+                                       methods):
+    # refused before any mesh is built
+    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
+    assert cli_main(["convergence", "--methods", methods,
+                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")

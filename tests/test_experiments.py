@@ -82,6 +82,16 @@ def test_config_rejects_nonpositive(field, value):
         OscillatorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["capacitance", "tau", "t_end", "mesh_h",
+                                   "turns"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    # refused before any netlist text is written
+    with pytest.raises(StructureError, match=f"{field} must be positive and "
+                                             f"finite"):
+        OscillatorConfig(**{field: value})
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(StructureError):
         OscillatorConfig(conductor_kind="litz")

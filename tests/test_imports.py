@@ -1,9 +1,11 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, or defines
+a private name that it never uses.
 
-With no linter among the dependencies, the imports are checked with `ast`:
-every name an `import` binds must be read somewhere in the module.
-`__init__.py`, which imports to re-export, and `from __future__` imports
-are exempt.
+With no linter among the dependencies, the modules are checked with `ast`:
+every name an `import` binds, and every module-level function, class or
+constant whose name starts with one underscore, must be read somewhere in
+the module.  `__init__.py`, which imports to re-export, and
+`from __future__` imports are exempt.
 """
 import ast
 from pathlib import Path
@@ -29,6 +31,31 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def unused_private_names(source: str):
+    """(line, name) of every module-level private function, class or
+    constant that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.startswith("_") \
+                        and not name.id.startswith("__"):
+                    defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in read)
+
+
 def test_detector_flags_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os\n"
@@ -43,3 +70,20 @@ def test_detector_flags_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(name):
     assert unused_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_an_unused_private_name():
+    source = ("_USED, _SPARE = 1, 2\n"
+              "_TABLE: dict = {}\n"
+              "__all__ = []\n"
+              "def _helper():\n    return _USED\n"
+              "class _Left:\n    pass\n"
+              "def public():\n    _local = 3\n    return _helper()\n")
+    assert unused_private_names(source) == [(1, "_SPARE"), (2, "_TABLE"),
+                                            (6, "_Left")]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_private_names(name):
+    assert unused_private_names((SRC / name).read_text(encoding="utf-8")) == []

@@ -285,3 +285,14 @@ def test_all_method_tags_run(rng):
     for tag in METHOD_TAGS:
         traj = simulate(sys_r, z0, u, 0.05, 0.2, tag)
         assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("tau,t_end", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (0.1, float("nan")),
+    (0.1, float("inf")), (-0.1, float("-inf")),
+])
+def test_simulate_rejects_non_finite_grid(rng, tau, t_end):
+    sys_r = random_energy_system(rng)
+    with pytest.raises(StructureError, match="finite"):
+        simulate(sys_r, np.zeros(sys_r.partition.n),
+                 zero_input(sys_r.partition.m), tau, t_end, "midpoint")

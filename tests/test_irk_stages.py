@@ -1,7 +1,8 @@
 """Runge-Kutta stages decoupled through the eigenvalues of the Butcher
 matrix (midpoint, implicit Euler, Gauss-4, Radau IIA): parity with the
-Kronecker-stacked stage system, and the shape of every matrix the stepper
-factorizes."""
+Kronecker-stacked stage system.  Trapezoidal and BDF2 stepped as one pencil
+for the increment: parity with the endpoint formulas.  And the shape of
+every matrix the stepper factorizes."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from fieldcircuit.integrators import (Method, _StageSolver, consistent_init,
 from fieldcircuit.structure import StructureError
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_energy_system
+from tests.oracles import reference_endpoint_states
 
 IRK_METHODS = ("midpoint", "implicit_euler", "gauss4", "radau5")
+INCREMENT_METHODS = ("trapezoidal", "bdf2")
 
 
 def stacked_states(sys, z0, u, tau, steps, method):
@@ -83,11 +86,37 @@ def test_decoupled_stages_match_stacked_on_oscillators(kind, bound, method):
     assert relative_gap(traj.states, ref) <= bound
 
 
+@pytest.mark.parametrize("method", INCREMENT_METHODS)
+def test_increment_form_matches_endpoint_formula_on_random_systems(method):
+    tau, steps = 0.05, 20
+    for sys_r, z0, u in random_draws():
+        traj = simulate(sys_r, z0, u, tau, steps * tau, method)
+        ref = reference_endpoint_states(sys_r, z0, u, tau, steps, method)
+        assert relative_gap(traj.states, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("method", INCREMENT_METHODS)
+@pytest.mark.parametrize("kind,bound", [("stranded", 1e-12), ("solid", 1e-9)])
+def test_increment_form_matches_endpoint_formula_on_oscillators(kind, bound,
+                                                                method):
+    cfg = experiments.OscillatorConfig(conductor_kind=kind,
+                                       core_conductive=True)
+    parts = experiments.build_oscillator(cfg)
+    steps = 200
+    traj = simulate(parts.system, parts.z0, parts.u, cfg.tau,
+                    steps * cfg.tau, method)
+    ref = reference_endpoint_states(parts.system, parts.z0, parts.u, cfg.tau,
+                                    steps, method)
+    assert relative_gap(traj.states, ref) <= bound
+
+
 @pytest.mark.parametrize("method,expected", [
     ("gauss4", ["complex128"]),
     ("radau5", ["complex128", "float64"]),
     ("midpoint", ["float64"]),
     ("implicit_euler", ["float64"]),
+    ("trapezoidal", ["float64"]),
+    ("bdf2", ["float64", "float64"]),
 ])
 def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
         monkeypatch, rng, method, expected):
