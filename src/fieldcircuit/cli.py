@@ -209,6 +209,11 @@ def _cmd_convergence(args) -> int:
         print(f"error: cannot parse --taus {args.taus!r}: {exc}",
               file=sys.stderr)
         return EXIT_PARSE
+    if len(taus) < 2:
+        print(f"error: --taus {args.taus!r} names {len(taus)} step "
+              f"size(s); a convergence order needs at least two",
+              file=sys.stderr)
+        return EXIT_PARSE
     cfg = experiments.OscillatorConfig(mesh_h=args.mesh_h)
     table = experiments.run_convergence(methods, taus, cfg, t_end=args.tend,
                                         out_dir=args.out or "convergence-out")

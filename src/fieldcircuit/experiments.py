@@ -307,13 +307,14 @@ class Index2Report:
     defect_at_end: float
     max_defect: float
     scale: float
+    source: str
     files: tuple = ()
 
     def summary_entries(self) -> dict:
         cfg = self.parts.config
         return {
             "experiment": "index2",
-            "source": "SIN 0 1 50k (parallel voltage source)",
+            "source": f"{self.source} (parallel voltage source)",
             "tau_s": cfg.tau,
             "t_end_s": cfg.t_end,
             "method": cfg.method,
@@ -339,9 +340,9 @@ def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
             "the index-2 experiment uses the stranded oscillator with a "
             "nonconducting core")
     cfg = replace(cfg, v0=0.0, i0=0.0)
-    amp = mna.format_value(amplitude)
-    frq = mna.format_value(freq_hz)
-    parts = build_oscillator(cfg, extra_cards=(f"V1 1 0 SIN 0 {amp} {frq}",))
+    source = (f"SIN 0 {mna.format_value(amplitude)} "
+              f"{mna.format_value(freq_hz)}")
+    parts = build_oscillator(cfg, extra_cards=(f"V1 1 0 {source}",))
     traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
                     cfg.method)
     h = traj.hamiltonians
@@ -349,7 +350,7 @@ def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
     scale = float(max(np.max(np.abs(h)), np.max(np.abs(traj.supplied_cum)),
                       1e-300))
     report = Index2Report(parts, traj, float(defect[-1]), float(defect.max()),
-                          scale)
+                          scale, source)
     if out_dir is not None:
         report = replace(report,
                          files=_write_oscillator_outputs(report, out_dir))

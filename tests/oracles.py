@@ -10,6 +10,8 @@ fold that the one-step `couple` must reproduce exactly.
 `reference_endpoint_states` steps trapezoidal, and BDF2 after its
 trapezoidal first step, by the endpoint formulas solved for z⁺, the
 reference of the increment form the stepper uses.
+`reference_per_step_run` steps every method with its inputs evaluated
+step by step, the reference of the grid-evaluated inputs of `simulate`.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
 """
@@ -19,7 +21,8 @@ import math
 
 import numpy as np
 
-from fieldcircuit.integrators import _StageSolver, to_linear_dae
+from fieldcircuit.integrators import (_pencil_plan, _StageSolver,
+                                      method_from_tag, to_linear_dae)
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 
 _S15 = math.sqrt(15.0)
@@ -138,6 +141,47 @@ def reference_endpoint_states(sys, z0, u, tau, steps, method):
             rhs = (e + (tau / 2.0) * a) @ z + tau * (b @ u_avg)
             states.append(trap.solve(rhs))
     return np.array(states)
+
+
+def reference_per_step_run(sys, z0, u, tau, steps, method):
+    """States of `steps` steps from t = 0 and the input of each step's
+    supplied energy, with u called inside the loop: per pencil (λ_j, r_j,
+    γ_j) of `_pencil_plan`, the right side (Σ_i r_ji) A z + B (r_j ·
+    [u(t_k + c_i τ)]_i) + h E (z − z⁻)/τ over the whole state, and
+    (u(t) + u(t+τ))/2, u(t+τ) or u(t + τ/2) for trapezoidal, implicit
+    Euler or the rest."""
+    dae = to_linear_dae(sys)
+    method = method_from_tag(method)
+    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
+    plans = []
+    for m in startup + [method]:
+        nodes, pencils, history = _pencil_plan(m)
+        solvers = [(_StageSolver(dae.E_dae - (tau * lam) * dae.A_dae, m.tag),
+                    row, weight) for lam, row, weight in pencils]
+        plans.append(([float(ci) * tau for ci in nodes], solvers,
+                      history / tau))
+    times = 0.0 + tau * np.arange(steps + 1)
+    states = [np.asarray(z0, dtype=np.float64)]
+    for k in range(steps):
+        offsets, solvers, lag = plans[min(k, len(plans) - 1)]
+        z, z_prev = states[-1], states[max(k - 1, 0)]
+        u_nodes = np.array([u(times[k] + dt) for dt in offsets],
+                           dtype=np.float64)
+        az = dae.A_dae @ z
+        z_next = z
+        for solver, row, weight in solvers:
+            rhs = row.sum() * az + dae.B_dae @ (row @ u_nodes)
+            if lag:
+                rhs = rhs + lag * (dae.E_dae @ (z - z_prev))
+            z_next = z_next + tau * np.real(weight * solver.solve(rhs))
+        states.append(z_next)
+    if method.tag == "trapezoidal":
+        u_step = [0.5 * (np.asarray(u(t)) + np.asarray(u(t + tau)))
+                  for t in times[:-1]]
+    else:
+        endpoint = method.tag == "implicit_euler"
+        u_step = [u(t + (tau if endpoint else 0.5 * tau)) for t in times[:-1]]
+    return np.array(states), np.asarray(u_step, dtype=np.float64)
 
 
 def reference_csv(header, columns) -> bytes:

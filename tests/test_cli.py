@@ -318,6 +318,16 @@ def test_index2_command(tmp_path):
     assert man["experiment"] == "index2"
 
 
+def test_index2_summary_names_the_simulated_source(tmp_path, capsys):
+    out = str(tmp_path / "idx")
+    code = cli_main(["index2", "--mesh-h", "2.5e-3", "--tend", "2e-6",
+                     "--amplitude", "2", "--freq", "10e3", "--out", out])
+    assert code == EXIT_OK
+    source = "SIN 0 2.0 10000.0 (parallel voltage source)"
+    assert read_manifest(os.path.join(out, "run.manifest"))["source"] == source
+    assert source in capsys.readouterr().out
+
+
 def test_convergence_command(tmp_path, capsys):
     out = str(tmp_path / "conv")
     code = cli_main(["convergence", "--mesh-h", "2.5e-3",
@@ -395,3 +405,14 @@ def test_convergence_empty_method_list(tmp_path, capsys, monkeypatch,
     assert cli_main(["convergence", "--methods", methods,
                      "--out", str(tmp_path / "x")]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("taus", ["", " , ", "8e-7"])
+def test_convergence_fewer_than_two_taus(tmp_path, capsys, monkeypatch,
+                                         taus):
+    # refused before any mesh is built
+    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
+    assert cli_main(["convergence", "--taus", taus,
+                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --taus") and "at least two" in err

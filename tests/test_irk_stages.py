@@ -2,19 +2,21 @@
 matrix (midpoint, implicit Euler, Gauss-4, Radau IIA): parity with the
 Kronecker-stacked stage system.  Trapezoidal and BDF2 stepped as one pencil
 for the increment: parity with the endpoint formulas.  And the shape of
-every matrix the stepper factorizes."""
+every matrix the stepper factorizes, and the grid-evaluated inputs against
+evaluation step by step."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fieldcircuit import experiments, integrators
-from fieldcircuit.integrators import (Method, _StageSolver, consistent_init,
-                                      method_from_tag, simulate, to_linear_dae)
-from fieldcircuit.structure import StructureError
+from fieldcircuit.integrators import (METHOD_TAGS, Method, _StageSolver,
+                                      consistent_init, method_from_tag,
+                                      simulate, to_linear_dae)
+from fieldcircuit.structure import StructureError, row_dots
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_energy_system
-from tests.oracles import reference_endpoint_states
+from tests.oracles import reference_endpoint_states, reference_per_step_run
 
 IRK_METHODS = ("midpoint", "implicit_euler", "gauss4", "radau5")
 INCREMENT_METHODS = ("trapezoidal", "bdf2")
@@ -110,6 +112,18 @@ def test_increment_form_matches_endpoint_formula_on_oscillators(kind, bound,
     assert relative_gap(traj.states, ref) <= bound
 
 
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_grid_inputs_match_per_step_evaluation_on_random_systems(method):
+    tau, steps = 0.05, 20
+    for sys_r, z0, u in random_draws():
+        traj = simulate(sys_r, z0, u, tau, steps * tau, method)
+        states, u_step = reference_per_step_run(sys_r, z0, u, tau, steps,
+                                                method)
+        assert np.array_equal(traj.states, states)
+        supplied = np.cumsum(tau * row_dots(traj.outputs[1:], u_step))
+        assert np.array_equal(traj.supplied_cum[1:], supplied)
+
+
 @pytest.mark.parametrize("method,expected", [
     ("gauss4", ["complex128"]),
     ("radau5", ["complex128", "float64"]),
@@ -127,13 +141,28 @@ def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
     factored = []
 
     def recording_splu(mat, *args, **kwargs):
-        factored.append((mat.shape, mat.dtype.name))
-        return splu(mat, *args, **kwargs)
+        lu = splu(mat, *args, **kwargs)
+        factored.append((mat.shape, mat.dtype.name, kwargs["permc_spec"],
+                         lu.nnz))
+        return lu
 
     monkeypatch.setattr(integrators.spla, "splu", recording_splu)
     first = simulate(sys_r, z0, u, 0.05, 1.0, method)
-    # nothing larger than n×n, and one matrix per kept eigenvalue
-    assert sorted(factored) == [((sys_r.n, sys_r.n), d) for d in expected]
+    # nothing larger than n×n
+    assert {shape for shape, *_ in factored} == {(sys_r.n, sys_r.n)}
+    # per pencil: MMD, then COLAMD, then MMD again only if strictly sparser
+    pencils = []
+    while factored:
+        mmd, colamd = factored[:2]
+        assert (mmd[2], colamd[2]) == ("MMD_AT_PLUS_A", "COLAMD")
+        assert colamd[:2] == mmd[:2]
+        refactored = mmd[3] < colamd[3]
+        if refactored:
+            assert factored[2] == mmd
+        pencils.append(mmd[1])
+        del factored[: 2 + refactored]
+    # one matrix per kept eigenvalue
+    assert sorted(pencils) == expected
     second = simulate(sys_r, z0, u, 0.05, 1.0, method)
     assert np.array_equal(first.states, second.states)
 

@@ -1,0 +1,77 @@
+"""The stage solver keeps the sparser of the MMD_AT_PLUS_A and COLAMD
+factors of a pencil, and its iterative refinement never fires on the
+pencils of the benchmark workloads."""
+
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from fieldcircuit import experiments, integrators
+from fieldcircuit.integrators import _StageSolver, simulate, to_linear_dae
+
+
+def trapezoidal_pencil(**config):
+    cfg = experiments.OscillatorConfig(**config)
+    dae = to_linear_dae(experiments.build_oscillator(cfg).system)
+    return sp.csc_matrix(dae.E_dae - (0.5 * cfg.tau) * dae.A_dae)
+
+
+def test_kept_factor_is_the_sparser_on_a_fine_solid_core_pencil():
+    pencil = trapezoidal_pencil(conductor_kind="solid", core_conductive=True,
+                                mesh_h=0.5e-3)
+    nnz = {spec: spla.splu(pencil, permc_spec=spec).nnz
+           for spec in ("MMD_AT_PLUS_A", "COLAMD")}
+    assert nnz["MMD_AT_PLUS_A"] < nnz["COLAMD"]
+    assert _StageSolver(pencil, "solid 0.5 mm")._lu.nnz == min(nnz.values())
+
+
+def test_kept_factor_is_colamd_on_a_coarse_stranded_pencil():
+    pencil = trapezoidal_pencil(mesh_h=1.0e-3)
+    colamd = spla.splu(pencil, permc_spec="COLAMD")
+    kept = _StageSolver(pencil, "stranded 1 mm")._lu
+    assert kept.nnz == colamd.nnz
+    assert (kept.perm_c == colamd.perm_c).all()
+
+
+class CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, rhs, *args):
+        self.solves += 1
+        return self.lu.solve(rhs, *args)
+
+
+@pytest.mark.parametrize("config,methods,steps", [
+    # init-stranded
+    (dict(mesh_h=0.4e-3), ("trapezoidal",), 500),
+    # irk-solid
+    (dict(conductor_kind="solid", core_conductive=True, mesh_h=0.5e-3),
+     ("trapezoidal", "gauss4", "radau5"), 500),
+    # the oscillator command of sweep-small
+    (dict(), ("trapezoidal",), 500),
+])
+def test_refinement_never_fires_on_bench_pencils(monkeypatch, config,
+                                                 methods, steps):
+    kept = []
+    init = _StageSolver.__init__
+
+    def counting_init(self, mat, context):
+        init(self, mat, context)
+        self._lu = CountingLU(self._lu)
+        kept.append(self._lu)
+
+    monkeypatch.setattr(integrators._StageSolver, "__init__", counting_init)
+    cfg = experiments.OscillatorConfig(**config)
+    parts = experiments.build_oscillator(cfg)
+    for method in methods:
+        kept.clear()
+        simulate(parts.system, parts.z0, parts.u, cfg.tau, steps * cfg.tau,
+                 method)
+        # each pencil is solved once per step: one lu.solve per solve
+        assert kept and [lu.solves for lu in kept] == [steps] * len(kept)
