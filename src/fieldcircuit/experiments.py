@@ -109,6 +109,12 @@ class OscillatorParts:
     phi_index: int
     current_index: int
 
+    @property
+    def written_columns(self) -> np.ndarray:
+        """The state columns the experiments read and write: the node
+        potential φ, then the winding current i."""
+        return np.array([self.phi_index, self.current_index])
+
 
 def _oscillator_netlist_text(cfg: OscillatorConfig, extra_cards=()) -> str:
     # winding branch oriented ground -> node so the positive branch current
@@ -255,7 +261,7 @@ def run_oscillator(cfg: OscillatorConfig, out_dir: str = None,
     if parts is None:
         parts = build_oscillator(cfg)
     traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
-                    cfg.method)
+                    cfg.method, keep=parts.written_columns)
     h = traj.hamiltonians
     h0 = h[0]
     drift = float(np.max(np.abs(h - h0)) / abs(h0)) if h0 else float("nan")
@@ -264,7 +270,7 @@ def run_oscillator(cfg: OscillatorConfig, out_dir: str = None,
         if h0 else float("nan")
     lossless = not cfg.core_conductive and cfg.conductor_kind == "stranded"
     omega_pred = 1.0 / math.sqrt(parts.lumped_l * cfg.capacitance)
-    current = traj.states[:, parts.current_index]
+    current = traj.states[:, 1]  # the kept columns are φ, i
     try:
         omega_meas = measure_omega(traj.times, current)
     except StructureError:
@@ -280,15 +286,15 @@ def run_oscillator(cfg: OscillatorConfig, out_dir: str = None,
 
 def _write_oscillator_outputs(report, out_dir: str) -> tuple:
     """trajectory.csv, run.manifest and plot.gp of an oscillator or index-2
-    report; returns their paths."""
+    report, whose trajectory keeps φ and i (`written_columns`); returns
+    their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    parts, traj = report.parts, report.trajectory
+    traj = report.trajectory
     csv_path = os.path.join(out_dir, "trajectory.csv")
     serialization.write_columns_csv(
         csv_path, ["t", "H", "D_cum", "E_in", "phi", "i"],
         [traj.times, traj.hamiltonians, traj.dissipated_cum,
-         traj.supplied_cum, traj.states[:, parts.phi_index],
-         traj.states[:, parts.current_index]])
+         traj.supplied_cum, *traj.states.T])
     man_path = os.path.join(out_dir, "run.manifest")
     serialization.write_manifest(man_path, report.summary_entries())
     gp_path = os.path.join(out_dir, "plot.gp")
@@ -344,7 +350,7 @@ def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
               f"{mna.format_value(freq_hz)}")
     parts = build_oscillator(cfg, extra_cards=(f"V1 1 0 {source}",))
     traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
-                    cfg.method)
+                    cfg.method, keep=parts.written_columns)
     h = traj.hamiltonians
     defect = np.abs(h - h[0] - (traj.supplied_cum - traj.dissipated_cum))
     scale = float(max(np.max(np.abs(h)), np.max(np.abs(traj.supplied_cum)),
@@ -441,7 +447,6 @@ def run_convergence(methods=CONVERGENCE_METHODS, taus=CONVERGENCE_TAUS,
     if t_end is None:
         t_end = CONVERGENCE_T_END
     parts = build_oscillator(replace(cfg, t_end=t_end))
-    comps = np.array([parts.phi_index, parts.current_index])
     l_val, c_val = parts.lumped_l, cfg.capacitance
 
     def reference(t):
@@ -458,8 +463,8 @@ def run_convergence(methods=CONVERGENCE_METHODS, taus=CONVERGENCE_TAUS,
         per_tau = []
         for tau in taus:
             traj = simulate(parts.system, parts.z0, parts.u, tau, t_end,
-                            method)
-            eps_z, eps_h = error_measures(traj, reference, components=comps)
+                            method, keep=parts.written_columns)
+            eps_z, eps_h = error_measures(traj, reference)
             per_tau.append(ConvergenceRow(method, tau, eps_z, eps_h,
                                           eps_z < floor))
         rows.extend(per_tau)

@@ -57,7 +57,17 @@ class LinearDae:
 
 
 def to_linear_dae(sys: EnergySystem) -> LinearDae:
-    """Rearrange the structured equations into a single implicit linear DAE.
+    """The system as a single implicit linear DAE, built once per system:
+    `consistent_init` and every `simulate` on the system share it.  Its
+    matrices are read, never written, by every consumer.
+    """
+    if sys._linear_dae is None:
+        object.__setattr__(sys, "_linear_dae", _rearrange(sys))
+    return sys._linear_dae
+
+
+def _rearrange(sys: EnergySystem) -> LinearDae:
+    """Rearrange the structured equations into E_dae ẋ = A_dae x + B_dae u.
 
     Row blocks (z1/z2/z3 equations):
         (J−R)₁₁ ż1                = M1 z1 − (J−R)₁₂ S z2 − (J−R)₁₃ z3 − B₁ u
@@ -236,12 +246,17 @@ class _StageSolver:
 class Trajectory:
     """Equidistant simulation record.
 
+    states holds the columns of the state that the run kept (every column
+    unless `simulate` was given `keep`), one row per instant, and
+    state_labels their labels in the same order.
     outputs[k] for k >= 1 is the discrete port flow Bᵀ w of the step ending
     at times[k] (the quantity entering the discrete power balance);
     outputs[0] is zero since no step precedes the initial instant.
-    dissipated_cum/supplied_cum integrate the discrete power terms of
-    `_energy_bookkeeping`: the balance is exact for midpoint and
-    trapezoidal, and exact up to the numerical dissipation of implicit Euler.
+    hamiltonians, dissipated_cum and supplied_cum are taken from the full
+    state whatever columns are kept.  dissipated_cum/supplied_cum integrate
+    the discrete power terms of `_energy_bookkeeping`: the balance is exact
+    for midpoint and trapezoidal, and exact up to the numerical dissipation
+    of implicit Euler.
     """
 
     times: np.ndarray
@@ -259,6 +274,10 @@ class Trajectory:
                      "dissipated_cum", "supplied_cum"):
             if len(getattr(self, name)) != k:
                 raise StructureError(f"trajectory field {name} length mismatch")
+        if np.shape(self.states)[1:] != (len(self.state_labels),):
+            raise StructureError(
+                f"trajectory states of shape {np.shape(self.states)} do not "
+                f"have one column per label ({len(self.state_labels)})")
 
 
 def _resolve_input(u, m: int):
@@ -271,6 +290,26 @@ def _resolve_input(u, m: int):
     if callable(u):
         return u
     raise StructureError("input must be a waveform stack, a callable, or None")
+
+
+def _kept_columns(keep, n: int):
+    """The state columns `keep` names as an index array, or None when it
+    keeps every column in order.  StructureError names the first entry that
+    is not an integer in [0, n)."""
+    if keep is None:
+        return None
+    cols = np.asarray(keep)
+    if cols.ndim != 1:
+        raise StructureError(
+            f"keep: expected a 1-D array of state indices, got shape "
+            f"{cols.shape}")
+    bad = (np.flatnonzero((cols < 0) | (cols >= n))
+           if cols.dtype.kind in "iu" else np.arange(cols.size))
+    if bad.size:
+        raise StructureError(f"keep[{bad[0]}] = {cols[bad[0]]} is not a "
+                             f"state index in [0, {n})")
+    cols = cols.astype(np.intp)
+    return None if np.array_equal(cols, np.arange(n)) else cols
 
 
 def _input_grid(u, starts: np.ndarray, m: int):
@@ -290,8 +329,14 @@ def _input_grid(u, starts: np.ndarray, m: int):
     return at
 
 
+# blocks of `block_rows` states held between two energy audits (about 8 MB):
+# with spans of one block, interleaved with the steps, the audit of 500
+# steps at n = 4952 took 86 ms against 68 ms with spans of eight
+_SPAN_BLOCKS = 8
+
+
 def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
-             method, t0: float = 0.0) -> Trajectory:
+             method, t0: float = 0.0, keep=None) -> Trajectory:
     """March the system on the equidistant grid t0, t0+tau, ..., t_end.
 
     tau must divide t_end − t0.  Identical inputs produce bit-identical
@@ -300,69 +345,106 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     two orderings) and reused by every step.  The input u is evaluated once
     per node offset for the whole grid before the first step
     (`_input_grid`); the stepper and the energy bookkeeping read the same
-    values.  The loop only steps; energies and outputs are evaluated
-    afterwards from the stored states, all steps at once.
+    values.
+
+    The loop steps one span of `_SPAN_BLOCKS` · `block_rows(n)` states at a
+    time, then audits the span (`_energy_bookkeeping`: outputs, dissipated
+    power and H) and stores only the state columns `keep` names, a 1-D
+    array of indices in [0, n), in that order.  The last state of a span
+    (and for BDF2 the one before it) starts the next.  `keep=None` keeps
+    every column.  Memory is O(span · n + steps · |keep|): with every
+    column kept the steps write straight into the returned array, otherwise
+    into one span of full states that is reused.  Which columns are kept
+    changes no value: the arithmetic of every step and of the audit is the
+    same.
     """
     method = method_from_tag(method)
     if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
         raise StructureError("tau must be positive and finite, t_end - t0 finite")
-    span = t_end - t0
-    n_steps_f = span / tau
+    length = t_end - t0
+    n_steps_f = length / tau
     n_steps = int(round(n_steps_f))
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps_f):
         raise StructureError(
-            f"tau = {tau} does not divide the interval of length {span}")
+            f"tau = {tau} does not divide the interval of length {length}")
 
     p = sys.partition
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n,):
         raise StructureError(f"z0: expected length {p.n}, got {z0.shape}")
+    cols = _kept_columns(keep, p.n)
     times = t0 + tau * np.arange(n_steps + 1)
     u_at = _input_grid(_resolve_input(u, p.m), times[:-1], p.m)
     stepper = _make_stepper(to_linear_dae(sys), method, tau, u_at)
 
-    states = np.empty((n_steps + 1, p.n))
-    states[0] = z0
-    for k in range(n_steps):
-        try:
-            states[k + 1] = stepper(k, states[k], states[max(k - 1, 0)])
-        except NumericalError as exc:
-            raise NumericalError(f"step {k + 1} at t = {times[k]}: {exc}") from exc
-
-    outputs, d_cum, s_cum = _energy_bookkeeping(sys, states, u_at, tau, method)
-    return Trajectory(times, states, outputs, hamiltonian(sys, states),
-                      d_cum, s_cum, sys.default_state_labels(),
-                      sys.default_output_labels())
-
-
-def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, u_at,
-                        tau: float, method: Method):
-    """Port outputs and cumulative dissipated and supplied energy of a whole
-    trajectory, from its stored states and the grid inputs `u_at` of
-    `_input_grid`.
-
-    Step k contributes τ wᵀRw and τ⟨y, u_k⟩ with the discrete flow
-    w = [(z1⁺−z1)/τ; S z2*; z3*] and y = Bᵀw.  For implicit Euler z* is the
-    endpoint z⁺ and u_k = u(t+τ), the flow and input the scheme used, so
-    each step satisfies ΔH − τ⟨y, u_k⟩ + τ wᵀRw = −½(Δz1ᵀM1Δz1 + Δz2ᵀM2Δz2)
-    exactly.  Otherwise z* is the step midpoint and u_k is the endpoint
-    average (u(t) + u(t+τ))/2 for trapezoidal and u(t + τ/2) for the rest;
-    that is the input the scheme used for trapezoidal and midpoint, whose
-    balance is therefore exact, but not for BDF2 (u(t+τ)) or Gauss-4 and
-    Radau IIA (their stage values u(t + c_i τ)).
-    Steps are taken in blocks of `block_rows` states, so no temporary grows
-    with the trajectory; every step's arithmetic is the same whatever block
-    it falls in.
-    """
-    p = sys.partition
+    span = _SPAN_BLOCKS * block_rows(p.n)
+    labels = sys.default_state_labels()
+    if cols is None:
+        states = buf = np.empty((n_steps + 1, p.n))
+    else:
+        states = np.empty((n_steps + 1, cols.size))
+        states[0] = z0[cols]
+        buf = np.empty((min(span, n_steps) + 1, p.n))
+        labels = tuple(labels[i] for i in cols)
+    buf[0] = z0
+    outputs = np.zeros((n_steps + 1, p.m))
+    dissipated = np.empty(n_steps)
+    h = np.empty(n_steps + 1)
+    h[0] = hamiltonian(sys, buf[:1])[0]
     endpoint = method.tag == "implicit_euler"
+    z_prev = z0  # the state before the span's first, for BDF2
+    for base in range(0, n_steps, span):
+        stop = min(base + span, n_steps)
+        blk = buf[base : stop + 1] if cols is None else buf[: stop - base + 1]
+        for j, k in enumerate(range(base, stop)):
+            try:
+                blk[j + 1] = stepper(k, blk[j], blk[j - 1] if j else z_prev)
+            except NumericalError as exc:
+                raise NumericalError(f"step {k + 1} at t = {times[k]}: {exc}") from exc
+        (outputs[base + 1 : stop + 1], dissipated[base:stop],
+         h[base + 1 : stop + 1]) = _energy_bookkeeping(sys, blk, tau, endpoint)
+        z_prev = blk[-2].copy()
+        if cols is not None:
+            states[base + 1 : stop + 1] = blk[1:, cols]
+            buf[0] = blk[-1]
+
     if method.tag == "trapezoidal":
         u_step = 0.5 * (u_at(0.0) + u_at(tau))
     else:
         u_step = u_at(tau if endpoint else 0.5 * tau)
+    zero = np.zeros(1)
+    d_cum = np.concatenate([zero, np.cumsum(tau * dissipated)])
+    s_cum = np.concatenate(
+        [zero, np.cumsum(tau * row_dots(outputs[1:], u_step))])
+    return Trajectory(times, states, outputs, h, d_cum, s_cum, labels,
+                      sys.default_output_labels())
+
+
+def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
+                        endpoint: bool):
+    """Port outputs y, dissipated power wᵀRw and Hamiltonian of the steps
+    between consecutive rows of a span of full states: one row each per
+    step, H of the state the step ends in.  `simulate` integrates τ wᵀRw
+    and τ⟨y, u_k⟩ over the spans.
+
+    The discrete flow is w = [(z1⁺−z1)/τ; S z2*; z3*] and y = Bᵀw.  For
+    implicit Euler (`endpoint`) z* is the endpoint z⁺ and u_k = u(t+τ), the
+    flow and input the scheme used, so each step satisfies
+    ΔH − τ⟨y, u_k⟩ + τ wᵀRw = −½(Δz1ᵀM1Δz1 + Δz2ᵀM2Δz2) exactly.  Otherwise
+    z* is the step midpoint and u_k is the endpoint average
+    (u(t) + u(t+τ))/2 for trapezoidal and u(t + τ/2) for the rest; that is
+    the input the scheme used for trapezoidal and midpoint, whose balance
+    is therefore exact, but not for BDF2 (u(t+τ)) or Gauss-4 and Radau IIA
+    (their stage values u(t + c_i τ)).
+    Steps are taken in blocks of `block_rows` states, so no temporary grows
+    with the span; every step's arithmetic is the same whatever block it
+    falls in.
+    """
+    p = sys.partition
     n_steps = len(states) - 1
     y = np.empty((n_steps, p.m))
     dissipated = np.empty(n_steps)
+    h = np.empty(n_steps)
     rows = block_rows(p.n)
     for k in range(0, n_steps, rows):
         blk = states[k : k + rows + 1]
@@ -372,11 +454,8 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, u_at,
                        z_at[:, p.n1 + p.n2 :]])
         y[k : k + rows] = (sys.B.T @ w.T).T
         dissipated[k : k + rows] = quadratic_forms(sys.R, w)
-    zero = np.zeros(1)
-    outputs = np.vstack([np.zeros((1, p.m)), y])
-    d_cum = np.concatenate([zero, np.cumsum(tau * dissipated)])
-    s_cum = np.concatenate([zero, np.cumsum(tau * row_dots(y, u_step))])
-    return outputs, d_cum, s_cum
+        h[k : k + rows] = hamiltonian(sys, blk[1:])
+    return y, dissipated, h
 
 
 def _pencil_plan(method: Method):
@@ -470,6 +549,20 @@ def _left_null_basis(mat) -> sp.csr_array:
             blk[:, np.unique(blk.indices)].toarray().T))
     rows = np.r_[zero_rows, nz_rows[order]]  # row order of the blocks
     return sp.block_diag(blocks, "csr")[np.argsort(rows)]
+
+
+def _sorted_copy(dae: LinearDae) -> LinearDae:
+    """A copy of dae whose rows hold their entries in column order.
+
+    A product sums each row in storage order.  The shared rewrite keeps
+    the order `_rearrange` assembled, which the stepper sums in; scipy sorts
+    a matrix in place on first use of operations such as abs(), which
+    initialization applies, so initialization works on sorted copies and
+    the shared matrices are never written."""
+    mats = [mat.copy() for mat in (dae.E_dae, dae.A_dae, dae.B_dae)]
+    for mat in mats:
+        mat.sum_duplicates()
+    return LinearDae(*mats, dae.partition)
 
 
 def _constraint_basis(dae: LinearDae):
@@ -568,7 +661,7 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
     if u_val.shape != (p.m,):
         raise StructureError(f"u0: expected length {p.m}, got {u_val.shape}")
 
-    dae = to_linear_dae(sys)
+    dae = _sorted_copy(to_linear_dae(sys))
     c_mat, d_mat = _constraint_basis(dae)
     # the free directions [0; N; 0] of η and [0; 0; I] of z3
     free = sp.block_diag([sp.csr_array((p.n1, 0)), _left_null_basis(sys.E.T),
@@ -651,21 +744,18 @@ def energy_audit(sys: EnergySystem, traj: Trajectory) -> AuditTable:
     return AuditTable(dh, supplied, dissipated, dh - supplied + dissipated)
 
 
-def error_measures(traj: Trajectory, reference, components=None):
+def error_measures(traj: Trajectory, reference):
     """(eps_z, eps_H) against a reference state waveform.
 
-    reference(t) must return the reference values of the compared components
-    (all states when `components` is None).  eps_z is the maximum over the
-    grid of the infinity norm of the difference; eps_H the relative drift of
-    the Hamiltonian between the first and last instants.
+    reference(t) must return the reference values of the trajectory's
+    state columns (the columns `simulate` kept).  eps_z is the maximum over
+    the grid of the infinity norm of the difference; eps_H the relative
+    drift of the Hamiltonian between the first and last instants.
     """
-    if components is None:
-        components = np.arange(traj.states.shape[1])
-    components = np.asarray(components, dtype=np.intp)
     eps_z = 0.0
     for k, t in enumerate(traj.times):
         ref = np.asarray(reference(t), dtype=np.float64)
-        diff = np.abs(ref - traj.states[k, components])
+        diff = np.abs(ref - traj.states[k])
         if diff.size:
             eps_z = max(eps_z, float(np.max(diff)))
     h0 = traj.hamiltonians[0]

@@ -17,7 +17,7 @@ eigensolve, a dense factorization), never in the system itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,6 +202,10 @@ class EnergySystem:
     S: object  # n2 x n2, effort map e = S z2
     state_labels: tuple = None
     output_labels: tuple = None
+    # the implicit DAE form, built on first use by integrators.to_linear_dae
+    # and shared by every later use: the system never changes
+    _linear_dae: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         p = self.partition

@@ -1,18 +1,23 @@
-"""The benchmark harness runs one `irk-solid` unit end to end (trapezoidal,
-Gauss-4 and Radau IIA on the solid oscillator), checks it and reports the
-end-to-end metrics that BENCHMARK.json declares."""
+"""The benchmark harness runs one unit of a workload end to end, checks it
+and reports the end-to-end metrics that BENCHMARK.json declares: an
+`irk-solid` unit (trapezoidal, Gauss-4 and Radau IIA on the solid
+oscillator) and an `init-stranded` unit (the fine stranded oscillator
+through `run_oscillator`, which keeps two state columns)."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_irk_solid_smoke():
+@pytest.mark.parametrize("workload", ["irk-solid", "init-stranded"])
+def test_bench_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "irk-solid",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from fieldcircuit.experiments import (CONVERGENCE_METHODS, CONVERGENCE_TAUS,
                                       oscillator_geometry, run_convergence,
                                       run_index2, run_oscillator)
 from fieldcircuit.fem import check_mesh, parse_geometry
+from fieldcircuit.integrators import simulate
 from fieldcircuit.serialization import read_manifest, read_trajectory_csv
 from fieldcircuit.structure import StructureError, hamiltonian
 
@@ -192,22 +193,25 @@ def test_convergence_rejects_lossy_config():
 # --- artefact consistency --------------------------------------------------------------
 
 def test_trajectory_csv_h_column_matches_hamiltonian(tmp_path, coarse_parts):
-    # the H column is the structure Hamiltonian evaluated on the trajectory
-    # states, not a lumped-circuit formula, and the file round-trips exactly
+    # the H column is the structure Hamiltonian evaluated on the full states
+    # of a run that keeps every column, not a lumped-circuit formula; the
+    # written state columns are that run's phi and i, and the file
+    # round-trips exactly
+    cfg = coarse_parts.config
     out = str(tmp_path / "osc")
-    report = run_oscillator(coarse_parts.config, out_dir=out,
-                            parts=coarse_parts)
-    traj = report.trajectory
+    report = run_oscillator(cfg, out_dir=out, parts=coarse_parts)
+    full = simulate(coarse_parts.system, coarse_parts.z0, coarse_parts.u,
+                    cfg.tau, cfg.t_end, cfg.method)
     recomputed = np.array([hamiltonian(coarse_parts.system, z)
-                           for z in traj.states])
-    assert np.array_equal(recomputed, traj.hamiltonians)
+                           for z in full.states])
+    assert np.array_equal(recomputed, full.hamiltonians)
+    assert np.array_equal(report.trajectory.hamiltonians, full.hamiltonians)
     header, data = read_trajectory_csv(os.path.join(out, "trajectory.csv"))
     assert header == ["t", "H", "D_cum", "E_in", "phi", "i"]
-    assert np.array_equal(data[:, 1], traj.hamiltonians)
-    assert np.array_equal(data[:, 4],
-                          traj.states[:, coarse_parts.phi_index])
+    assert np.array_equal(data[:, 1], full.hamiltonians)
+    assert np.array_equal(data[:, 4], full.states[:, coarse_parts.phi_index])
     assert np.array_equal(data[:, 5],
-                          traj.states[:, coarse_parts.current_index])
+                          full.states[:, coarse_parts.current_index])
 
 
 def test_oscillator_geometry_meshes_fine():
