@@ -523,10 +523,16 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, u_at):
 # ---------------------------------------------------------------------------
 
 def _row_max_abs(mat) -> np.ndarray:
-    """Largest absolute entry of each row of a sparse block (0 if empty)."""
-    if not mat.nnz:
-        return np.zeros(mat.shape[0])
-    return abs(mat).max(axis=1).toarray().ravel()
+    """Largest absolute stored entry of each row of a CSR block (0 if
+    empty), read from `data` over `indptr`: scipy's abs() would sort the
+    index arrays of an unsorted matrix in place, and the shared rewrite of
+    `to_linear_dae` is never written."""
+    row_max = np.zeros(mat.shape[0])
+    full = np.flatnonzero(np.diff(mat.indptr))
+    if full.size:
+        row_max[full] = np.maximum.reduceat(
+            np.abs(mat.data[: mat.indptr[-1]]), mat.indptr[full])
+    return row_max
 
 
 def _left_null_basis(mat) -> sp.csr_array:
@@ -549,20 +555,6 @@ def _left_null_basis(mat) -> sp.csr_array:
             blk[:, np.unique(blk.indices)].toarray().T))
     rows = np.r_[zero_rows, nz_rows[order]]  # row order of the blocks
     return sp.block_diag(blocks, "csr")[np.argsort(rows)]
-
-
-def _sorted_copy(dae: LinearDae) -> LinearDae:
-    """A copy of dae whose rows hold their entries in column order.
-
-    A product sums each row in storage order.  The shared rewrite keeps
-    the order `_rearrange` assembled, which the stepper sums in; scipy sorts
-    a matrix in place on first use of operations such as abs(), which
-    initialization applies, so initialization works on sorted copies and
-    the shared matrices are never written."""
-    mats = [mat.copy() for mat in (dae.E_dae, dae.A_dae, dae.B_dae)]
-    for mat in mats:
-        mat.sum_duplicates()
-    return LinearDae(*mats, dae.partition)
 
 
 def _constraint_basis(dae: LinearDae):
@@ -661,7 +653,7 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
     if u_val.shape != (p.m,):
         raise StructureError(f"u0: expected length {p.m}, got {u_val.shape}")
 
-    dae = _sorted_copy(to_linear_dae(sys))
+    dae = to_linear_dae(sys)
     c_mat, d_mat = _constraint_basis(dae)
     # the free directions [0; N; 0] of η and [0; 0; I] of z3
     free = sp.block_diag([sp.csr_array((p.n1, 0)), _left_null_basis(sys.E.T),

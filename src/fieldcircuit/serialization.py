@@ -6,8 +6,10 @@ Matrix Market coordinate format (1-based, `real general`) plus a one-line
 header file `partition` with the four dimensions.  Trajectories are plain CSV
 with 17 significant digits so a round trip is bit-exact.  CSV files are
 streamed to disk in blocks of rows (`structure.block_rows`), so memory does
-not grow with the file.  Every file is written to a sibling temp file that
-is renamed into place, and removed if writing fails.
+not grow with the file; a large one is formatted in slices of rows, one
+forked process per usable CPU, into the same bytes.  Every file is written
+to a sibling temp file that is renamed into place, and removed if writing
+fails.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import os
+import signal
 
 import numpy as np
 import scipy.io
@@ -47,10 +51,21 @@ def _atomic_open(path: str, mode: str, **kwargs):
     replace_atomic(tmp, path)
 
 
-def write_text_atomic(path: str, text) -> None:
-    """Write a string, or an iterable of string chunks, atomically."""
+def write_text_atomic(path: str, text, parts=()) -> None:
+    """Write a string, or an iterable of string chunks, atomically, then
+    append the bytes of each file that the iterable `parts` names."""
     with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines((text,) if isinstance(text, str) else text)
+        fh.flush()
+        for part in parts:
+            _append_file(fh.fileno(), part)
+
+
+def _append_file(fd: int, part: str) -> None:
+    with open(part, "rb") as src:
+        size, sent = os.fstat(src.fileno()).st_size, 0
+        while sent < size:
+            sent += os.sendfile(fd, src.fileno(), sent, size - sent)
 
 
 def write_matrix(path: str, mat) -> None:
@@ -122,28 +137,111 @@ def _csv_text(column, alone: bool) -> np.ndarray:
     return np.array(cells, dtype=object)
 
 
+# Fewest values that a slice of a split CSV holds.  On a 2-core Xeon host,
+# forking a process of about 130 MB resident (`sweep-small`) takes 2 ms;
+# the fork, the reap and the append of a part file of 65 536 values take
+# 7–8 ms in all, and formatting those values takes 40–65 ms, so a smaller
+# slice would not repay its process.
+_MIN_SLICE_VALUES = 65536
+
+
+def _row_slices(n_rows: int, n_columns: int) -> list:
+    """Row bounds of the slices a CSV is formatted in: one slice per CPU
+    this process may run on, each of at least `_MIN_SLICE_VALUES` values,
+    and a single slice where the platform cannot fork or name those CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [0, n_rows]
+    min_rows = -(-_MIN_SLICE_VALUES // max(n_columns, 1))
+    count = max(1, min(len(os.sched_getaffinity(0)), n_rows // min_rows))
+    return [n_rows * k // count for k in range(count + 1)]
+
+
+def _csv_blocks(row: str, columns, lo: int, hi: int):
+    """The text of rows lo..hi, `block_rows` rows per chunk, each row
+    formatted by the `%` string `row`."""
+    step = block_rows(len(columns))
+    for k in range(lo, hi, step):
+        stop = min(k + step, hi)
+        yield "".join(row % cells for cells in
+                      zip(*[c[k:stop].tolist() for c in columns]))
+
+
+def _write_part(part: str, row: str, columns, lo: int, hi: int) -> None:
+    """In a forked process: write rows lo..hi to `part` and leave by
+    `os._exit`, with status 0 once the file is closed and 1 on any error, so
+    nothing of the parent (exit handlers, buffered streams) runs twice."""
+    status = 1
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(_csv_blocks(row, columns, lo, hi))
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"{part}: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked_slices(path: str, row: str, columns, bounds):
+    """Fork one process for each slice of rows after the first; each writes
+    its rows to the part file `<path>.tmp.part<k>`.  Yields an iterator that
+    waits for the processes in row order and gives each part file, and
+    raises OSError naming the file and the rows of a process that failed.
+    On exit every process still running is killed and reaped and every part
+    file is removed.
+
+    A forked process reads the columns through memory it shares with the
+    parent until either writes it, so nothing is copied or pickled; it
+    only formats and writes, and calls nothing whose locks another thread
+    of the parent could hold."""
+    slices, running = [], set()
+    try:
+        for k in range(1, len(bounds) - 1):
+            part = f"{path}.tmp.part{k}"
+            pid = os.fork()
+            if pid == 0:
+                _write_part(part, row, columns, *bounds[k:k + 2])
+            running.add(pid)
+            slices.append((pid, part, *bounds[k:k + 2]))
+
+        def finished():
+            for pid, part, lo, hi in slices:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.discard(pid)
+                if code:
+                    raise OSError(f"{path}: writing rows {lo} to {hi - 1} "
+                                  f"failed in a forked process (exit {code})")
+                yield part
+
+        yield finished()
+    finally:
+        for pid in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, part, _, _ in slices:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
 def _write_csv_rows(path: str, header, columns) -> None:
     """One CSV row per index of the equal-length columns, formatted by one
     `%` string per row: `%.17g` for floating columns, `%s` for the rest.
     The header goes through `csv.writer`; the rows are streamed to the file
     `block_rows` at a time, so the byte format is that of `csv.writer` with
-    `_fmt` for floats and `str` for the other values."""
+    `_fmt` for floats and `str` for the other values.  The rows after the
+    first slice of `_row_slices` are formatted by forked processes and
+    appended in order."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
     row = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
     columns = [c if num else _csv_text(c, len(columns) == 1)
                for c, num in zip(columns, numeric)]
-    n_rows = columns[0].shape[0] if columns else 0
-    rows = block_rows(len(columns))
-
-    def chunks():
-        yield head.getvalue()
-        for k in range(0, n_rows, rows):
-            yield "".join(row % cells for cells in
-                          zip(*[c[k : k + rows].tolist() for c in columns]))
-
-    write_text_atomic(path, chunks())
+    bounds = _row_slices(columns[0].shape[0] if columns else 0, len(columns))
+    with _forked_slices(path, row, columns, bounds) as parts:
+        write_text_atomic(path, itertools.chain(
+            [head.getvalue()], _csv_blocks(row, columns, *bounds[:2])), parts)
 
 
 def write_trajectory_csv(traj, path: str) -> None:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from fieldcircuit import serialization
 from fieldcircuit.structure import EnergySystem, Partition
 
 
@@ -45,3 +48,29 @@ def random_energy_system(rng, n1=3, n2=3, n3=2, m=2, singular_e=False,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# the CSV writer splits a file only where it can fork
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="no os.fork or os.sched_getaffinity on this platform")
+
+
+def force_csv_slices(monkeypatch, count):
+    """Make the CSV writer format a file of at least `count` rows in
+    `count` slices, whatever the CPUs of this host: every slice may be one
+    value, and this process may run on `count` CPUs.  Returns the list the
+    pid of each forked process is appended to."""
+    monkeypatch.setattr(serialization, "_MIN_SLICE_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks

@@ -15,7 +15,8 @@ from fieldcircuit.serialization import (read_manifest, read_matrix,
                                         read_trajectory_csv, save_system,
                                         write_matrix)
 from fieldcircuit.structure import hamiltonian
-from tests.conftest import random_energy_system
+from tests.conftest import (force_csv_slices, needs_fork,
+                            random_energy_system)
 
 
 def _digest(path):
@@ -132,6 +133,46 @@ def test_simulate_field_port_corpus(tmp_path, port_models, name):
         man = read_manifest(os.path.join(out, "run.manifest"))
         for key in ("H_final_J", "E_in_final_J", "D_cum_final_J"):
             assert np.isfinite(float(man[key])), key
+
+
+@needs_fork
+def test_simulate_split_trajectory_is_byte_identical(tmp_path, port_models,
+                                                     monkeypatch):
+    argv = ["simulate", str(VALID_NETLISTS / "mixed_ports.cir"),
+            "--models", str(port_models), "--out"]
+    written = {}
+    for slices in (1, 3):
+        forks = force_csv_slices(monkeypatch, slices)
+        out = tmp_path / f"run{slices}"
+        assert cli_main([*argv, str(out)]) == EXIT_OK
+        assert len(forks) == slices - 1
+        assert sorted(os.listdir(out)) == ["run.manifest", "trajectory.csv"]
+        written[slices] = (out / "trajectory.csv").read_bytes()
+    assert written[3] == written[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_simulate_failed_slice_process_exits_2(tmp_path, port_models,
+                                               monkeypatch, capsys):
+    force_csv_slices(monkeypatch, 2)
+    parent, blocks = os.getpid(), serialization._csv_blocks
+
+    def failing_in_child(row, columns, lo, hi):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        return blocks(row, columns, lo, hi)
+
+    monkeypatch.setattr(serialization, "_csv_blocks", failing_in_child)
+    out = tmp_path / "run"
+    assert cli_main(["simulate", str(VALID_NETLISTS / "mixed_ports.cir"),
+                     "--models", str(port_models),
+                     "--out", str(out)]) == EXIT_PARSE
+    assert "trajectory.csv: writing rows" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9, 10, 11])

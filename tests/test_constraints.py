@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from fieldcircuit import experiments, mna
 from fieldcircuit.integrators import (_constraint_basis, consistent_init,
-                                      to_linear_dae)
+                                      simulate, to_linear_dae)
 from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
                                     to_dense)
 from fieldcircuit.waveforms import zero_input
@@ -129,6 +129,37 @@ def test_init_dc_block_floats_the_capacitor():
     assert v_src == pytest.approx(1.1, rel=1e-9)
     np.testing.assert_allclose(z0, [v_src, v_src, -v_src / 600.0],
                                rtol=1e-12)
+
+
+def test_constraint_basis_leaves_the_shared_rewrite_unchanged():
+    # rlc_series assembles an A_dae whose rows are not in column order; a
+    # product sums each row in storage order, so sorting it in place would
+    # move every later trajectory of the system in the last bits
+    nl = mna.parse_netlist((NETLISTS / "rlc_series.cir").read_text())
+    inc = mna.build_incidence(nl)
+    u = mna.input_stack(nl, inc)
+
+    def run(probe):
+        sys_m = mna.mna_system(inc)
+        dae = to_linear_dae(sys_m)
+        mats = (dae.E_dae, dae.A_dae, dae.B_dae)
+        before = [(m.indices.copy(), m.indptr.copy(), m.data.copy())
+                  for m in mats]
+        assert not dae.A_dae.has_sorted_indices
+        if probe:
+            _constraint_basis(dae)
+            for mat, arrays in zip(mats, before):
+                for now, then in zip((mat.indices, mat.indptr, mat.data),
+                                     arrays):
+                    np.testing.assert_array_equal(now, then)
+        z0 = consistent_init(sys_m, np.zeros(sys_m.n), u)
+        return simulate(sys_m, z0, u, nl.tau, nl.t_end, "trapezoidal")
+
+    probed, plain = run(True), run(False)
+    for name in ("states", "hamiltonians", "dissipated_cum", "supplied_cum",
+                 "outputs"):
+        np.testing.assert_array_equal(getattr(probed, name),
+                                      getattr(plain, name))
 
 
 def test_init_dense_blocks_are_circuit_sized(monkeypatch):

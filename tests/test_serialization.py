@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from fieldcircuit.serialization import (read_manifest, read_matrix,
 from fieldcircuit.structure import (StructureError, block_rows, to_dense,
                                     validate)
 from fieldcircuit.waveforms import zero_input
-from tests.conftest import random_energy_system
+from tests.conftest import (force_csv_slices, needs_fork,
+                            random_energy_system)
 from tests.oracles import reference_csv
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -298,3 +300,136 @@ def test_malformed_matrix_file_is_a_structure_error(tmp_path, text):
     with pytest.raises(StructureError) as err:
         serialization.read_matrix(str(path))
     assert str(path) in str(err.value)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_case(rng, name):
+    """(header, columns) of the split-writer parity cases."""
+    if name == "uneven-rows":  # 11 rows: slices of 5 + 6 and 3 + 4 + 4
+        return _trajectory(rng, 11, 3, 2)[1:]
+    if name == "zero-rows":
+        return _trajectory(rng, 0, 2, 1)[1:]
+    if name == "one-row":
+        return _trajectory(rng, 1, 2, 1)[1:]
+    if name == "one-column":
+        return ["x"], [EDGE_VALUES]
+    if name == "one-text-column":  # an empty value alone on its row
+        return ["s"], [np.array(["", "a,b", 'q"t', "", "p\nq", "r\rs"])]
+    return (["a,b", 'q"t', "flag", "n", "v"],  # quoted text among numbers
+            [np.array(["a,b", 'q"t', "", "plain", " x "] * 2),
+             np.array(['"', ",", "c", "", "d", "e", "f", "g", "h", "i"]),
+             np.array([True, False] * 5), np.arange(-5, 5),
+             np.r_[EDGE_VALUES, 0.5]])
+
+
+@needs_fork
+@pytest.mark.parametrize("slices", [1, 2, 3])
+@pytest.mark.parametrize("name", ["uneven-rows", "zero-rows", "one-row",
+                                  "one-column", "one-text-column",
+                                  "mixed-text"])
+def test_split_csv_bytes_match_one_slice(tmp_path, monkeypatch, rng, slices,
+                                         name):
+    header, columns = _split_case(rng, name)
+    one = tmp_path / "one" / "c.csv"
+    split = tmp_path / "split" / "c.csv"
+    one.parent.mkdir()
+    split.parent.mkdir()
+    force_csv_slices(monkeypatch, 1)
+    write_columns_csv(str(one), header, columns)
+    forks = force_csv_slices(monkeypatch, slices)
+    write_columns_csv(str(split), header, columns)
+    rows = columns[0].shape[0]
+    assert len(forks) == max(min(slices, rows), 1) - 1
+    assert split.read_bytes() == one.read_bytes()
+    assert split.read_bytes() == reference_csv(header, columns)
+    assert os.listdir(split.parent) == ["c.csv"]
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("slices", [2, 3])
+def test_split_trajectory_csv_bytes_match_reference(tmp_path, monkeypatch,
+                                                    rng, slices):
+    traj, header, columns = _trajectory(rng, 263, 995, 1)
+    forks = force_csv_slices(monkeypatch, slices)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert len(forks) == slices - 1
+    assert path.read_bytes() == reference_csv(header, columns)
+    assert os.listdir(tmp_path) == ["traj.csv"]
+    _no_child_left()
+
+
+@needs_fork
+def test_row_slices_hold_the_fewest_values(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    least = serialization._MIN_SLICE_VALUES
+    # below two slices' worth of values a file is written in one slice
+    assert serialization._row_slices(2 * least - 1, 1) == [0, 2 * least - 1]
+    assert serialization._row_slices(1, 2 * least) == [0, 1]
+    assert serialization._row_slices(0, 0) == [0, 0]
+    # a slice never holds fewer values, and there is one per CPU at most
+    assert serialization._row_slices(2 * least, 1) == [0, least, 2 * least]
+    assert len(serialization._row_slices(100 * least, 1)) == 5
+    min_rows = -(-least // 7)
+    for rows, slices in ((3 * min_rows - 1, 2), (3 * min_rows, 3)):
+        bounds = serialization._row_slices(rows, 7)
+        assert len(bounds) == slices + 1
+        assert min(np.diff(bounds)) * 7 >= least
+
+
+def _write_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\r\n")
+    return path
+
+
+@needs_fork
+def test_failed_slice_process_keeps_old_file(tmp_path, monkeypatch, rng,
+                                             capfd):
+    force_csv_slices(monkeypatch, 3)
+    parent, blocks = os.getpid(), serialization._csv_blocks
+
+    def failing_in_child(row, columns, lo, hi):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        return blocks(row, columns, lo, hi)
+
+    monkeypatch.setattr(serialization, "_csv_blocks", failing_in_child)
+    path = _write_old_file(tmp_path)
+    header, columns = _split_case(rng, "uneven-rows")
+    with pytest.raises(OSError, match=r"out\.csv: writing rows 3 to 6 "):
+        write_columns_csv(str(path), header, columns)
+    assert "formatting failed" in capfd.readouterr().err
+    assert path.read_bytes() == b"old\r\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    _no_child_left()
+
+
+@needs_fork
+def test_parent_error_after_fork_kills_slice_processes(tmp_path, monkeypatch,
+                                                       rng):
+    force_csv_slices(monkeypatch, 3)
+    parent, blocks = os.getpid(), serialization._csv_blocks
+
+    def failing_in_parent(row, columns, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent fails
+        yield from blocks(row, columns, lo, hi)
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed")
+
+    monkeypatch.setattr(serialization, "_csv_blocks", failing_in_parent)
+    path = _write_old_file(tmp_path)
+    header, columns = _split_case(rng, "uneven-rows")
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent failed"):
+        write_columns_csv(str(path), header, columns)
+    assert time.monotonic() - start < 30.0  # killed, not waited for
+    assert path.read_bytes() == b"old\r\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    _no_child_left()
