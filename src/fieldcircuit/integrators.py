@@ -197,6 +197,11 @@ def _splu(mat, what: str, permc_spec: str = "COLAMD"):
         raise NumericalError(f"singular {what}") from exc
 
 
+# a stage solve x of P x = rhs is accepted when ‖rhs − P x‖∞ ≤
+# _RESIDUAL_BOUND · eps · (‖rhs‖∞ + ‖P‖∞ ‖x‖∞)
+_RESIDUAL_BOUND = 32.0
+
+
 class _StageSolver:
     """LU factorization of a fixed stage matrix, reused across all steps.
 
@@ -207,8 +212,12 @@ class _StageSolver:
     meshes (281k entries against 416k at n = 4952), COLAMD on coarse ones
     (about 30k against 33k–37k at n ≈ 743).  Only one factor is alive at
     a time.
-    One or two rounds of iterative refinement keep the solve residual near
-    round-off even when the stage matrix mixes badly scaled physical blocks.
+    `solve` checks the residual of each solve against `_RESIDUAL_BOUND`
+    and refines it once or twice if needed, which keeps it near round-off
+    even when the stage matrix mixes badly scaled physical blocks.  The
+    stepper of `simulate` solves with `solve_unchecked` instead and
+    applies the same test to a whole block of solves at once (`accepts`);
+    a block that fails is stepped again through `solve`.
     """
 
     def __init__(self, mat, context: str):
@@ -229,13 +238,42 @@ class _StageSolver:
         for _ in range(2):
             r = rhs - self._mat @ x
             scale = self._row_scale * np.abs(x).max(initial=0.0)
-            bound = 32.0 * _EPS * (np.abs(rhs).max(initial=0.0) + scale)
+            bound = _RESIDUAL_BOUND * _EPS * (np.abs(rhs).max(initial=0.0)
+                                              + scale)
             if np.abs(r).max(initial=0.0) <= bound:
                 break
             x = x + self._lu.solve(r)
+        return self._finite(x)
+
+    def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
+        """The first solve of `solve`, without its residual test."""
+        return self._finite(self._lu.solve(rhs))
+
+    def _finite(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
+
+    def residuals(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """rhs_k − P x_k for each row k of two stacks of right sides and
+        solutions, as column k of one array: one sparse-times-dense
+        product, whose columns are bit-identical to the products P x_k."""
+        res = self._mat @ x.T
+        return np.subtract(rhs.T, res, out=res)
+
+    def accepts(self, rhs: np.ndarray, x: np.ndarray) -> bool:
+        """Whether every row of x passes the residual test of `solve` as
+        the solution for the same row of rhs.  Each per-row figure is
+        computed with the arithmetic of `solve`, so the verdict is the one
+        `solve` reaches row by row."""
+        res = self.residuals(rhs, x)
+        # |res| overwrites a real residual
+        res_max = np.abs(res, out=res if res.dtype.kind == "f" else None).max(
+            axis=0, initial=0.0)
+        scale = self._row_scale * np.abs(x).max(axis=1, initial=0.0)
+        bound = _RESIDUAL_BOUND * _EPS * (np.abs(rhs).max(axis=1, initial=0.0)
+                                          + scale)
+        return bool((res_max <= bound).all())
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +386,18 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     values.
 
     The loop steps one span of `_SPAN_BLOCKS` · `block_rows(n)` states at a
-    time, then audits the span (`_energy_bookkeeping`: outputs, dissipated
-    power and H) and stores only the state columns `keep` names, a 1-D
-    array of indices in [0, n), in that order.  The last state of a span
-    (and for BDF2 the one before it) starts the next.  `keep=None` keeps
-    every column.  Memory is O(span · n + steps · |keep|): with every
-    column kept the steps write straight into the returned array, otherwise
-    into one span of full states that is reused.  Which columns are kept
-    changes no value: the arithmetic of every step and of the audit is the
-    same.
+    time.  The residual of every stage solve is checked once per block of
+    `block_rows(n)` steps, not after each solve; a block that fails the
+    check is stepped again with refined solves (`_make_stepper`), so the
+    states are those of refining solve by solve.  After a span the loop
+    audits it (`_energy_bookkeeping`: outputs, dissipated power and H) and
+    stores only the state columns `keep` names, a 1-D array of indices in
+    [0, n), in that order.  The last state of a span (and for BDF2 the one
+    before it) starts the next.  `keep=None` keeps every column.  Memory
+    is O(span · n + steps · |keep|): with every column kept the steps
+    write straight into the returned array, otherwise into one span of
+    full states that is reused.  Which columns are kept changes no value:
+    the arithmetic of every step and of the audit is the same.
     """
     method = method_from_tag(method)
     if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
@@ -375,7 +416,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     cols = _kept_columns(keep, p.n)
     times = t0 + tau * np.arange(n_steps + 1)
     u_at = _input_grid(_resolve_input(u, p.m), times[:-1], p.m)
-    stepper = _make_stepper(to_linear_dae(sys), method, tau, u_at)
+    march = _make_stepper(to_linear_dae(sys), method, tau, times, u_at)
 
     span = _SPAN_BLOCKS * block_rows(p.n)
     labels = sys.default_state_labels()
@@ -396,11 +437,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     for base in range(0, n_steps, span):
         stop = min(base + span, n_steps)
         blk = buf[base : stop + 1] if cols is None else buf[: stop - base + 1]
-        for j, k in enumerate(range(base, stop)):
-            try:
-                blk[j + 1] = stepper(k, blk[j], blk[j - 1] if j else z_prev)
-            except NumericalError as exc:
-                raise NumericalError(f"step {k + 1} at t = {times[k]}: {exc}") from exc
+        march(base, blk, z_prev)
         (outputs[base + 1 : stop + 1], dissipated[base:stop],
          h[base + 1 : stop + 1]) = _energy_bookkeeping(sys, blk, tau, endpoint)
         z_prev = blk[-2].copy()
@@ -479,15 +516,31 @@ def _pencil_plan(method: Method):
                       for j in np.flatnonzero(lam.imag >= 0.0)], 0.0
 
 
-def _make_stepper(dae: LinearDae, method: Method, tau: float, u_at):
-    """Bind the per-step update, factorizing every pencil up front: per
-    pencil (λ_j, r_j, γ_j) of `_pencil_plan` a step solves (E − τλ_j A) w_j
-    = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ) + h E (z − z⁻)/τ, and
-    z⁺ = z + τ Σ_j Re(γ_j w_j).  BDF2's first step is trapezoidal's.
-    The input term is formed for every step before the first, from the grid
-    inputs `u_at` of `_input_grid` and on the rows that B reaches only; a
-    step then does one product A z and, per pencil, one indexed add and
-    the solve."""
+def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
+    """Bind the stepping of the grid `times`, factorizing every pencil up
+    front: per pencil (λ_j, r_j, γ_j) of `_pencil_plan` a step solves
+    (E − τλ_j A) w_j = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ)
+    + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j).  BDF2's first step is
+    trapezoidal's.  The input term is formed for every step before the
+    first, from the grid inputs `u_at` of `_input_grid` and on the rows
+    that B reaches only; a step then does one product A z and, per pencil,
+    one indexed add and the solve.
+
+    Steps run in check blocks of `block_rows(n)` steps.  Within a block
+    each solve is `solve_unchecked`, and each pencil's right sides and
+    solutions are written to its rows × n buffers, allocated once here.
+    After the block, `_StageSolver.accepts` tests them all with the bound
+    of `_StageSolver.solve`.  A block that fails, or that meets a
+    non-finite solution, is stepped again from its first state (and the
+    one before it) through `solve`, which refines each solve as needed.
+    So every state is the one that stepping through `solve` alone gives,
+    and so is every NumericalError.
+
+    Returns march(first, states, z_prev): steps states[1:] from states[0],
+    whose step is `first` and whose predecessor is z_prev (read by BDF2).
+    """
+    n_steps = len(times) - 1
+    rows = min(block_rows(dae.partition.n), n_steps)
     src = np.flatnonzero(np.diff(dae.B_dae.indptr))
     b_src = dae.B_dae[src]
     startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
@@ -498,24 +551,62 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, u_at):
         # [k, i]: the input at node i of step first + k, u(t_k + c_i τ)
         u_nodes = np.stack([u_at(float(ci) * tau, first, stop)
                             for ci in nodes], axis=1)
-        solvers = [(_StageSolver(dae.E_dae - (tau * lam) * dae.A_dae,
-                                 f"{m.tag}, lambda = {lam:.6g}, tau = {tau}"),
-                    row.sum(), (b_src @ (row @ u_nodes).T).T, weight)
-                   for lam, row, weight in pencils]
-        plans.append((first, solvers, history / tau))
+        solvers = []
+        for lam, row, weight in pencils:
+            mat = dae.E_dae - (tau * lam) * dae.A_dae
+            rhs_buf, x_buf = np.empty((2, rows, mat.shape[0]), mat.dtype)
+            solvers.append((_StageSolver(
+                mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}"), row.sum(),
+                (b_src @ (row @ u_nodes).T).T, weight, rhs_buf, x_buf))
+        plans.append((first, stop or n_steps, solvers, history / tau))
 
-    def step(k, z, z_prev):
-        first, pencils, lag = plans[min(k, len(plans) - 1)]
+    def step(k, z, z_prev, slot, refine):
+        first, _, pencils, lag = plans[min(k, len(plans) - 1)]
         az = dae.A_dae @ z
         z_next = z
-        for solver, row_sum, b_u, weight in pencils:
-            rhs = row_sum * az
+        for solver, row_sum, b_u, weight, rhs_buf, x_buf in pencils:
+            rhs = np.multiply(row_sum, az, out=rhs_buf[slot])
             rhs[src] += b_u[k - first]
             if lag:
-                rhs = rhs + lag * (dae.E_dae @ (z - z_prev))
-            z_next = z_next + tau * np.real(weight * solver.solve(rhs))
+                rhs += lag * (dae.E_dae @ (z - z_prev))
+            if refine:
+                x = solver.solve(rhs)
+            else:
+                x = x_buf[slot] = solver.solve_unchecked(rhs)
+            z_next = z_next + tau * np.real(weight * x)
         return z_next
-    return step
+
+    def run(first, states, z_prev, refine):
+        for j in range(len(states) - 1):
+            k = first + j
+            try:
+                states[j + 1] = step(k, states[j],
+                                     states[j - 1] if j else z_prev, j, refine)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"step {k + 1} at t = {times[k]}: {exc}") from exc
+
+    def accepted(first, count):
+        for plan_first, plan_stop, pencils, _ in plans:
+            lo, hi = max(plan_first - first, 0), min(plan_stop - first, count)
+            if lo < hi and not all(
+                    solver.accepts(rhs_buf[lo:hi], x_buf[lo:hi])
+                    for solver, *_, rhs_buf, x_buf in pencils):
+                return False
+        return True
+
+    def march(first, states, z_prev):
+        for lo in range(0, len(states) - 1, rows):
+            blk = states[lo : lo + rows + 1]
+            prev = states[lo - 1] if lo else z_prev
+            try:
+                run(first + lo, blk, prev, refine=False)
+                if accepted(first + lo, len(blk) - 1):
+                    continue
+            except NumericalError:
+                pass  # the refined steps raise it again unless they avoid it
+            run(first + lo, blk, prev, refine=True)
+    return march
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fieldcircuit import serialization
+from fieldcircuit.integrators import consistent_init
 from fieldcircuit.structure import EnergySystem, Partition
+from fieldcircuit.waveforms import Sinusoid, WaveformStack
 
 
 def random_energy_system(rng, n1=3, n2=3, n3=2, m=2, singular_e=False,
@@ -43,6 +45,23 @@ def random_energy_system(rng, n1=3, n2=3, n3=2, m=2, singular_e=False,
     b = rng.standard_normal((n, m))
     return EnergySystem(Partition(n1, n2, n3, m), E=e, J=j, R=r, B=b,
                         M1=m1, M2=m2, S=s)
+
+
+def random_draws():
+    """Twelve consistent (system, z0, u) draws, every other one with a
+    singular E."""
+    rng = np.random.default_rng(20261018)
+    for k in range(12):
+        singular = bool(k % 2)
+        sys_r = random_energy_system(rng, n1=k % 3, n2=2 + k % 3,
+                                     n3=1 + k % 2, m=1 + k % 2,
+                                     singular_e=singular)
+        u = WaveformStack(tuple(
+            Sinusoid(rng.uniform(-1, 1), rng.uniform(0.2, 2.0),
+                     rng.uniform(0.05, 0.5)) for _ in range(sys_r.m)))
+        # with singular E, the null direction of E in z2 is solved too
+        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u)
+        yield sys_r, z0, u
 
 
 @pytest.fixture

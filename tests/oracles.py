@@ -11,7 +11,12 @@ fold that the one-step `couple` must reproduce exactly.
 trapezoidal first step, by the endpoint formulas solved for z⁺, the
 reference of the increment form the stepper uses.
 `reference_per_step_run` steps every method with its inputs evaluated
-step by step, the reference of the grid-evaluated inputs of `simulate`.
+step by step and every stage solve checked and refined on its own by
+`_StageSolver.solve`, the reference of the grid-evaluated inputs of
+`simulate` and of its residual check once per block of steps.
+`reference_residual_test` is the per-solve residual and acceptance test of
+`_StageSolver.solve`, the reference of the batched `residuals` and
+`accepts`.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
 """
@@ -21,6 +26,7 @@ import math
 
 import numpy as np
 
+from fieldcircuit import integrators
 from fieldcircuit.integrators import (_pencil_plan, _StageSolver,
                                       method_from_tag, to_linear_dae)
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
@@ -149,7 +155,8 @@ def reference_per_step_run(sys, z0, u, tau, steps, method):
     γ_j) of `_pencil_plan`, the right side (Σ_i r_ji) A z + B (r_j ·
     [u(t_k + c_i τ)]_i) + h E (z − z⁻)/τ over the whole state, and
     (u(t) + u(t+τ))/2, u(t+τ) or u(t + τ/2) for trapezoidal, implicit
-    Euler or the rest."""
+    Euler or the rest.  Each solve is `_StageSolver.solve`, which tests
+    and refines it on its own."""
     dae = to_linear_dae(sys)
     method = method_from_tag(method)
     startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
@@ -182,6 +189,18 @@ def reference_per_step_run(sys, z0, u, tau, steps, method):
         endpoint = method.tag == "implicit_euler"
         u_step = [u(t + (tau if endpoint else 0.5 * tau)) for t in times[:-1]]
     return np.array(states), np.asarray(u_step, dtype=np.float64)
+
+
+def reference_residual_test(solver, rhs, x):
+    """(rhs − P x, accepted) of one stage solve, with the arithmetic of the
+    first residual test of `_StageSolver.solve`: accepted when ‖rhs −
+    P x‖∞ ≤ bound · eps · (‖rhs‖∞ + ‖P‖∞ ‖x‖∞), bound the module's
+    `_RESIDUAL_BOUND`."""
+    r = rhs - solver._mat @ x
+    scale = solver._row_scale * np.abs(x).max(initial=0.0)
+    bound = (integrators._RESIDUAL_BOUND * np.finfo(np.float64).eps
+             * (np.abs(rhs).max(initial=0.0) + scale))
+    return r, bool(np.abs(r).max(initial=0.0) <= bound)
 
 
 def reference_csv(header, columns) -> bytes:

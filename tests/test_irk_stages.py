@@ -15,7 +15,7 @@ from fieldcircuit.integrators import (METHOD_TAGS, Method, _StageSolver,
                                       simulate, to_linear_dae)
 from fieldcircuit.structure import StructureError, row_dots
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
-from tests.conftest import random_energy_system
+from tests.conftest import random_draws, random_energy_system
 from tests.oracles import reference_endpoint_states, reference_per_step_run
 
 IRK_METHODS = ("midpoint", "implicit_euler", "gauss4", "radau5")
@@ -48,21 +48,6 @@ def stacked_states(sys, z0, u, tau, steps, method):
 def relative_gap(states, reference):
     return float(np.max(np.abs(states - reference))
                  / np.max(np.abs(reference)))
-
-
-def random_draws():
-    rng = np.random.default_rng(20261018)
-    for k in range(12):
-        singular = bool(k % 2)
-        sys_r = random_energy_system(rng, n1=k % 3, n2=2 + k % 3,
-                                     n3=1 + k % 2, m=1 + k % 2,
-                                     singular_e=singular)
-        u = WaveformStack(tuple(
-            Sinusoid(rng.uniform(-1, 1), rng.uniform(0.2, 2.0),
-                     rng.uniform(0.05, 0.5)) for _ in range(sys_r.m)))
-        # with singular E, the null direction of E in z2 is solved too
-        z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u)
-        yield sys_r, z0, u
 
 
 @pytest.mark.parametrize("method", IRK_METHODS)
