@@ -46,8 +46,9 @@ def _check_sym_psd(mat, name: str, tol: float = 1e-10) -> None:
     scale = max(max_abs(mat), 1e-300)
     if max_abs(mat - mat.T) > tol * scale:
         raise StructureError(f"{name} is not symmetric")
-    eig = min_sym_eig(mat)
-    if eig < -tol * max(scale, 1.0):
+    bound = tol * max(scale, 1.0)
+    eig = min_sym_eig(mat, shift=bound)
+    if eig < -bound:
         raise StructureError(f"{name} is not positive semi-definite "
                              f"(min eig {eig:.3e})")
 

@@ -394,11 +394,14 @@ def reduced_field_matrices(mesh: Mesh, materials: dict):
 def pseudo_solve(m_mat, x, rtol: float = 1e-10):
     """Solve M Y = X for symmetric PSD M with X in range(M).
 
-    The support of M (rows with any entry) is factorized by one sparse LU;
-    only a block the LU finds exactly singular (a rank-deficient M) is
-    solved by least squares.  X must vanish off the support and the
-    solution is verified against rtol.  Raises StructureError when X leaves
-    the column space.
+    One sparse path for singular and regular M alike: the support of M (rows
+    with any entry) is factorized once as M + 1e-8·diag(M), which is
+    nonsingular for a PSD M, and three rounds of refinement against M remove
+    the shift (iterated Tikhonov).  The shift is relative to each diagonal
+    entry, so blocks of very different conductivity are shifted alike.  X
+    must vanish off the support and the solution is verified against rtol.
+    Raises StructureError when X leaves the column space, or when the
+    shifted block is singular (M is not PSD).
     """
     m_csr = to_csr(m_mat)
     x_arr = np.asarray(to_dense(x) if sp.issparse(x) else x, dtype=np.float64)
@@ -421,11 +424,17 @@ def pseudo_solve(m_mat, x, rtol: float = 1e-10):
     y = np.zeros_like(x_arr)
     if support.size:
         block = sp.csc_matrix(m_csr[support, :][:, support])
-        rhs = x_arr[support]
+        shifted = block + sp.diags_array(1e-8 * block.diagonal(), format="csc")
         try:
-            sol = spla.splu(block).solve(rhs)
-        except RuntimeError:
-            sol = np.linalg.lstsq(block.toarray(), rhs, rcond=None)[0]
+            lu = spla.splu(shifted)
+        except RuntimeError as exc:
+            raise StructureError(
+                "pseudo_solve: the shifted support block of M is singular; "
+                "M is not symmetric positive semi-definite") from exc
+        rhs = x_arr[support]
+        sol = lu.solve(rhs)
+        for _ in range(3):
+            sol += lu.solve(rhs - block @ sol)
         y[support] = sol
     res = m_csr @ y - x_arr
     if x_arr.size and np.max(np.abs(res)) > rtol * max(x_scale, scale * np.max(np.abs(y), initial=0.0), 1e-300):

@@ -698,7 +698,7 @@ def _constraint_basis(dae: LinearDae):
     return v_t @ dae.A_dae, v_t @ dae.B_dae
 
 
-def _sparse_lstsq(mat, rhs) -> np.ndarray:
+def _sparse_least_squares(mat, rhs) -> np.ndarray:
     """Least-squares x of mat x ≈ rhs, 0 in empty columns: G and b are mat
     and rhs without empty rows, each row scaled to unit largest entry, and
     the augmented system [[I, G], [Gᵀ, 0]] [r; x] = [b; 0] is factored once
@@ -723,10 +723,11 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
 
     The z1 and E z2 of the full-length differential_values are kept.  With
     z2 = z2_g + N η, N a basis of the null space of E, η and z3 solve the
-    constraint rows C z + D u = 0 that touch them (`_sparse_lstsq`).  If
-    those rows leave a direction free (hidden constraints, higher index),
-    C ẋ = −D u̇ joins them and the joint system in (η, z3, ẋ) is solved the
-    same way, at any size; `u0` may be a waveform for its derivative.
+    constraint rows C z + D u = 0 that touch them
+    (`_sparse_least_squares`).  If those rows leave a direction free
+    (hidden constraints, higher index), C ẋ = −D u̇ joins them and the joint
+    system in (η, z3, ẋ) is solved the same way, at any size; `u0` may be a
+    waveform for its derivative.
     Raises StructureError when the kept values contradict the constraints.
     """
     p = sys.partition
@@ -756,7 +757,7 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
         mat = sp.block_array([[-(dae.A_dae @ free), dae.E_dae],
                               [None, c_mat]])
         rhs = np.r_[dae.A_dae @ z + dae.B_dae @ u_val, -(d_mat @ u_dot)]
-    z += free @ _sparse_lstsq(mat, rhs)[: free.shape[1]]
+    z += free @ _sparse_least_squares(mat, rhs)[: free.shape[1]]
 
     _check_constraint_residual(c_mat, d_mat, z, u_val, tol, p)
     return z

@@ -92,8 +92,9 @@ def interconnect(systems, spec: InterconnectionSpec) -> EnergySystem:
     sym_defect = max_abs(f_sym - f_sym.T)
     if sym_defect > _TOL_SPEC * max(fro_norm(f_sym), 1.0):
         raise StructureError(f"F_sym is not symmetric, defect {sym_defect:.3e}")
-    min_eig = min_sym_eig(f_sym)
-    if min_eig < -_TOL_SPEC * max(fro_norm(f_sym), 1.0):
+    psd_tol = _TOL_SPEC * max(fro_norm(f_sym), 1.0)
+    min_eig = min_sym_eig(f_sym, shift=psd_tol)
+    if min_eig < -psd_tol:
         raise StructureError(f"F_sym is not PSD, min eigenvalue {min_eig:.3e}")
 
     def block(name):

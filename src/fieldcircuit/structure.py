@@ -9,10 +9,13 @@ dynamic states z2 behind a possibly singular mass matrix E (energy
 with skew J, symmetric positive semi-definite R and the compatibility
 condition Eᵀ S = M2.  All blocks are real and constant.
 
-Storage contract: every block of an EnergySystem is a float64
-`scipy.sparse.csr_array`, whatever its size.  Dense arrays appear only inside
-local helpers that densify one small block for one algorithm (a dense
-eigensolve, a dense factorization), never in the system itself.
+Storage contract: every block of an EnergySystem is a finite, real float64
+`scipy.sparse.csr_array`, whatever its size; `as_block` refuses complex and
+non-finite input.  Checks on the blocks stay sparse at every size: the PSD
+test of `min_sym_eig` is a sparse LDLᵀ certificate, then a Lanczos
+eigensolve.  Dense arrays appear only where a block is small by
+construction (n×k coupling columns, k×k port blocks, circuit-sized blocks
+of the initialization), never as an n×n matrix of the system.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-# Dense eigenvalue routines are used for PSD checks up to this size.
-EIG_DENSE_LIMIT = 2000
 
 
 class StructureError(ValueError):
@@ -44,16 +44,21 @@ def as_block(X, shape, name: str) -> sp.csr_array:
     array (sorted indices, no duplicate entries).
 
     A 1-d input is read as a column.  Raises StructureError naming the block
-    when the shape disagrees.
+    when the shape disagrees or an entry is complex, NaN or infinite.
     """
     if not sp.issparse(X):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
     if X.shape != shape:
         raise StructureError(
             f"block {name}: expected shape {shape}, got {X.shape}")
+    if np.iscomplexobj(X):
+        raise StructureError(f"block {name}: complex entries; every block "
+                             "must be real")
     X = sp.csr_array(X).astype(np.float64)
+    if not np.isfinite(X.data).all():
+        raise StructureError(f"block {name}: non-finite entries (NaN or inf)")
     X.sum_duplicates()
     return X
 
@@ -101,29 +106,30 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def min_sym_eig(R, shift: float = 0.0) -> float:
-    """Smallest eigenvalue of the symmetrized matrix ½(R + Rᵀ).
+    """Smallest eigenvalue of the symmetrized matrix ½(R + Rᵀ), or a
+    certified lower bound on it.
 
-    0 for an R without nonzeros; dense spectrum up to EIG_DENSE_LIMIT.
-    Beyond that, if ½(R+Rᵀ)+shift·I admits a no-pivoting triangular
-    factorization with positive diagonal, the spectrum is certified ≥ −shift
-    and that bound is returned; otherwise a Lanczos estimate of the smallest
-    eigenvalue is taken (NumericalError when the iteration fails).
+    One sparse path at every size: 0 for an R without nonzeros; with
+    shift > 0, −shift when ½(R+Rᵀ) + shift·I admits a no-pivoting
+    triangular factorization with positive diagonal (Sylvester's law of
+    inertia certifies the spectrum ≥ −shift); otherwise the entry of a 1×1
+    block or a Lanczos estimate (NumericalError when the iteration fails).
+    Callers pass their PSD tolerance as the shift.
     """
     return _min_sym_eig(R, shift)[0]
 
 
 def _min_sym_eig(R, shift: float):
     """min_sym_eig's value, and whether it is only the certified bound −shift."""
-    n = R.shape[0]
-    if not to_csr(R).count_nonzero():
-        return 0.0, False
-    if n <= EIG_DENSE_LIMIT:
-        Rs = 0.5 * (to_dense(R) + to_dense(R).T)
-        return float(np.linalg.eigvalsh(Rs)[0]), False
     Rs = to_csr(R)
+    if not Rs.count_nonzero():
+        return 0.0, False
     Rs = 0.5 * (Rs + Rs.T)
     if shift > 0.0 and _factorization_psd(Rs, shift):
         return -shift, True
+    n = Rs.shape[0]
+    if n == 1:
+        return float(Rs[0, 0]), False
     try:
         val = spla.eigsh(Rs, k=1, which="SA", return_eigenvectors=False)
         return float(val[0]), False
@@ -253,8 +259,10 @@ class EnergySystem:
 class ValidationReport:
     """Structural defect magnitudes of one EnergySystem.
 
-    min_R_eig is a computed eigenvalue, or only a certified lower bound on
-    the spectrum when min_R_eig_is_bound is set (large R, see min_sym_eig).
+    min_R_eig is a certified lower bound on the spectrum of the symmetrized
+    R when min_R_eig_is_bound is set, at any size: the bound −tol_psd·‖R‖_F
+    that `validate` passes to min_sym_eig as its shift.  Only when that
+    certificate fails, or R has no nonzeros (0), is it an eigenvalue.
     """
 
     skew_defect: float

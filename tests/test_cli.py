@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from fieldcircuit import experiments, serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
@@ -254,6 +256,45 @@ def test_simulate_malformed_model_matrix(tmp_path, rng, capsys):
     assert cli_main(["simulate", str(p), "--models", str(lib),
                      "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
     assert str(lib / "w1" / "K_nu.mtx") in capsys.readouterr().err
+
+
+def _write_with_entry(path, mat, bad):
+    """Write mat to a MatrixMarket file with its (0, 0) entry set to bad."""
+    dense = mat.toarray().astype(np.result_type(float, type(bad)))
+    dense[0, 0] = bad
+    scipy.io.mmwrite(str(path), sp.coo_matrix(dense))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 2.0j])
+def test_validate_refuses_complex_and_non_finite_matrix(tmp_path, rng,
+                                                        capsys, bad):
+    d = tmp_path / "sys"
+    system = random_energy_system(rng)
+    save_system(system, str(d))
+    _write_with_entry(d / "R.mtx", system.R, bad)
+    assert cli_main(["validate", str(d)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    what = "complex" if isinstance(bad, complex) else "non-finite"
+    assert f"block R: {what}" in captured.err
+    assert "Traceback" not in captured.err and "min eig" not in captured.out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 2.0j])
+def test_simulate_refuses_complex_and_non_finite_model_matrix(tmp_path, rng,
+                                                              capsys, bad):
+    g = rng.standard_normal((2, 2))
+    model = StrandedModel(np.zeros((2, 2)), g @ g.T + 0.1 * np.eye(2),
+                          rng.standard_normal((2, 1)), np.zeros((1, 1)))
+    lib = tmp_path / "library"
+    save_model(model, str(lib / "w1"))
+    _write_with_entry(lib / "w1" / "K_nu.mtx", model.K_nu, bad)
+    p = tmp_path / "c.cir"
+    p.write_text("FW1 0 1 stranded w1\nC1 1 0 1u\n.tran 1e-6 5e-5\n",
+                 encoding="utf-8")
+    assert cli_main(["simulate", str(p), "--models", str(lib),
+                     "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
+    what = "complex" if isinstance(bad, complex) else "non-finite"
+    assert f"block K_nu: {what}" in capsys.readouterr().err
 
 
 def test_validate_missing_directory(tmp_path):

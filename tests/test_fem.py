@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from fieldcircuit import experiments
 from fieldcircuit.experiments import oscillator_geometry
 from fieldcircuit.fem import (MU0, Material, Mesh, Rect, _grid_coords,
                               assemble_conductivity, assemble_solid_column,
@@ -292,7 +294,8 @@ def test_pseudo_solve_trivials():
                                [2.0, 0.0])
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(pseudo_solve(np.eye(3), x), x)
-    # exactly singular support block: solved by least squares
+    # exactly singular support block: the shifted factorization and its
+    # refinement solve it like any other
     np.testing.assert_allclose(pseudo_solve(np.ones((2, 2)), np.array([2.0, 2.0])),
                                [1.0, 1.0])
 
@@ -313,6 +316,55 @@ def test_pseudo_solve_random_gram(rng):
     y = pseudo_solve(m, x)
     assert np.all(y[n:] == 0.0)
     assert np.max(np.abs(m @ y - x)) <= 1e-11 * np.max(np.abs(x))
+
+
+def test_pseudo_solve_rank_deficient_gram_stays_sparse(rng, monkeypatch):
+    # rank 40 in n = 300: no least squares and no densified block, only the
+    # n×k right sides
+    g = rng.standard_normal((300, 40))
+    m = sp.csr_array(g @ g.T)
+    x = m @ rng.standard_normal((300, 3))
+    dense_shapes = []
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    for cls in (sp.csr_array, sp.csc_array, sp.coo_array, sp.csr_matrix,
+                sp.csc_matrix, sp.coo_matrix):
+        for name in ("toarray", "todense"):
+            def spy(self, *args, _original=getattr(cls, name), **kwargs):
+                out = _original(self, *args, **kwargs)
+                dense_shapes.append(out.shape)
+                return out
+            monkeypatch.setattr(cls, name, spy)
+    y = pseudo_solve(m, x)
+    assert np.max(np.abs(m @ y - x)) <= 1e-12 * np.max(np.abs(x))
+    assert all(len(shape) < 2 or min(shape) <= 3 for shape in dense_shapes)
+
+
+def test_pseudo_solve_mixed_conductivity_matches_plain_lu(rng):
+    # σ = 58e6 in the coil next to σ = 100 in the core: the shift is
+    # relative to each diagonal entry, so neither block is moved by it
+    parts = experiments.build_oscillator(experiments.OscillatorConfig(
+        conductor_kind="solid", core_conductive=True, mesh_h=1e-3))
+    m = parts.model.M_sigma
+    d = m.diagonal()
+    support = np.flatnonzero(d)
+    assert d[support].max() > 1e5 * d[support].min()
+    x = m @ rng.standard_normal((m.shape[0], 2))
+    block = sp.csc_matrix(m[support][:, support])
+    plain = spla.splu(block).solve(x[support])
+    y = pseudo_solve(m, x)
+    assert _rel_err(y[support], plain) <= 1e-13
+    assert np.all(y[np.flatnonzero(d == 0.0)] == 0.0)
+
+
+def test_pseudo_solve_rejects_a_singular_indefinite_block():
+    # zero diagonal: the shift leaves this singular, indefinite M as it is
+    m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(StructureError, match="not symmetric positive"):
+        pseudo_solve(m, np.array([1.0, 0.0, 1.0]))
 
 
 def test_pseudo_solve_rejects_off_range():

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fieldcircuit import structure
-from fieldcircuit.structure import (EIG_DENSE_LIMIT, EnergySystem,
-                                    NumericalError, Partition,
-                                    StructureError, dae_residual, effort_flow,
-                                    fro_norm, hamiltonian, min_sym_eig,
-                                    output, power_terms, to_dense, validate)
+from fieldcircuit.structure import (EnergySystem, NumericalError,
+                                    Partition, StructureError, as_block,
+                                    dae_residual, effort_flow, fro_norm,
+                                    hamiltonian, min_sym_eig, output,
+                                    power_terms, to_dense, validate)
 from tests.conftest import random_energy_system
 
 
@@ -125,6 +125,22 @@ def test_shape_mismatch_rejected():
                      M1=np.zeros((0, 0)), M2=np.eye(2), S=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 2.0j, 0j])
+def test_as_block_refuses_complex_and_non_finite_entries(bad):
+    # a complex dtype is refused even where every imaginary part is 0
+    dense = np.eye(3, dtype=np.result_type(float, type(bad)))
+    dense[1, 2] = bad
+    what = "complex" if isinstance(bad, complex) else "non-finite"
+    for block in (dense, sp.csr_array(dense), sp.coo_matrix(dense)):
+        with pytest.raises(StructureError, match=f"block R: {what}"):
+            as_block(block, (3, 3), "R")
+    with pytest.raises(StructureError, match=f"block R: {what}"):
+        EnergySystem(Partition(0, 0, 3, 0), E=np.zeros((0, 0)),
+                     J=np.zeros((3, 3)), R=dense, B=np.zeros((3, 0)),
+                     M1=np.zeros((0, 0)), M2=np.zeros((0, 0)),
+                     S=np.zeros((0, 0)))
+
+
 def test_state_labels_checked():
     with pytest.raises(StructureError):
         EnergySystem(Partition(0, 2, 0, 1), E=np.eye(2), J=np.zeros((2, 2)),
@@ -142,6 +158,39 @@ def test_min_sym_eig_dense_matches_eigvalsh(rng):
                                            rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_min_sym_eig_small_indefinite_matches_eigvalsh(rng, n):
+    # one path at every size: the certificate fails on an indefinite block,
+    # then a 1×1 block gives its entry and a larger one a Lanczos estimate
+    g = rng.standard_normal((n, n))
+    r = g + g.T - 0.5 * n * np.eye(n)
+    oracle = np.linalg.eigvalsh(r)[0]
+    assert oracle < 0.0
+    for shift in (0.0, 1e-10):
+        value, is_bound = structure._min_sym_eig(sp.csr_array(r), shift)
+        assert not is_bound
+        assert value == pytest.approx(oracle, rel=1e-8)
+
+
+def test_min_sym_eig_small_psd_block_is_certified(rng):
+    g = rng.standard_normal((6, 3))
+    r = g @ g.T                               # PSD, rank 3
+    assert structure._min_sym_eig(r, 1e-10) == (-1e-10, True)
+    assert structure._min_sym_eig(np.array([[2.0]]), 1e-10) == (-1e-10, True)
+    assert min_sym_eig(np.array([[2.0]])) == 2.0
+
+
+def test_validate_certifies_the_1mm_solid_core_oscillator():
+    from fieldcircuit import experiments
+    parts = experiments.build_oscillator(experiments.OscillatorConfig(
+        conductor_kind="solid", core_conductive=True, mesh_h=1e-3))
+    assert parts.system.n == 744
+    rep = validate(parts.system)
+    assert rep.ok and rep.min_R_eig_is_bound
+    assert rep.min_R_eig == -1e-10 * fro_norm(parts.system.R)
+    assert "(certified lower bound)" in rep.summary()
+
+
 def test_min_sym_eig_sparse_psd_certificate(rng):
     # large sparse SPD: factorization certificate returns the -shift bound
     n = 2500
@@ -154,8 +203,8 @@ def test_min_sym_eig_sparse_psd_certificate(rng):
 
 
 def test_validate_summary_names_certified_bound():
-    # the h = 0.5 mm solid system has n = 3084 > EIG_DENSE_LIMIT, so the PSD
-    # check of R returns the certified bound −shift, not an eigenvalue
+    # the PSD check of R on the h = 0.5 mm solid system (n = 3084) returns
+    # the certified bound −shift, not an eigenvalue
     from fieldcircuit import experiments
     parts = experiments.build_oscillator(experiments.OscillatorConfig(
         conductor_kind="solid", core_conductive=True, mesh_h=0.5e-3))
@@ -178,9 +227,8 @@ def test_min_sym_eig_sparse_indefinite_detected(rng):
 
 def test_validate_zero_r_past_dense_limit_is_fast():
     # lossless: R has no nonzeros, so its smallest eigenvalue is 0 without
-    # any eigensolve (a dense n×n spectrum would take seconds)
+    # any eigensolve or factorization
     n = 3000
-    assert n > EIG_DENSE_LIMIT
     eye = sp.identity(n, format="csr")
     skew = sp.diags_array([np.ones(n - 1), -np.ones(n - 1)], offsets=[1, -1],
                           format="csr")
@@ -199,7 +247,7 @@ def test_min_sym_eig_raises_when_lanczos_fails(monkeypatch):
                                        np.zeros((0, 0)))
 
     monkeypatch.setattr(structure.spla, "eigsh", failing_eigsh)
-    n = EIG_DENSE_LIMIT + 1
+    n = 7
     with pytest.raises(NumericalError, match=f"{n} x {n}"):
         min_sym_eig(sp.identity(n, format="csr"))
 
