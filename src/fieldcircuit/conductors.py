@@ -354,6 +354,9 @@ def save_model(model, dirpath: str) -> None:
 
 
 def load_model(dirpath: str):
+    """The conductor model that `save_model` wrote to `dirpath`.  A block
+    the model constructor refuses is reported with the directory and, when
+    one block is at fault, the file it was read from."""
     mpath = os.path.join(dirpath, "manifest")
     if not os.path.isfile(mpath):
         raise StructureError(f"conductor model directory {dirpath!r} lacks a manifest")
@@ -361,13 +364,22 @@ def load_model(dirpath: str):
     kind = manifest.get("kind")
     if kind not in KINDS:
         raise StructureError(f"{mpath}: unknown or missing model kind {kind!r}")
-    mats = []
+    files = []
     for role in KINDS[kind].roles:
         fname = manifest.get(role)
         if fname is None:
             raise StructureError(f"{mpath}: missing role {role!r}")
-        mats.append(read_matrix(os.path.join(dirpath, fname)))
-    return KINDS[kind].model(*mats)
+        files.append(fname)
+    mats = [read_matrix(os.path.join(dirpath, fname)) for fname in files]
+    model = KINDS[kind].model
+    try:
+        return model(*mats)
+    except StructureError as exc:
+        # the roles come in field order
+        fname = dict(zip((f.name for f in fields(model)), files)).get(exc.block)
+        where = f", file {fname!r}" if fname else ""
+        raise StructureError(f"conductor model {dirpath!r}{where}: {exc}",
+                             exc.block) from exc
 
 
 def system_for(model) -> EnergySystem:

@@ -214,10 +214,12 @@ class _StageSolver:
     a time.
     `solve` checks the residual of each solve against `_RESIDUAL_BOUND`
     and refines it once or twice if needed, which keeps it near round-off
-    even when the stage matrix mixes badly scaled physical blocks.  The
-    stepper of `simulate` solves with `solve_unchecked` instead and
-    applies the same test to a whole block of solves at once (`accepts`);
-    a block that fails is stepped again through `solve`.
+    even when the stage matrix mixes badly scaled physical blocks, and
+    raises NumericalError on a non-finite solution.  The stepper of
+    `simulate` solves with `solve_unchecked` instead, which tests nothing,
+    and applies the finiteness test and the residual test to a whole block
+    of solves at once (`accepts`); a block that fails either is stepped
+    again through `solve`.
     """
 
     def __init__(self, mat, context: str):
@@ -243,16 +245,14 @@ class _StageSolver:
             if np.abs(r).max(initial=0.0) <= bound:
                 break
             x = x + self._lu.solve(r)
-        return self._finite(x)
-
-    def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
-        """The first solve of `solve`, without its residual test."""
-        return self._finite(self._lu.solve(rhs))
-
-    def _finite(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
+
+    def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
+        """The first solve of `solve`, without its residual and finiteness
+        tests."""
+        return self._lu.solve(rhs)
 
     def residuals(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """rhs_k − P x_k for each row k of two stacks of right sides and
@@ -262,10 +262,13 @@ class _StageSolver:
         return np.subtract(rhs.T, res, out=res)
 
     def accepts(self, rhs: np.ndarray, x: np.ndarray) -> bool:
-        """Whether every row of x passes the residual test of `solve` as
-        the solution for the same row of rhs.  Each per-row figure is
-        computed with the arithmetic of `solve`, so the verdict is the one
-        `solve` reaches row by row."""
+        """Whether every row of x is finite and passes the residual test of
+        `solve` as the solution for the same row of rhs.  Each per-row
+        figure is computed with the arithmetic of `solve`, so the verdict is
+        the one `solve` reaches row by row; a non-finite x is refused before
+        any residual is formed, whatever its residual would say."""
+        if not np.isfinite(x).all():
+            return False
         res = self.residuals(rhs, x)
         # |res| overwrites a real residual
         res_max = np.abs(res, out=res if res.dtype.kind == "f" else None).max(
@@ -318,7 +321,22 @@ class Trajectory:
                 f"have one column per label ({len(self.state_labels)})")
 
 
+@dataclass(frozen=True)
+class _CallableInput:
+    """A plain callable u(t) as an input with the `at` of `WaveformStack`:
+    one call per time, each value read as m floats."""
+
+    u: object
+    m: int
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        return np.array([self.u(t) for t in times],
+                        dtype=np.float64).reshape(len(times), self.m)
+
+
 def _resolve_input(u, m: int):
+    """The input of `simulate` as an object whose `at(times)` gives u at
+    each of an array of times, one row of m values per time."""
     if u is None:
         return zero_input(m)
     if isinstance(u, WaveformStack):
@@ -326,7 +344,7 @@ def _resolve_input(u, m: int):
             raise StructureError(f"input waveform has {u.dim} ports, system has {m}")
         return u
     if callable(u):
-        return u
+        return _CallableInput(u, m)
     raise StructureError("input must be a waveform stack, a callable, or None")
 
 
@@ -350,19 +368,19 @@ def _kept_columns(keep, n: int):
     return None if np.array_equal(cols, np.arange(n)) else cols
 
 
-def _input_grid(u, starts: np.ndarray, m: int):
+def _input_grid(u, starts: np.ndarray):
     """u(t_k + dt) at the step starts t_k of steps first..stop−1, as one
-    (steps, m) array per offset dt and step range, each evaluated once.
-    The times are the floats t_k + dt that the step formulas name, so the
-    values are those of evaluating u step by step."""
+    (steps, m) array per offset dt and step range, each sampled once by
+    one call `u.at(times)` of the input that `_resolve_input` gives.  The
+    times are the floats t_k + dt that the step formulas name, and `at`
+    evaluates the float expression of u(t) on each, so the values are
+    those of evaluating u step by step."""
     memo = {}
 
     def at(dt: float, first: int = 0, stop=None) -> np.ndarray:
         key = (dt, first, stop)
         if key not in memo:
-            span = starts[first:stop] + dt
-            memo[key] = np.array([u(t) for t in span],
-                                 dtype=np.float64).reshape(span.size, m)
+            memo[key] = u.at(starts[first:stop] + dt)
         return memo[key]
     return at
 
@@ -380,16 +398,18 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     tau must divide t_end − t0.  Identical inputs produce bit-identical
     trajectories: stepping is sequential, and every stage matrix is
     factorized before the first step (`_StageSolver` keeps the sparser of
-    two orderings) and reused by every step.  The input u is evaluated once
-    per node offset for the whole grid before the first step
-    (`_input_grid`); the stepper and the energy bookkeeping read the same
-    values.
+    two orderings) and reused by every step.  The input u is sampled once
+    per node offset for the whole grid before the first step, as one array
+    (`_input_grid`: `at` of a waveform stack, one call per time of a plain
+    callable); the stepper and the energy bookkeeping read the same values.
 
     The loop steps one span of `_SPAN_BLOCKS` · `block_rows(n)` states at a
-    time.  The residual of every stage solve is checked once per block of
-    `block_rows(n)` steps, not after each solve; a block that fails the
-    check is stepped again with refined solves (`_make_stepper`), so the
-    states are those of refining solve by solve.  After a span the loop
+    time.  The finiteness and the residual of every stage solve are checked
+    once per block of `block_rows(n)` steps, not after each solve; a block
+    that fails the check is stepped again with refined solves
+    (`_make_stepper`), so the states are those of refining solve by solve,
+    and a non-finite input or solution raises NumericalError naming the
+    step, its time and the pencil.  After a span the loop
     audits it (`_energy_bookkeeping`: outputs, dissipated power and H) and
     stores only the state columns `keep` names, a 1-D array of indices in
     [0, n), in that order.  The last state of a span (and for BDF2 the one
@@ -415,7 +435,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
         raise StructureError(f"z0: expected length {p.n}, got {z0.shape}")
     cols = _kept_columns(keep, p.n)
     times = t0 + tau * np.arange(n_steps + 1)
-    u_at = _input_grid(_resolve_input(u, p.m), times[:-1], p.m)
+    u_at = _input_grid(_resolve_input(u, p.m), times[:-1])
     march = _make_stepper(to_linear_dae(sys), method, tau, times, u_at)
 
     span = _SPAN_BLOCKS * block_rows(p.n)
@@ -520,21 +540,25 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     """Bind the stepping of the grid `times`, factorizing every pencil up
     front: per pencil (λ_j, r_j, γ_j) of `_pencil_plan` a step solves
     (E − τλ_j A) w_j = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ)
-    + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j).  BDF2's first step is
-    trapezoidal's.  The input term is formed for every step before the
-    first, from the grid inputs `u_at` of `_input_grid` and on the rows
-    that B reaches only; a step then does one product A z and, per pencil,
-    one indexed add and the solve.
+    + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j), summed in pencil
+    order straight into the state's row (Re is taken of a conjugate pair's
+    complex w only).  BDF2's first step is trapezoidal's.  The input term
+    is formed for every step before the first, from the grid inputs `u_at`
+    of `_input_grid` and on the rows that B reaches only; a step then does
+    one product A z and, per pencil, one indexed add and the solve.
 
     Steps run in check blocks of `block_rows(n)` steps.  Within a block
-    each solve is `solve_unchecked`, and each pencil's right sides and
-    solutions are written to its rows × n buffers, allocated once here.
-    After the block, `_StageSolver.accepts` tests them all with the bound
-    of `_StageSolver.solve`.  A block that fails, or that meets a
-    non-finite solution, is stepped again from its first state (and the
-    one before it) through `solve`, which refines each solve as needed.
-    So every state is the one that stepping through `solve` alone gives,
-    and so is every NumericalError.
+    each solve is `solve_unchecked`, which tests nothing, and each pencil's
+    right sides and solutions are written to its rows × n buffers,
+    allocated once here.  After the block, `_StageSolver.accepts` tests
+    them all: every solution finite, and within the residual bound of
+    `_StageSolver.solve`.  A block that fails is stepped again from its
+    first state (and the one before it) through `solve`, which refines
+    each solve as needed and raises on a non-finite solution.  So every
+    state is the one that stepping through `solve` alone gives, and so is
+    every NumericalError.  The input term and the steps are computed with
+    numpy's overflow and invalid-value warnings off: a non-finite value
+    they produce reaches `accepts` and then `solve`, which report it.
 
     Returns march(first, states, z_prev): steps states[1:] from states[0],
     whose step is `first` and whose predecessor is z_prev (read by BDF2).
@@ -555,16 +579,21 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
         for lam, row, weight in pencils:
             mat = dae.E_dae - (tau * lam) * dae.A_dae
             rhs_buf, x_buf = np.empty((2, rows, mat.shape[0]), mat.dtype)
-            solvers.append((_StageSolver(
-                mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}"), row.sum(),
-                (b_src @ (row @ u_nodes).T).T, weight, rhs_buf, x_buf))
+            solver = _StageSolver(
+                mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
+            # a non-finite input surfaces as a non-finite stage solution
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_u = (b_src @ (row @ u_nodes).T).T
+            solvers.append((solver, row.sum(), b_u, weight,
+                            np.iscomplexobj(weight), rhs_buf, x_buf))
         plans.append((first, stop or n_steps, solvers, history / tau))
 
-    def step(k, z, z_prev, slot, refine):
+    def step(k, z, z_prev, z_next, slot, refine):
+        """Write the state after step k from z (and z_prev) into z_next."""
         first, _, pencils, lag = plans[min(k, len(plans) - 1)]
         az = dae.A_dae @ z
-        z_next = z
-        for solver, row_sum, b_u, weight, rhs_buf, x_buf in pencils:
+        acc = z
+        for solver, row_sum, b_u, weight, pair, rhs_buf, x_buf in pencils:
             rhs = np.multiply(row_sum, az, out=rhs_buf[slot])
             rhs[src] += b_u[k - first]
             if lag:
@@ -573,18 +602,19 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
                 x = solver.solve(rhs)
             else:
                 x = x_buf[slot] = solver.solve_unchecked(rhs)
-            z_next = z_next + tau * np.real(weight * x)
-        return z_next
+            inc = weight * x
+            np.add(acc, tau * (inc.real if pair else inc), out=z_next)
+            acc = z_next
 
     def run(first, states, z_prev, refine):
-        for j in range(len(states) - 1):
-            k = first + j
-            try:
-                states[j + 1] = step(k, states[j],
-                                     states[j - 1] if j else z_prev, j, refine)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"step {k + 1} at t = {times[k]}: {exc}") from exc
+        try:
+            for j in range(len(states) - 1):
+                k = first + j
+                step(k, states[j], states[j - 1] if j else z_prev,
+                     states[j + 1], j, refine)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"step {k + 1} at t = {times[k]}: {exc}") from exc
 
     def accepted(first, count):
         for plan_first, plan_stop, pencils, _ in plans:
@@ -599,13 +629,13 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
         for lo in range(0, len(states) - 1, rows):
             blk = states[lo : lo + rows + 1]
             prev = states[lo - 1] if lo else z_prev
-            try:
+            # an overflow or NaN in the unchecked steps is refused by
+            # `accepts`, and the refined steps raise NumericalError for it
+            with np.errstate(over="ignore", invalid="ignore"):
                 run(first + lo, blk, prev, refine=False)
                 if accepted(first + lo, len(blk) - 1):
                     continue
-            except NumericalError:
-                pass  # the refined steps raise it again unless they avoid it
-            run(first + lo, blk, prev, refine=True)
+                run(first + lo, blk, prev, refine=True)
     return march
 
 

@@ -116,7 +116,12 @@ def load_system(dirpath: str) -> EnergySystem:
         if not os.path.isfile(fpath):
             raise StructureError(f"system directory {dirpath!r} lacks {name}.mtx")
         blocks[name] = read_matrix(fpath)
-    return EnergySystem(Partition(n1, n2, n3, m), **blocks)
+    try:
+        return EnergySystem(Partition(n1, n2, n3, m), **blocks)
+    except StructureError as exc:
+        where = f", file '{exc.block}.mtx'" if exc.block in blocks else ""
+        raise StructureError(f"system directory {dirpath!r}{where}: {exc}",
+                             exc.block) from exc
 
 
 # ---------------------------------------------------------------------------

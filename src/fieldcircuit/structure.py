@@ -28,7 +28,15 @@ import scipy.sparse.linalg as spla
 
 
 class StructureError(ValueError):
-    """The model violates the energy-based structure or its declared shapes."""
+    """The model violates the energy-based structure or its declared shapes.
+
+    `block` names the one block at fault when the error is about a single
+    block (`as_block`), so that a loader can name the file it came from.
+    """
+
+    def __init__(self, message: str = "", block: str | None = None):
+        super().__init__(message)
+        self.block = block
 
 
 class NumericalError(RuntimeError):
@@ -52,13 +60,14 @@ def as_block(X, shape, name: str) -> sp.csr_array:
             X = X.reshape(-1, 1)
     if X.shape != shape:
         raise StructureError(
-            f"block {name}: expected shape {shape}, got {X.shape}")
+            f"block {name}: expected shape {shape}, got {X.shape}", name)
     if np.iscomplexobj(X):
         raise StructureError(f"block {name}: complex entries; every block "
-                             "must be real")
+                             "must be real", name)
     X = sp.csr_array(X).astype(np.float64)
     if not np.isfinite(X.data).all():
-        raise StructureError(f"block {name}: non-finite entries (NaN or inf)")
+        raise StructureError(f"block {name}: non-finite entries (NaN or inf)",
+                             name)
     X.sum_duplicates()
     return X
 

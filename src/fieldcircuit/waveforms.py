@@ -3,7 +3,9 @@
 Three primitives cover every experiment in the package: constants, sinusoids,
 and tabulated signals with linear interpolation.  A WaveformStack bundles one
 scalar waveform per input port into the vector-valued u(t) the integrators
-consume.
+consume.  Each also samples a whole array of times at once (`at`), with the
+float expression of its per-time call, so the values are the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ class Constant:
 
     def __call__(self, t: float) -> float:
         return self.value
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.value, dtype=np.float64)
 
     def derivative(self, t: float) -> float:
         return 0.0
@@ -36,6 +41,9 @@ class Sinusoid:
     def __call__(self, t: float) -> float:
         return self.offset + self.amplitude * np.sin(
             2.0 * np.pi * self.freq_hz * t + self.phase_rad)
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        return self(np.asarray(times, dtype=np.float64))
 
     def derivative(self, t: float) -> float:
         w = 2.0 * np.pi * self.freq_hz
@@ -62,6 +70,10 @@ class Tabulated:
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self.times, self.values))
 
+    def at(self, times: np.ndarray) -> np.ndarray:
+        return np.interp(np.asarray(times, dtype=np.float64), self.times,
+                         self.values)
+
     def derivative(self, t: float) -> float:
         ts = np.asarray(self.times)
         vs = np.asarray(self.values)
@@ -87,6 +99,13 @@ class WaveformStack:
 
     def __call__(self, t: float) -> np.ndarray:
         return np.array([w(t) for w in self.components], dtype=np.float64)
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """u(t) at each of a 1-D array of times, one row per time."""
+        out = np.empty((len(times), self.dim))
+        for i, w in enumerate(self.components):
+            out[:, i] = w.at(times)
+        return out
 
     def derivative(self, t: float) -> np.ndarray:
         return np.array([w.derivative(t) for w in self.components], dtype=np.float64)

@@ -2,8 +2,12 @@
 of `block_rows(n)` steps: trajectories are bit-identical to stepping with
 `_StageSolver.solve`, which checks and refines each solve on its own; a
 block that fails the check is stepped again through `solve`, and no other
-block is; the batched residual is the per-solve residual bit for bit; and a
-non-finite stage solution names its step, its time and its pencil."""
+block is; the batched residual is the per-solve residual bit for bit; a
+block holding a non-finite solution is refused whatever its residual says;
+and a non-finite stage solution, from a NaN, an infinite or an overflowing
+input, names its step, its time and its pencil, with no warning first."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -152,16 +156,41 @@ def test_batched_residual_is_the_per_solve_residual(kind, method):
     assert solver.accepts(rhs[::2], x[::2])
 
 
-@pytest.mark.parametrize("method", ["trapezoidal", "gauss4"])
+def test_accepts_refuses_an_infinite_solution_whose_residual_test_passes(
+        oscillator):
+    parts = oscillator
+    dae = to_linear_dae(parts.system)
+    (lam, row, _), *_ = _pencil_plan(method_from_tag("trapezoidal"))[1]
+    solver = _StageSolver(dae.E_dae - (parts.config.tau * lam) * dae.A_dae,
+                          "trapezoidal")
+    z = parts.z0 + np.linspace(0.0, 1.0, parts.system.n)
+    rhs = np.stack([row.sum() * (dae.A_dae @ z), dae.A_dae @ z])
+    x = np.array([solver.solve_unchecked(b) for b in rhs])
+    assert solver.accepts(rhs, x)
+    x[1, 0] = np.inf
+    # the bound grows with ‖x‖∞ = inf, so the residual test alone passes
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, accepted = reference_residual_test(solver, rhs[1], x[1])
+    assert accepted
+    assert not solver.accepts(rhs, x)
+    assert not solver.accepts(rhs[1:], x[1:])
+    assert solver.accepts(rhs[:1], x[:1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("method", ["trapezoidal", "gauss4", "radau5", "bdf2"])
 def test_non_finite_stage_solution_names_step_time_and_pencil(
-        rng, short_blocks, method):
+        rng, short_blocks, method, bad):
     sys_r = random_energy_system(rng, n1=2, n2=3, n3=2, m=1)
 
     def u(t):
-        # NaN on one grid node of the seventh step of either method
-        return np.array([np.nan if 0.32 < t < 0.38 else np.sin(t)])
+        # a NaN, an infinite or an overflowing input on one grid node of
+        # the seventh step of each method
+        return np.array([bad if 0.32 < t < 0.38 else np.sin(t)])
 
-    with pytest.raises(NumericalError,
-                       match=rf"step 7 at t = 0\.3\d*: non-finite stage "
-                             rf"solution \({method}, lambda = "):
-        simulate(sys_r, np.zeros(sys_r.n), u, 0.05, 1.0, method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=rf"step 7 at t = 0\.3\d*: non-finite stage "
+                                 rf"solution \({method}, lambda = "):
+            simulate(sys_r, np.zeros(sys_r.n), u, 0.05, 1.0, method)

@@ -276,6 +276,7 @@ def test_validate_refuses_complex_and_non_finite_matrix(tmp_path, rng,
     captured = capsys.readouterr()
     what = "complex" if isinstance(bad, complex) else "non-finite"
     assert f"block R: {what}" in captured.err
+    assert "'R.mtx'" in captured.err and str(d) in captured.err
     assert "Traceback" not in captured.err and "min eig" not in captured.out
 
 
@@ -294,7 +295,10 @@ def test_simulate_refuses_complex_and_non_finite_model_matrix(tmp_path, rng,
     assert cli_main(["simulate", str(p), "--models", str(lib),
                      "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
     what = "complex" if isinstance(bad, complex) else "non-finite"
-    assert f"block K_nu: {what}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"block K_nu: {what}" in err
+    # the directory and the file of the broken block are named
+    assert "w1" in err and "K_nu.mtx" in err
 
 
 def test_validate_missing_directory(tmp_path):

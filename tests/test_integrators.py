@@ -7,7 +7,8 @@ from fieldcircuit.integrators import (METHOD_TAGS, consistent_init,
 from fieldcircuit.structure import (EnergySystem, NumericalError, Partition,
                                     StructureError, dae_residual, hamiltonian,
                                     to_dense)
-from fieldcircuit.waveforms import Constant, Sinusoid, WaveformStack, zero_input
+from fieldcircuit.waveforms import (Constant, Sinusoid, Tabulated,
+                                    WaveformStack, zero_input)
 from tests.conftest import random_energy_system
 
 
@@ -296,3 +297,19 @@ def test_simulate_rejects_non_finite_grid(rng, tau, t_end):
     with pytest.raises(StructureError, match="finite"):
         simulate(sys_r, np.zeros(sys_r.partition.n),
                  zero_input(sys_r.partition.m), tau, t_end, "midpoint")
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_plain_callable_input_is_the_waveform_stack(rng, method):
+    # a callable is sampled one call per time, a stack by `at`; the
+    # trajectories are the same bit for bit
+    sys_r = random_energy_system(rng, m=2)
+    stack = WaveformStack((Sinusoid(0.2, 1.3, 0.7, 0.4),
+                           Tabulated((0.1, 0.4, 0.45), (1.0, -2.0, 0.5))))
+    z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), stack)
+    args = (0.05, 1.0, method)
+    traj = simulate(sys_r, z0, stack, *args)
+    plain = simulate(sys_r, z0, lambda t: stack(t), *args)
+    for name in ("states", "outputs", "hamiltonians", "dissipated_cum",
+                 "supplied_cum"):
+        assert np.array_equal(getattr(plain, name), getattr(traj, name)), name

@@ -66,7 +66,8 @@ def rlc_netlists(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=25, deadline=None)
+# derandomized, so that a netlist that fails comes back on every run
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(text=rlc_netlists(), seed=st.integers(0, 2**32 - 1))
 def test_criterion_03_on_netlist_path(coil, text, seed):
     nl = mna.parse_netlist(text)
