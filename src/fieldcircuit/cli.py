@@ -16,7 +16,7 @@ import numpy as np
 
 from fieldcircuit import conductors, coupling, experiments, fem, mna, serialization
 from fieldcircuit.integrators import (METHOD_TAGS, consistent_init,
-                                     method_from_tag, simulate)
+                                     method_from_tag, simulate, step_count)
 from fieldcircuit.mna import NetlistError
 from fieldcircuit.structure import NumericalError, StructureError, validate
 
@@ -127,8 +127,18 @@ def _cmd_simulate(args) -> int:
     base = args.models if args.models is not None \
         else os.path.dirname(os.path.abspath(args.netlist))
     inc = mna.build_incidence(nl)
-    circuit = mna.mna_system(inc)
 
+    # the time grid is checked before any model is loaded
+    method = args.method or nl.method or "trapezoidal"
+    tau = args.tau if args.tau is not None else nl.tau
+    t_end = args.tend if args.tend is not None else nl.t_end
+    if tau is None or t_end is None:
+        print("error: no .tran directive and no --tau/--tend given",
+              file=sys.stderr)
+        return EXIT_PARSE
+    step_count(tau, t_end)
+
+    circuit = mna.mna_system(inc)
     models = {}
     for port in inc.field_ports:
         if port.model_ref not in models:
@@ -137,14 +147,6 @@ def _cmd_simulate(args) -> int:
     _, systems, binding = coupling.bind_circuit(inc, models)
     system = coupling.couple(circuit, systems, binding)
     u = coupling.coupled_input_stack(binding, nl, inc)
-
-    method = args.method or nl.method or "trapezoidal"
-    tau = args.tau if args.tau is not None else nl.tau
-    t_end = args.tend if args.tend is not None else nl.t_end
-    if tau is None or t_end is None:
-        print("error: no .tran directive and no --tau/--tend given",
-              file=sys.stderr)
-        return EXIT_PARSE
 
     z0 = consistent_init(system, np.zeros(system.partition.n), u)
     traj = simulate(system, z0, u, tau, t_end, method)

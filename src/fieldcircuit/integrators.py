@@ -16,7 +16,7 @@ so the discrete power balance can be audited after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +30,8 @@ from fieldcircuit.structure import (
     Partition,
     StructureError,
     block_rows,
+    csr_entries,
+    csr_from_entries,
     hamiltonian,
     quadratic_forms,
     row_dots,
@@ -54,6 +56,10 @@ class LinearDae:
     A_dae: object
     B_dae: object
     partition: Partition
+    # the column ordering of every pencil E_dae − τλ A_dae, chosen by the
+    # first one factored (`_pencil_solver`)
+    _permc_spec: str = field(default=None, init=False, repr=False,
+                             compare=False)
 
 
 def to_linear_dae(sys: EnergySystem) -> LinearDae:
@@ -73,32 +79,40 @@ def _rearrange(sys: EnergySystem) -> LinearDae:
         (J−R)₁₁ ż1                = M1 z1 − (J−R)₁₂ S z2 − (J−R)₁₃ z3 − B₁ u
         E ż2 − (J−R)₂₁ ż1         = (J−R)₂₂ S z2 + (J−R)₂₃ z3 + B₂ u
         −(J−R)₃₁ ż1               = (J−R)₃₂ S z2 + (J−R)₃₃ z3 + B₃ u
+
+    Each matrix is one construction from the entries of its blocks placed
+    at their offsets.  (J−R)[:, z2] S is one sparse product, whose rows are
+    those of the products of the three row blocks; a row of A_dae keeps
+    its M1, (J−R) S and (J−R)[:, z3] entries in that order, each part in
+    the order of its own storage.
     """
     p = sys.partition
-    n1, n2, n3 = p.n1, p.n2, p.n3
+    n, n1, n2 = p.n, p.n1, p.n2
     jr = sys.J - sys.R
-    i1 = slice(0, n1)
-    i2 = slice(n1, n1 + n2)
-    i3 = slice(n1 + n2, p.n)
-
-    def blk(rows, cols):
-        return sp.csr_array(jr[rows, :][:, cols])
-
-    zeros = sp.csr_array
-    e_rows = [
-        [blk(i1, i1), zeros((n1, n2)), zeros((n1, n3))],
-        [-blk(i2, i1), sys.E, zeros((n2, n3))],
-        [-blk(i3, i1), zeros((n3, n2)), zeros((n3, n3))],
-    ]
-    a_rows = [
-        [sys.M1, -blk(i1, i2) @ sys.S, -blk(i1, i3)],
-        [zeros((n2, n1)), blk(i2, i2) @ sys.S, blk(i2, i3)],
-        [zeros((n3, n1)), blk(i3, i2) @ sys.S, blk(i3, i3)],
-    ]
-    b_rows = [-sys.B[i1], sys.B[i2], sys.B[i3]]
-    return LinearDae(sp.csr_array(sp.bmat(e_rows, format="csr")),
-                     sp.csr_array(sp.bmat(a_rows, format="csr")),
-                     sp.csr_array(sp.vstack(b_rows, format="csr")), p)
+    rows, cols, vals = csr_entries(jr)
+    part = np.searchsorted([n1, n1 + n2], cols, side="right")
+    # +1 on the z1 rows, −1 on the others
+    sign = np.where(rows < n1, 1.0, -1.0)
+    on1, on2, on3 = part == 0, part == 1, part == 2
+    jr_s = csr_from_entries([(rows[on2], cols[on2] - n1, vals[on2])],
+                            (n, n2), like=(jr,)) @ sys.S
+    s_rows, s_cols, s_vals = csr_entries(jr_s)
+    e_rows, e_cols, e_vals = csr_entries(sys.E)
+    m_rows, m_cols, m_vals = csr_entries(sys.M1)
+    e_dae = csr_from_entries([(rows[on1], cols[on1], sign[on1] * vals[on1]),
+                              (n1 + e_rows, n1 + e_cols, e_vals)], (n, n),
+                             like=(jr, sys.E))
+    a_dae = csr_from_entries(
+        [(m_rows, m_cols, m_vals),
+         (s_rows, n1 + s_cols, np.where(s_rows < n1, -1.0, 1.0) * s_vals),
+         (rows[on3], cols[on3], -sign[on3] * vals[on3])],
+        (n, n), like=(sys.M1, jr, sys.S))
+    b = sys.B
+    b_data = b.data[: b.indptr[-1]].copy()
+    b_data[: b.indptr[n1]] *= -1.0
+    b_dae = sp.csr_array((b_data, b.indices[: b.indptr[-1]].copy(),
+                          b.indptr.copy()), shape=b.shape)
+    return LinearDae(e_dae, a_dae, b_dae, p)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +219,14 @@ _RESIDUAL_BOUND = 32.0
 class _StageSolver:
     """LU factorization of a fixed stage matrix, reused across all steps.
 
-    The pencil is factored with the MMD_AT_PLUS_A and with the COLAMD
-    column ordering, and the factor that stores fewer entries (SuperLU's
-    `nnz`, supernode blocks included: what the triangular solves read) is
-    kept, COLAMD on a tie.  MMD is the sparser on the pencils of fine
-    meshes (281k entries against 416k at n = 4952), COLAMD on coarse ones
-    (about 30k against 33k–37k at n ≈ 743).  Only one factor is alive at
-    a time.
+    The matrix is factored once with the column ordering `permc_spec`.
+    Without one it is factored with the MMD_AT_PLUS_A and with the COLAMD
+    ordering, and the factor that stores fewer entries (SuperLU's `nnz`,
+    supernode blocks included: what the triangular solves read) is kept,
+    COLAMD on a tie; `permc_spec` then names the ordering kept.  MMD is
+    the sparser on the pencils of fine meshes (281k entries against 416k
+    at n = 4952), COLAMD on coarse ones (about 30k against 33k–37k at
+    n ≈ 743).  Only one factor is alive at a time.
     `solve` checks the residual of each solve against `_RESIDUAL_BOUND`
     and refines it once or twice if needed, which keeps it near round-off
     even when the stage matrix mixes badly scaled physical blocks, and
@@ -222,17 +237,23 @@ class _StageSolver:
     again through `solve`.
     """
 
-    def __init__(self, mat, context: str):
+    def __init__(self, mat, context: str, permc_spec: str = None):
         self._context = context
         self._mat = sp.csr_array(mat)
         what = (f"stage matrix ({context}); the matrix pencil may be "
                 f"irregular or the model inconsistent")
         csc = sp.csc_matrix(mat)
-        mmd_nnz = _splu(csc, what, "MMD_AT_PLUS_A").nnz
-        self._lu = _splu(csc, what, "COLAMD")
-        if mmd_nnz < self._lu.nnz:
-            del self._lu
-            self._lu = _splu(csc, what, "MMD_AT_PLUS_A")
+        if permc_spec is None:
+            mmd_nnz = _splu(csc, what, "MMD_AT_PLUS_A").nnz
+            permc_spec = "COLAMD"
+            self._lu = _splu(csc, what, permc_spec)
+            if mmd_nnz < self._lu.nnz:
+                del self._lu
+                permc_spec = "MMD_AT_PLUS_A"
+                self._lu = _splu(csc, what, permc_spec)
+        else:
+            self._lu = _splu(csc, what, permc_spec)
+        self.permc_spec = permc_spec
         self._row_scale = float(abs(self._mat).sum(axis=1).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -277,6 +298,16 @@ class _StageSolver:
         bound = _RESIDUAL_BOUND * _EPS * (np.abs(rhs).max(axis=1, initial=0.0)
                                           + scale)
         return bool((res_max <= bound).all())
+
+
+def _pencil_solver(dae: LinearDae, mat, context: str) -> _StageSolver:
+    """The `_StageSolver` of a pencil E_dae − τλ A_dae of `dae`.  All of
+    them share one pattern, so the first pencil factored on the DAE runs
+    the ordering trial of `_StageSolver`, and every later one, of another
+    λ, τ or method, is factored once with the ordering kept."""
+    solver = _StageSolver(mat, context, dae._permc_spec)
+    object.__setattr__(dae, "_permc_spec", solver.permc_spec)
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +422,34 @@ def _input_grid(u, starts: np.ndarray):
 _SPAN_BLOCKS = 8
 
 
+def step_count(tau: float, t_end: float, t0: float = 0.0) -> int:
+    """Steps of the grid t0, t0 + tau, ..., t_end.  StructureError when tau
+    is not positive and finite, t_end − t0 not finite, or tau does not
+    divide t_end − t0."""
+    if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
+        raise StructureError(
+            "tau must be positive and finite, t_end - t0 finite")
+    length = t_end - t0
+    n_steps_f = length / tau
+    n_steps = int(round(n_steps_f))
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps_f):
+        raise StructureError(
+            f"tau = {tau} does not divide the interval of length {length}")
+    return n_steps
+
+
 def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
              method, t0: float = 0.0, keep=None) -> Trajectory:
     """March the system on the equidistant grid t0, t0+tau, ..., t_end.
 
-    tau must divide t_end − t0.  Identical inputs produce bit-identical
-    trajectories: stepping is sequential, and every stage matrix is
-    factorized before the first step (`_StageSolver` keeps the sparser of
-    two orderings) and reused by every step.  The input u is sampled once
-    per node offset for the whole grid before the first step, as one array
-    (`_input_grid`: `at` of a waveform stack, one call per time of a plain
-    callable); the stepper and the energy bookkeeping read the same values.
+    tau must divide t_end − t0 (`step_count`).  Identical inputs produce
+    bit-identical trajectories: stepping is sequential, and every stage
+    matrix is factorized before the first step, with the column ordering
+    chosen once per system (`_pencil_solver`), and reused by every step.
+    The input u is sampled once per node offset for the whole grid before
+    the first step, as one array (`_input_grid`: `at` of a waveform stack,
+    one call per time of a plain callable); the stepper and the energy
+    bookkeeping read the same values.
 
     The loop steps one span of `_SPAN_BLOCKS` · `block_rows(n)` states at a
     time.  The finiteness and the residual of every stage solve are checked
@@ -420,14 +468,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     the arithmetic of every step and of the audit is the same.
     """
     method = method_from_tag(method)
-    if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
-        raise StructureError("tau must be positive and finite, t_end - t0 finite")
-    length = t_end - t0
-    n_steps_f = length / tau
-    n_steps = int(round(n_steps_f))
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps_f):
-        raise StructureError(
-            f"tau = {tau} does not divide the interval of length {length}")
+    n_steps = step_count(tau, t_end, t0)
 
     p = sys.partition
     z0 = np.asarray(z0, dtype=np.float64)
@@ -538,7 +579,8 @@ def _pencil_plan(method: Method):
 
 def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     """Bind the stepping of the grid `times`, factorizing every pencil up
-    front: per pencil (λ_j, r_j, γ_j) of `_pencil_plan` a step solves
+    front with the ordering of the system (`_pencil_solver`): per pencil
+    (λ_j, r_j, γ_j) of `_pencil_plan` a step solves
     (E − τλ_j A) w_j = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ)
     + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j), summed in pencil
     order straight into the state's row (Re is taken of a conjugate pair's
@@ -579,8 +621,8 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
         for lam, row, weight in pencils:
             mat = dae.E_dae - (tau * lam) * dae.A_dae
             rhs_buf, x_buf = np.empty((2, rows, mat.shape[0]), mat.dtype)
-            solver = _StageSolver(
-                mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
+            solver = _pencil_solver(
+                dae, mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
             # a non-finite input surfaces as a non-finite stage solution
             with np.errstate(over="ignore", invalid="ignore"):
                 b_u = (b_src @ (row @ u_nodes).T).T
@@ -656,26 +698,50 @@ def _row_max_abs(mat) -> np.ndarray:
     return row_max
 
 
-def _left_null_basis(mat) -> sp.csr_array:
-    """Sparse basis V of the left null space of mat, Vᵀ mat = 0: a unit
-    vector per zero row, and one dense SVD per connected block of the other
-    rows (two rows share a block when they share a column)."""
-    mat = sp.csr_array(mat)
-    mat.eliminate_zeros()
-    nz_rows = np.flatnonzero(np.diff(mat.indptr))
-    zero_rows = np.flatnonzero(np.diff(mat.indptr) == 0)
-    m_nz = mat[nz_rows]
-    # rows i and j are linked when they share a column
-    _, labels = csgraph.connected_components(abs(m_nz) @ abs(m_nz).T,
-                                             directed=False)
-    order = np.argsort(labels, kind="stable")
-    blocks = [sp.eye_array(zero_rows.size)]
-    for rows in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        blk = m_nz[rows]
-        blocks.append(scipy.linalg.null_space(
-            blk[:, np.unique(blk.indices)].toarray().T))
-    rows = np.r_[zero_rows, nz_rows[order]]  # row order of the blocks
-    return sp.block_diag(blocks, "csr")[np.argsort(rows)]
+def _left_null_basis(rows, cols, vals, n_rows: int):
+    """Sparse basis V of the left null space of the n_rows-row matrix with
+    the entries (rows, cols, vals), Vᵀ mat = 0, as the entries (rows,
+    columns, values) of V and its column count: a unit vector per zero row,
+    then one dense SVD per connected block of the other rows (two rows share
+    a block when they share a column), blocks in the order of their first
+    row.  Zero entries are left out, of the matrix and of V; the entries of
+    a row of V come in ascending columns."""
+    stored = vals != 0.0
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    is_zero = np.ones(n_rows, dtype=bool)
+    is_zero[rows] = False
+    zero_rows, nz_rows = np.flatnonzero(is_zero), np.flatnonzero(~is_zero)
+    local = np.searchsorted(nz_rows, rows)
+    col_ids, col_of = np.unique(cols, return_inverse=True)
+    # rows and columns as the two sides of one graph: the components that
+    # hold a row come first, numbered in the order of their first row
+    size = nz_rows.size + col_ids.size
+    _, labels = csgraph.connected_components(
+        csr_from_entries([(local, nz_rows.size + col_of, np.ones(local.size))],
+                         (size, size)), directed=False)
+    labels = labels[: nz_rows.size]
+    blocks = labels.max(initial=-1) + 1
+    row_order = np.argsort(labels, kind="stable")
+    row_at = np.zeros(blocks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=blocks), out=row_at[1:])
+    entry_order = np.argsort(labels[local], kind="stable")
+    entry_at = np.zeros(blocks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels[local], minlength=blocks),
+              out=entry_at[1:])
+    parts = [(zero_rows, np.arange(zero_rows.size), np.ones(zero_rows.size))]
+    width = zero_rows.size
+    for b in range(blocks):
+        blk = row_order[row_at[b] : row_at[b + 1]]
+        at = entry_order[entry_at[b] : entry_at[b + 1]]
+        blk_cols = np.unique(col_of[at])
+        dense = np.zeros((blk_cols.size, blk.size))
+        dense[np.searchsorted(blk_cols, col_of[at]),
+              np.searchsorted(blk, local[at])] = vals[at]
+        null = scipy.linalg.null_space(dense)
+        i, j = np.nonzero(null)
+        parts.append((nz_rows[blk[i]], width + j, null[i, j]))
+        width += null.shape[1]
+    return (*map(np.concatenate, zip(*parts)), width)
 
 
 def _constraint_basis(dae: LinearDae):
@@ -686,64 +752,140 @@ def _constraint_basis(dae: LinearDae):
     after every row of [E A B] is scaled to unit size so rank detection is
     not thrown off by mixed physical units.  The gradient states P with a
     nonzero diagonal of F11 = (J−R)₁₁ (the conductive nodes, F11 = −M_σ)
-    are eliminated by one sparse LU of E[P, P]: v = [v_P; w] with w a left
-    null vector of the Schur remainder E[Q, K] − E[Q, P] E[P, P]⁻¹ E[P, K]
-    on the other rows Q and columns K, and v_P = −E[P, P]⁻ᵀ E[Q, P]ᵀ w.
-    In the remainder (`_left_null_basis`) zero rows are a row selection;
-    only the circuit and coupling rows get a dense SVD per connected block.
-    The LU keeps COLAMD, the sparser ordering here: on the conductive core
-    block MMD_AT_PLUS_A stores 34.2k entries against 13.4k at h = 0.5 mm.
+    are eliminated by one sparse LU of E[P, P] (`_eliminate_pivots`); a
+    system without them, every circuit, factors nothing here.  In what
+    remains (`_left_null_basis`) zero rows are a row selection; only the
+    circuit and coupling rows get a dense SVD per connected block.
     """
     row_max = np.maximum.reduce(
         [_row_max_abs(mat) for mat in (dae.E_dae, dae.A_dae, dae.B_dae)])
     row_max[row_max == 0.0] = 1.0
-    d_inv = sp.diags_array(1.0 / row_max, format="csr")
-    e_eq = d_inv @ dae.E_dae
-    is_piv = e_eq.diagonal() != 0.0
-    is_piv[dae.partition.n1 :] = False
-    piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
-    what = (f"gradient-state pivot block F11[P, P] of E_dae "
-            f"({piv.size} x {piv.size})")
-    lu = _splu(e_eq[piv][:, piv], what)
-    # the rows are scaled to unit size, so a tiny pivot ratio is a rank
-    # defect (a PSD conductivity with a full diagonal), not mixed units
-    u_diag = np.abs(lu.U.diagonal())
-    if piv.size and u_diag.min() < _PIVOT_RATIO * u_diag.max():
-        raise NumericalError(f"singular {what}")
-    e_rest = e_eq[rest]
-    e_qp, e_pk, schur = e_rest[:, piv], e_eq[piv][:, rest], e_rest[:, rest]
-    if e_pk.nnz:
-        # only the columns E[P, K] touches change; their order is immaterial
-        cols = np.unique(e_pk.indices)
-        x = sp.csr_array(lu.solve(e_pk[:, cols].toarray()))
-        schur = sp.hstack([schur[:, np.setdiff1d(np.arange(rest.size), cols)],
-                           schur[:, cols] - e_qp @ x])
-    w = _left_null_basis(schur)
-    # v_P vanishes for the null vectors w that E[Q, P] does not reach
-    hit = np.unique(w[np.flatnonzero(np.diff(e_qp.indptr))].indices)
-    v_p = sp.csr_array(-lu.solve((e_qp.T @ w[:, hit]).toarray(), trans="T"))
-    v = sp.vstack([sp.csr_array((v_p.data, hit[v_p.indices], v_p.indptr),
-                                shape=(piv.size, w.shape[1])), w])
-    v_t = sp.csr_array((d_inv @ v[np.argsort(np.r_[piv, rest])]).T)
+    scale = 1.0 / row_max
+    n, n1 = dae.partition.n, dae.partition.n1
+    # the scaled E: each row in descending columns, the order in which the
+    # products of its pivot columns sum; exact zeros left out
+    rows, cols, vals = csr_entries(dae.E_dae)
+    ptr = dae.E_dae.indptr
+    flip = ptr[rows] + ptr[rows + 1] - 1 - np.arange(rows.size)
+    cols, vals = cols[flip], scale[rows] * vals[flip]
+    stored = vals != 0.0
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    is_piv = np.zeros(n, dtype=bool)
+    is_piv[rows[rows == cols]] = True
+    is_piv[n1:] = False
+    if is_piv.any():
+        v_rows, v_cols, v_vals, width = _eliminate_pivots(
+            rows, cols, vals, is_piv, dae.E_dae)
+    else:
+        v_rows, v_cols, v_vals, width = _left_null_basis(rows, cols, vals, n)
+    # Vᵀ D⁻¹, each row in ascending columns
+    order = np.argsort(v_rows, kind="stable")
+    v_rows, v_cols = v_rows[order], v_cols[order]
+    v_vals = scale[v_rows] * v_vals[order]
+    stored = v_vals != 0.0
+    v_t = csr_from_entries([(v_cols[stored], v_rows[stored],
+                             v_vals[stored])], (width, n))
     return v_t @ dae.A_dae, v_t @ dae.B_dae
 
 
+def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):
+    """Left null basis v of the scaled E of `_constraint_basis`, given by its
+    entries, whose pivots `is_piv` are eliminated first: v = [v_P; w] with
+    w a left null vector of the Schur remainder E[Q, K] − E[Q, P]
+    E[P, P]⁻¹ E[P, K] on the other rows Q and columns K, and v_P =
+    −E[P, P]⁻ᵀ E[Q, P]ᵀ w.  Returns the entries of v and its column count
+    as `_left_null_basis` does.  The blocks of E keep the index dtype of
+    e_dae, and E[Q, P] the descending column order of its rows.  The LU
+    keeps COLAMD, the sparser ordering here: on the conductive core block
+    MMD_AT_PLUS_A stores 34.2k entries against 13.4k at h = 0.5 mm.
+    """
+    piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
+    pos = np.empty(is_piv.size, dtype=np.intp)
+    pos[piv], pos[rest] = np.arange(piv.size), np.arange(rest.size)
+    n_p, n_q = piv.size, rest.size
+    row_p, col_p = is_piv[rows], is_piv[cols]
+
+    def block(on):
+        return pos[rows[on]], pos[cols[on]], vals[on]
+
+    what = (f"gradient-state pivot block F11[P, P] of E_dae "
+            f"({n_p} x {n_p})")
+    lu = _splu(csr_from_entries([block(row_p & col_p)], (n_p, n_p),
+                                like=(e_dae,)), what)
+    # the rows are scaled to unit size, so a tiny pivot ratio is a rank
+    # defect (a PSD conductivity with a full diagonal), not mixed units
+    u_diag = np.abs(lu.U.diagonal())
+    if u_diag.min() < _PIVOT_RATIO * u_diag.max():
+        raise NumericalError(f"singular {what}")
+    e_qp = csr_from_entries([block(~row_p & col_p)], (n_q, n_p),
+                            like=(e_dae,))
+    s_rows, s_cols, s_vals = block(~row_p & ~col_p)
+    pk_rows, pk_cols, pk_vals = block(row_p & ~col_p)
+    if pk_rows.size:
+        # only the columns E[P, K] touches change; they go last, in order
+        touched = np.unique(pk_cols)
+        x = sp.csr_array(lu.solve(csr_from_entries(
+            [(pk_rows, np.searchsorted(touched, pk_cols), pk_vals)],
+            (n_p, touched.size), like=(e_dae,)).toarray()))
+        is_t = np.zeros(n_q, dtype=bool)
+        is_t[touched] = True
+        moved = is_t[s_cols]
+        kept = np.cumsum(~is_t) - 1
+        t_rows, t_cols, t_vals = csr_entries(csr_from_entries(
+            [(s_rows[moved], np.searchsorted(touched, s_cols[moved]),
+              s_vals[moved])], (n_q, touched.size), like=(e_dae,))
+            - e_qp @ x)
+        s_rows = np.concatenate((s_rows[~moved], t_rows))
+        s_cols = np.concatenate((kept[s_cols[~moved]],
+                                 n_q - touched.size + t_cols))
+        s_vals = np.concatenate((s_vals[~moved], t_vals))
+    w_rows, w_cols, w_vals, width = _left_null_basis(s_rows, s_cols, s_vals,
+                                                     n_q)
+    # v_P vanishes for the null vectors w that E[Q, P] does not reach
+    hit = np.unique(w_cols[np.diff(e_qp.indptr)[w_rows] > 0])
+    on_hit = np.isin(w_cols, hit)
+    w_hit = csr_from_entries([(w_rows[on_hit],
+                               np.searchsorted(hit, w_cols[on_hit]),
+                               w_vals[on_hit])], (n_q, hit.size))
+    v_p = -lu.solve((e_qp.T @ w_hit).toarray(), trans="T")
+    i, j = np.nonzero(v_p)
+    return (np.concatenate((piv[i], rest[w_rows])),
+            np.concatenate((hit[j], w_cols)),
+            np.concatenate((v_p[i, j], w_vals)), width)
+
+
 def _sparse_least_squares(mat, rhs) -> np.ndarray:
-    """Least-squares x of mat x ≈ rhs, 0 in empty columns: G and b are mat
+    """Least-squares x of mat x ≈ rhs, 0 in empty columns (all of x when
+    mat has no nonzero entry, which factors nothing): G and b are mat
     and rhs without empty rows, each row scaled to unit largest entry, and
-    the augmented system [[I, G], [Gᵀ, 0]] [r; x] = [b; 0] is factored once
-    by `splu` with COLAMD: MMD_AT_PLUS_A turns the KKT factor of `index2`
-    (n = 1557) from 115k into 571k entries and 9.5 into 61 ms."""
-    mat = sp.csr_array(mat)
-    mat.eliminate_zeros()
-    rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
-    scale = 1.0 / _row_max_abs(mat[rows])
-    g = sp.diags_array(scale) @ mat[rows][:, cols]
-    lu = _splu(sp.bmat([[sp.eye_array(rows.size), g], [g.T, None]]),
-               f"initialization least squares ({rows.size} x {cols.size})")
-    sol = lu.solve(np.r_[scale * rhs[rows], np.zeros(cols.size)])
+    the augmented system [[I, G], [Gᵀ, 0]] [r; x] = [b; 0], built in one
+    construction, is factored once by `splu` with COLAMD: MMD_AT_PLUS_A
+    turns the KKT factor of `index2` (n = 1557) from 115k into 571k entries
+    and 9.5 into 61 ms."""
+    rows, cols, vals = csr_entries(mat)
+    stored = vals != 0.0
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    nz_rows, used = np.unique(rows), np.unique(cols)
     x = np.zeros(mat.shape[1])
-    x[cols] = sol[rows.size :]
+    if not nz_rows.size:
+        return x
+    scale = 1.0 / _row_max_abs(mat)[nz_rows]
+    r_of, c_of = np.searchsorted(nz_rows, rows), np.searchsorted(used, cols)
+    g = scale[r_of] * vals
+    stored = g != 0.0
+    r_of, c_of, g = r_of[stored], c_of[stored], g[stored]
+    n_r = nz_rows.size
+    by_row, by_col = np.lexsort((c_of, r_of)), np.lexsort((r_of, c_of))
+    eye = np.arange(n_r)
+    kkt = csr_from_entries([(eye, eye, np.ones(n_r)),
+                            (r_of[by_row], n_r + c_of[by_row], g[by_row]),
+                            (n_r + c_of[by_col], r_of[by_col], g[by_col])],
+                           (n_r + used.size, n_r + used.size), like=(mat,))
+    lu = _splu(kkt, f"initialization least squares "
+                    f"({n_r} x {used.size})")
+    sol = lu.solve(np.concatenate((scale * rhs[nz_rows],
+                                   np.zeros(used.size))))
+    x[used] = sol[n_r:]
     return x
 
 
@@ -777,16 +919,23 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
 
     dae = to_linear_dae(sys)
     c_mat, d_mat = _constraint_basis(dae)
-    # the free directions [0; N; 0] of η and [0; 0; I] of z3
-    free = sp.block_diag([sp.csr_array((p.n1, 0)), _left_null_basis(sys.E.T),
-                          sp.eye_array(p.n3)], format="csr")
+    # the free directions [0; N; 0] of η and [0; 0; I] of z3, N from the
+    # entries of Eᵀ
+    e_rows, e_cols, e_vals = csr_entries(sys.E)
+    n_rows, n_cols, n_vals, width = _left_null_basis(e_cols, e_rows, e_vals,
+                                                     p.n2)
+    z3 = np.arange(p.n3)
+    free = csr_from_entries([(p.n1 + n_rows, n_cols, n_vals),
+                             (p.n1 + p.n2 + z3, width + z3, np.ones(p.n3))],
+                            (p.n, width + p.n3))
     z[p.n1 + p.n2 :] = 0.0
     mat, rhs = c_mat @ free, -(c_mat @ z) - d_mat @ u_val
     if csgraph.structural_rank(mat) < free.shape[1]:
         # rows [E ẋ − A x = B u0] and [C ẋ = −D u̇0]; unknowns [y; ẋ]
         mat = sp.block_array([[-(dae.A_dae @ free), dae.E_dae],
-                              [None, c_mat]])
-        rhs = np.r_[dae.A_dae @ z + dae.B_dae @ u_val, -(d_mat @ u_dot)]
+                              [None, c_mat]], format="csr")
+        rhs = np.concatenate((dae.A_dae @ z + dae.B_dae @ u_val,
+                              -(d_mat @ u_dot)))
     z += free @ _sparse_least_squares(mat, rhs)[: free.shape[1]]
 
     _check_constraint_residual(c_mat, d_mat, z, u_val, tol, p)

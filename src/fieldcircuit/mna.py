@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from fieldcircuit.conductors import KINDS
 from fieldcircuit.integrators import method_from_tag
-from fieldcircuit.structure import EnergySystem, Partition
+from fieldcircuit.structure import (EnergySystem, Partition, csr_entries,
+                                   csr_from_entries)
 from fieldcircuit.waveforms import Constant, Sinusoid, WaveformStack
 
 
@@ -313,21 +314,18 @@ class IncidenceSet:
         return len(self.node_order)
 
 
-def _column(node_index: dict, card: Card, n: int):
-    rows, vals = [], []
-    if card.n_plus != GROUND:
-        rows.append(node_index[card.n_plus])
-        vals.append(1.0)
-    if card.n_minus != GROUND:
-        rows.append(node_index[card.n_minus])
-        vals.append(-1.0)
-    return sp.csr_array((vals, (rows, [0] * len(rows))), shape=(n, 1))
-
-
-def _hcat(cols, n: int):
-    if not cols:
-        return sp.csr_array((n, 0))
-    return sp.csr_array(sp.hstack(cols, format="csr"))
+def _incidence(node_index: dict, cards, n: int):
+    """Signed incidence of `cards`, one column each: +1 in the row of n+,
+    −1 in the row of n−, no row for ground."""
+    ends = np.array([[node_index.get(c.n_plus, -1),
+                      node_index.get(c.n_minus, -1)] for c in cards],
+                    dtype=np.int64).reshape(-1, 2)
+    rows = ends.ravel()
+    keep = rows >= 0
+    return csr_from_entries([(rows[keep],
+                              np.repeat(np.arange(len(cards)), 2)[keep],
+                              np.tile([1.0, -1.0], len(cards))[keep])],
+                            (n, len(cards)))
 
 
 def build_incidence(nl: Netlist) -> IncidenceSet:
@@ -376,11 +374,11 @@ def build_incidence(nl: Netlist) -> IncidenceSet:
 
     return IncidenceSet(
         node_order=nodes,
-        a_c=_hcat([_column(node_index, c, n) for c in groups["C"]], n),
-        a_r=_hcat([_column(node_index, c, n) for c in groups["R"]], n),
-        a_l=_hcat([_column(node_index, c, n) for c in groups["L"]], n),
-        a_v=_hcat([_column(node_index, c, n) for c in v_cards], n),
-        a_i=_hcat([_column(node_index, c, n) for c in i_cards], n),
+        a_c=_incidence(node_index, groups["C"], n),
+        a_r=_incidence(node_index, groups["R"], n),
+        a_l=_incidence(node_index, groups["L"], n),
+        a_v=_incidence(node_index, v_cards, n),
+        a_i=_incidence(node_index, i_cards, n),
         c_diag=np.array([c.value for c in groups["C"]], dtype=np.float64),
         g_diag=1.0 / np.array([c.value for c in groups["R"]], dtype=np.float64),
         l_diag=np.array([c.value for c in groups["L"]], dtype=np.float64),
@@ -395,43 +393,59 @@ def build_incidence(nl: Netlist) -> IncidenceSet:
 # the MNA energy-based system
 # ---------------------------------------------------------------------------
 
-def _diag(vals: np.ndarray):
-    return sp.diags_array(vals, format="csr") if vals.size else sp.csr_array((0, 0))
+def _nodal_entries(a, weights: np.ndarray):
+    """(rows, columns, values) of A diag(w) Aᵀ for an incidence A, one
+    entry per position.  Each entry sums its branches' ±w in descending
+    branch order, the order in which the sparse product (A diag(w)) Aᵀ
+    adds them, and a zero sum is left out as the product leaves it out."""
+    nodes, branch, sign = csr_entries(a)
+    order = np.argsort(-branch, kind="stable")
+    nodes, branch, sign = nodes[order], branch[order], sign[order]
+    # both ends of a two-terminal branch are adjacent in this order
+    pair = np.flatnonzero(branch[1:] == branch[:-1])
+    first = np.concatenate((np.arange(nodes.size), pair, pair + 1))
+    second = np.concatenate((np.arange(nodes.size), pair + 1, pair))
+    by_branch = np.argsort(-branch[first], kind="stable")
+    first, second = first[by_branch], second[by_branch]
+    n = a.shape[0]
+    keys, slot = np.unique(nodes[first] * n + nodes[second],
+                           return_inverse=True)
+    sums = np.bincount(slot, weights=sign[first] * weights[branch[first]]
+                       * sign[second], minlength=keys.size)
+    stored = sums != 0.0
+    return keys[stored] // n, keys[stored] % n, sums[stored]
 
 
 def mna_system(inc: IncidenceSet) -> EnergySystem:
     """Energy-based DAE of the circuit: z2 = [phi; j_L], z3 = j_V,
-    u = [currents; voltages], y = (−A_Iᵀ phi, −j_V)."""
+    u = [currents; voltages], y = (−A_Iᵀ phi, −j_V).
+
+    Every block is stamped from the incidences of `build_incidence` in one
+    construction: E = diag(A_C diag(C) A_Cᵀ, diag(L)), R = diag(A_R diag(G)
+    A_Rᵀ, 0), J with −A_L, −A_V in the node rows and A_Lᵀ, A_Vᵀ in the branch
+    rows, B = −[A_I, 0; 0, 0; 0, I]."""
     n_phi = inc.n_phi
     b_l = inc.l_diag.size
     b_v = inc.a_v.shape[1]
     b_i = inc.a_i.shape[1]
     n2 = n_phi + b_l
-    a_c, a_r, a_l, a_v, a_i = (sp.csr_array(x) for x in
-                               (inc.a_c, inc.a_r, inc.a_l, inc.a_v, inc.a_i))
-
-    e_cap = sp.csr_array(a_c @ _diag(inc.c_diag) @ a_c.T) if inc.c_diag.size \
-        else sp.csr_array((n_phi, n_phi))
-    e_mat = sp.block_diag((e_cap, _diag(inc.l_diag)), format="csr") if b_l \
-        else e_cap
-    r_phi = sp.csr_array(a_r @ _diag(inc.g_diag) @ a_r.T) if inc.g_diag.size \
-        else sp.csr_array((n_phi, n_phi))
-
     n = n2 + b_v
-    j = sp.bmat([
-        [sp.csr_array((n_phi, n_phi)), -a_l, -a_v],
-        [a_l.T, sp.csr_array((b_l, b_l)), sp.csr_array((b_l, b_v))],
-        [a_v.T, sp.csr_array((b_v, b_l)), sp.csr_array((b_v, b_v))],
-    ], format="csr")
-    r = sp.bmat([
-        [r_phi, sp.csr_array((n_phi, b_l + b_v))],
-        [sp.csr_array((b_l + b_v, n_phi)), sp.csr_array((b_l + b_v, b_l + b_v))],
-    ], format="csr")
-    b = -sp.bmat([
-        [a_i, sp.csr_array((n_phi, b_v))],
-        [sp.csr_array((b_l, b_i)), sp.csr_array((b_l, b_v))],
-        [sp.csr_array((b_v, b_i)), sp.identity(b_v, format="csr")],
-    ], format="csr")
+
+    l_idx = n_phi + np.arange(b_l)
+    e_mat = csr_from_entries([_nodal_entries(inc.a_c, inc.c_diag),
+                              (l_idx, l_idx, inc.l_diag)], (n2, n2))
+    r = csr_from_entries([_nodal_entries(inc.a_r, inc.g_diag)], (n, n))
+    l_node, l_br, l_sign = csr_entries(inc.a_l)
+    v_node, v_br, v_sign = csr_entries(inc.a_v)
+    j = csr_from_entries([(l_node, n_phi + l_br, -l_sign),
+                          (n_phi + l_br, l_node, l_sign),
+                          (v_node, n2 + v_br, -v_sign),
+                          (n2 + v_br, v_node, v_sign)], (n, n))
+    i_node, i_br, i_sign = csr_entries(inc.a_i)
+    v_idx = np.arange(b_v)
+    b = csr_from_entries([(i_node, i_br, -i_sign),
+                          (n2 + v_idx, b_i + v_idx, np.full(b_v, -1.0))],
+                         (n, b_i + b_v))
 
     labels = (tuple(f"phi_{nm}" for nm in inc.node_order)
               + tuple(f"jL_{nm}" for nm in inc.l_branch_names)

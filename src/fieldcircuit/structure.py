@@ -72,6 +72,35 @@ def as_block(X, shape, name: str) -> sp.csr_array:
     return X
 
 
+def csr_from_entries(parts, shape, like=()) -> sp.csr_array:
+    """One CSR array, in one construction, from parts (rows, cols, vals)
+    that each place vals[k] at (rows[k], cols[k]); no two entries share a
+    position.  The entries of a row are stored in the order the parts give
+    them: a stable sort by row, linear when each part comes in ascending
+    rows.  The index dtype is the one scipy gives a stack of the matrices
+    `like`: int64 when one of them stores int64 indices or int32 is too
+    small, int32 otherwise."""
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    rows = rows.astype(np.int64, copy=False)
+    order = np.argsort(rows, kind="stable")
+    wide = (max(rows.size, *shape) > np.iinfo(np.int32).max
+            or any(m.indptr.dtype != np.int32 for m in like))
+    idx = np.int64 if wide else np.int32
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((vals.astype(np.float64, copy=False)[order],
+                         cols.astype(idx, copy=False)[order], indptr),
+                        shape=shape)
+
+
+def csr_entries(mat):
+    """(rows, columns, values) of the stored entries of a CSR array, in
+    storage order."""
+    nnz = mat.indptr[-1]
+    return (np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)),
+            mat.indices[:nnz], mat.data[:nnz])
+
+
 def to_dense(X) -> np.ndarray:
     return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 

@@ -19,17 +19,28 @@ step by step and every stage solve checked and refined on its own by
 `accepts`.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
+`reference_incidences`, `reference_mna_system`, `reference_rearrange`,
+`reference_constraint_basis` and `reference_consistent_init` build the
+setup chain from netlist to z0 block by block, with one sparse matrix per
+element column, per diagonal and per zero block, the reference of the
+stamped and offset-placed construction that must give the same arrays.
 """
 import csv
 import io
 import math
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from fieldcircuit import integrators
-from fieldcircuit.integrators import (_pencil_plan, _StageSolver,
-                                      method_from_tag, to_linear_dae)
+from fieldcircuit.integrators import (_pencil_plan, _pencil_solver,
+                                      _StageSolver, method_from_tag,
+                                      to_linear_dae)
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
+from fieldcircuit.mna import GROUND
+from fieldcircuit.structure import EnergySystem, Partition
 
 _S15 = math.sqrt(15.0)
 _RULE = [((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 9.0 / 40.0)]
@@ -156,15 +167,17 @@ def reference_per_step_run(sys, z0, u, tau, steps, method):
     [u(t_k + c_i τ)]_i) + h E (z − z⁻)/τ over the whole state, and
     (u(t) + u(t+τ))/2, u(t+τ) or u(t + τ/2) for trapezoidal, implicit
     Euler or the rest.  Each solve is `_StageSolver.solve`, which tests
-    and refines it on its own."""
+    and refines it on its own, of a pencil factored with the ordering that
+    `_pencil_solver` keeps for the system."""
     dae = to_linear_dae(sys)
     method = method_from_tag(method)
     startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
     plans = []
     for m in startup + [method]:
         nodes, pencils, history = _pencil_plan(m)
-        solvers = [(_StageSolver(dae.E_dae - (tau * lam) * dae.A_dae, m.tag),
-                    row, weight) for lam, row, weight in pencils]
+        solvers = [(_pencil_solver(dae, dae.E_dae - (tau * lam) * dae.A_dae,
+                                   m.tag), row, weight)
+                   for lam, row, weight in pencils]
         plans.append(([float(ci) * tau for ci in nodes], solvers,
                       history / tau))
     times = 0.0 + tau * np.arange(steps + 1)
@@ -214,3 +227,196 @@ def reference_csv(header, columns) -> bytes:
         writer.writerow(format(float(c[k]), ".17g") if num else str(c[k])
                         for c, num in zip(columns, numeric))
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the setup chain as it was built block by block: references of the stamped
+# MNA system, of the DAE rewrite by offsets and of consistent_init
+# ---------------------------------------------------------------------------
+
+def _column(node_index, card, n):
+    rows, vals = [], []
+    if card.n_plus != GROUND:
+        rows.append(node_index[card.n_plus])
+        vals.append(1.0)
+    if card.n_minus != GROUND:
+        rows.append(node_index[card.n_minus])
+        vals.append(-1.0)
+    return sp.csr_array((vals, (rows, [0] * len(rows))), shape=(n, 1))
+
+
+def reference_incidences(nl, inc):
+    """(a_c, a_r, a_l, a_v, a_i) of `inc`, one n×1 column per card
+    stacked by `hstack`, the cards taken in the branch order of `inc`."""
+    node_index = {nm: k for k, nm in enumerate(inc.node_order)}
+    n = len(node_index)
+    by_name = {c.name: c for c in nl.cards}
+
+    def hcat(cards):
+        if not cards:
+            return sp.csr_array((n, 0))
+        return sp.csr_array(sp.hstack(
+            [_column(node_index, c, n) for c in cards], format="csr"))
+
+    return tuple(hcat(cards) for cards in (
+        [c for c in nl.cards if c.kind == "C"],
+        [c for c in nl.cards if c.kind == "R"],
+        [c for c in nl.cards if c.kind == "L"],
+        [by_name[nm] for nm in inc.v_branch_names],
+        [by_name[nm] for nm in inc.i_branch_names]))
+
+
+def _diag(vals):
+    return sp.diags_array(vals, format="csr") if vals.size \
+        else sp.csr_array((0, 0))
+
+
+def reference_mna_system(inc):
+    """The MNA system of `mna.mna_system` built from sparse products and
+    `bmat`s of its blocks."""
+    n_phi = inc.n_phi
+    b_l = inc.l_diag.size
+    b_v = inc.a_v.shape[1]
+    b_i = inc.a_i.shape[1]
+    n2 = n_phi + b_l
+    a_c, a_r, a_l, a_v, a_i = (sp.csr_array(x) for x in
+                               (inc.a_c, inc.a_r, inc.a_l, inc.a_v, inc.a_i))
+    e_cap = sp.csr_array(a_c @ _diag(inc.c_diag) @ a_c.T) if inc.c_diag.size \
+        else sp.csr_array((n_phi, n_phi))
+    e_mat = sp.block_diag((e_cap, _diag(inc.l_diag)), format="csr") if b_l \
+        else e_cap
+    r_phi = sp.csr_array(a_r @ _diag(inc.g_diag) @ a_r.T) if inc.g_diag.size \
+        else sp.csr_array((n_phi, n_phi))
+    j = sp.bmat([
+        [sp.csr_array((n_phi, n_phi)), -a_l, -a_v],
+        [a_l.T, sp.csr_array((b_l, b_l)), sp.csr_array((b_l, b_v))],
+        [a_v.T, sp.csr_array((b_v, b_l)), sp.csr_array((b_v, b_v))],
+    ], format="csr")
+    r = sp.bmat([
+        [r_phi, sp.csr_array((n_phi, b_l + b_v))],
+        [sp.csr_array((b_l + b_v, n_phi)),
+         sp.csr_array((b_l + b_v, b_l + b_v))],
+    ], format="csr")
+    b = -sp.bmat([
+        [a_i, sp.csr_array((n_phi, b_v))],
+        [sp.csr_array((b_l, b_i)), sp.csr_array((b_l, b_v))],
+        [sp.csr_array((b_v, b_i)), sp.identity(b_v, format="csr")],
+    ], format="csr")
+    return EnergySystem(Partition(0, n2, b_v, b_i + b_v),
+                        E=e_mat, J=j, R=r, B=b,
+                        M1=sp.csr_array((0, 0)), M2=e_mat,
+                        S=sp.identity(n2, format="csr"))
+
+
+def reference_rearrange(sys):
+    """(E_dae, A_dae, B_dae) of `integrators._rearrange`, each from a
+    `bmat` or `vstack` of the sliced blocks of J − R."""
+    p = sys.partition
+    n1, n2, n3 = p.n1, p.n2, p.n3
+    jr = sys.J - sys.R
+    i1 = slice(0, n1)
+    i2 = slice(n1, n1 + n2)
+    i3 = slice(n1 + n2, p.n)
+
+    def blk(rows, cols):
+        return sp.csr_array(jr[rows, :][:, cols])
+
+    zeros = sp.csr_array
+    e_rows = [
+        [blk(i1, i1), zeros((n1, n2)), zeros((n1, n3))],
+        [-blk(i2, i1), sys.E, zeros((n2, n3))],
+        [-blk(i3, i1), zeros((n3, n2)), zeros((n3, n3))],
+    ]
+    a_rows = [
+        [sys.M1, -blk(i1, i2) @ sys.S, -blk(i1, i3)],
+        [zeros((n2, n1)), blk(i2, i2) @ sys.S, blk(i2, i3)],
+        [zeros((n3, n1)), blk(i3, i2) @ sys.S, blk(i3, i3)],
+    ]
+    b_rows = [-sys.B[i1], sys.B[i2], sys.B[i3]]
+    return (sp.csr_array(sp.bmat(e_rows, format="csr")),
+            sp.csr_array(sp.bmat(a_rows, format="csr")),
+            sp.csr_array(sp.vstack(b_rows, format="csr")))
+
+
+def reference_left_null_basis(mat):
+    """`integrators._left_null_basis` with its row blocks found through
+    the graph of abs(m) abs(m)ᵀ and assembled by `block_diag`."""
+    mat = sp.csr_array(mat)
+    mat.eliminate_zeros()
+    nz_rows = np.flatnonzero(np.diff(mat.indptr))
+    zero_rows = np.flatnonzero(np.diff(mat.indptr) == 0)
+    m_nz = mat[nz_rows]
+    _, labels = csgraph.connected_components(abs(m_nz) @ abs(m_nz).T,
+                                             directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = [sp.eye_array(zero_rows.size)]
+    for rows in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        blk = m_nz[rows]
+        blocks.append(scipy.linalg.null_space(
+            blk[:, np.unique(blk.indices)].toarray().T))
+    rows = np.r_[zero_rows, nz_rows[order]]
+    return sp.block_diag(blocks, "csr")[np.argsort(rows)]
+
+
+def reference_constraint_basis(e_dae, a_dae, b_dae, n1):
+    """(C, D) of `integrators._constraint_basis`, with the scaling as a
+    diagonal product and the pivot block factored even when it is empty."""
+    row_max = np.maximum.reduce(
+        [integrators._row_max_abs(mat) for mat in (e_dae, a_dae, b_dae)])
+    row_max[row_max == 0.0] = 1.0
+    d_inv = sp.diags_array(1.0 / row_max, format="csr")
+    e_eq = d_inv @ e_dae
+    is_piv = e_eq.diagonal() != 0.0
+    is_piv[n1:] = False
+    piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
+    lu = integrators._splu(e_eq[piv][:, piv], "pivot block")
+    e_rest = e_eq[rest]
+    e_qp, e_pk, schur = e_rest[:, piv], e_eq[piv][:, rest], e_rest[:, rest]
+    if e_pk.nnz:
+        cols = np.unique(e_pk.indices)
+        x = sp.csr_array(lu.solve(e_pk[:, cols].toarray()))
+        schur = sp.hstack([schur[:, np.setdiff1d(np.arange(rest.size), cols)],
+                           schur[:, cols] - e_qp @ x])
+    w = reference_left_null_basis(schur)
+    hit = np.unique(w[np.flatnonzero(np.diff(e_qp.indptr))].indices)
+    v_p = sp.csr_array(-lu.solve((e_qp.T @ w[:, hit]).toarray(), trans="T"))
+    v = sp.vstack([sp.csr_array((v_p.data, hit[v_p.indices], v_p.indptr),
+                                shape=(piv.size, w.shape[1])), w])
+    v_t = sp.csr_array((d_inv @ v[np.argsort(np.r_[piv, rest])]).T)
+    return v_t @ a_dae, v_t @ b_dae
+
+
+def reference_sparse_least_squares(mat, rhs):
+    """`integrators._sparse_least_squares` with the augmented system
+    assembled by `bmat`."""
+    mat = sp.csr_array(mat)
+    mat.eliminate_zeros()
+    rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
+    scale = 1.0 / integrators._row_max_abs(mat[rows])
+    g = sp.diags_array(scale) @ mat[rows][:, cols]
+    lu = integrators._splu(sp.bmat([[sp.eye_array(rows.size), g],
+                                    [g.T, None]]), "least squares")
+    sol = lu.solve(np.r_[scale * rhs[rows], np.zeros(cols.size)])
+    x = np.zeros(mat.shape[1])
+    x[cols] = sol[rows.size :]
+    return x
+
+
+def reference_consistent_init(sys, differential_values, u_val, u_dot):
+    """z0 of `consistent_init` for input values u0 and u̇0, from the
+    reference rewrite, constraint basis and least squares, with the free
+    directions assembled by `block_diag`."""
+    p = sys.partition
+    z = np.asarray(differential_values, dtype=np.float64).copy()
+    e_dae, a_dae, b_dae = reference_rearrange(sys)
+    c_mat, d_mat = reference_constraint_basis(e_dae, a_dae, b_dae, p.n1)
+    free = sp.block_diag([sp.csr_array((p.n1, 0)),
+                          reference_left_null_basis(sys.E.T),
+                          sp.eye_array(p.n3)], format="csr")
+    z[p.n1 + p.n2 :] = 0.0
+    mat, rhs = c_mat @ free, -(c_mat @ z) - d_mat @ u_val
+    if csgraph.structural_rank(mat) < free.shape[1]:
+        mat = sp.block_array([[-(a_dae @ free), e_dae], [None, c_mat]])
+        rhs = np.r_[a_dae @ z + b_dae @ u_val, -(d_mat @ u_dot)]
+    z += free @ reference_sparse_least_squares(mat, rhs)[: free.shape[1]]
+    return z

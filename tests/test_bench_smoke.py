@@ -1,8 +1,11 @@
 """The benchmark harness runs one unit of a workload end to end, checks it
 and reports the end-to-end metrics that BENCHMARK.json declares: an
 `irk-solid` unit (trapezoidal, Gauss-4 and Radau IIA on the solid
-oscillator) and an `init-stranded` unit (the fine stranded oscillator
-through `run_oscillator`, which keeps two state columns)."""
+oscillator), an `init-stranded` unit (the fine stranded oscillator
+through `run_oscillator`, which keeps two state columns) and a
+`sweep-small` unit (every corpus netlist through `simulate`, then the
+`convergence`, `oscillator` and `index2` commands, each checked by the
+bench)."""
 
 import json
 import subprocess
@@ -14,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["irk-solid", "init-stranded"])
+@pytest.mark.parametrize("workload", ["irk-solid", "init-stranded",
+                                      "sweep-small"])
 def test_bench_smoke(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -7,7 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from fieldcircuit import experiments, serialization
+from fieldcircuit import cli, experiments, serialization
 from fieldcircuit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                               EXIT_STRUCTURE, _build_parser, cli_main)
 from fieldcircuit.conductors import (SolidModel, StrandedModel, save_model,
@@ -216,6 +216,27 @@ def test_simulate_needs_time_grid(tmp_path):
     assert cli_main(["simulate", str(p), "--tau", "1e-6",
                      "--tend", "1e-4", "--out",
                      str(tmp_path / "ok")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("grid", [[], ["--tau", "3e-6"]],
+                         ids=[".tran", "--tau"])
+def test_time_grid_is_checked_before_setup(tmp_path, capsys, monkeypatch,
+                                           grid):
+    # 1e-5 / 3e-6 is no whole number of steps; the model of FW1 does not
+    # exist, so loading it would fail with another message
+    p = tmp_path / "grid.cir"
+    p.write_text("FW1 0 1 stranded missing\nC1 1 0 1u\n"
+                 f".tran {'1e-6' if grid else '3e-6'} 1e-5\n",
+                 encoding="utf-8")
+    called = []
+    monkeypatch.setattr(cli, "consistent_init",
+                        lambda *args, **kwargs: called.append(args))
+    assert cli_main(["simulate", str(p), *grid,
+                     "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
+    assert capsys.readouterr().err == (
+        "structure error: tau = 3e-06 does not divide the interval of "
+        "length 1e-05\n")
+    assert called == []
 
 
 def test_validate_good_and_corrupted(tmp_path, rng, capsys):

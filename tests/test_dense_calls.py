@@ -53,12 +53,11 @@ LISTED = [
     ("integrators.py", "_pencil_plan", "numpy.linalg.inv",
      "the s×s eigenvector matrix of the Butcher matrix"),
     ("integrators.py", "_left_null_basis", "scipy.linalg.null_space",
-     "one circuit-sized connected block of constraint rows"),
-    ("integrators.py", "_left_null_basis", ".toarray",
-     "one circuit-sized connected block of constraint rows"),
-    ("integrators.py", "_constraint_basis", ".toarray",
+     "one circuit-sized connected block of constraint rows, filled from "
+     "its entries"),
+    ("integrators.py", "_eliminate_pivots", ".toarray",
      "n×k columns E[P, K] that the circuit rows touch"),
-    ("integrators.py", "_constraint_basis", ".toarray",
+    ("integrators.py", "_eliminate_pivots", ".toarray",
      "n×k columns E[Q, P]ᵀ W of the null vectors E[Q, P] reaches"),
     ("integrators.py", "_check_constraint_residual", ".toarray",
      "one constraint row"),

@@ -135,20 +135,25 @@ def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
     first = simulate(sys_r, z0, u, 0.05, 1.0, method)
     # nothing larger than n×n
     assert {shape for shape, *_ in factored} == {(sys_r.n, sys_r.n)}
-    # per pencil: MMD, then COLAMD, then MMD again only if strictly sparser
-    pencils = []
-    while factored:
-        mmd, colamd = factored[:2]
-        assert (mmd[2], colamd[2]) == ("MMD_AT_PLUS_A", "COLAMD")
-        assert colamd[:2] == mmd[:2]
-        refactored = mmd[3] < colamd[3]
-        if refactored:
-            assert factored[2] == mmd
-        pencils.append(mmd[1])
-        del factored[: 2 + refactored]
+    # the first pencil on the system: MMD, then COLAMD, then MMD again only
+    # if strictly sparser
+    mmd, colamd = factored[:2]
+    assert (mmd[2], colamd[2]) == ("MMD_AT_PLUS_A", "COLAMD")
+    assert colamd[:2] == mmd[:2]
+    kept = colamd[2]
+    if mmd[3] < colamd[3]:
+        assert factored[2] == mmd
+        kept = mmd[2]
+    later = factored[2 + (kept == mmd[2]):]
+    # every later pencil is factored once, with the ordering kept
+    assert {spec for _, _, spec, _ in later} <= {kept}
     # one matrix per kept eigenvalue
-    assert sorted(pencils) == expected
+    assert sorted([mmd[1]] + [dtype for _, dtype, *_ in later]) == expected
+    # a second run on the system keeps that ordering for every pencil
+    factored.clear()
     second = simulate(sys_r, z0, u, 0.05, 1.0, method)
+    assert {spec for _, _, spec, _ in factored} == {kept}
+    assert sorted(dtype for _, dtype, *_ in factored) == expected
     assert np.array_equal(first.states, second.states)
 
 

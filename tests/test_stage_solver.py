@@ -62,8 +62,8 @@ def test_refinement_never_fires_on_bench_pencils(monkeypatch, config,
     kept, refined = [], []
     init, solve = _StageSolver.__init__, _StageSolver.solve
 
-    def counting_init(self, mat, context):
-        init(self, mat, context)
+    def counting_init(self, mat, context, permc_spec=None):
+        init(self, mat, context, permc_spec)
         self._lu = CountingLU(self._lu)
         kept.append(self._lu)
 
