@@ -33,7 +33,6 @@ from fieldcircuit.structure import (
     csr_entries,
     csr_from_entries,
     hamiltonian,
-    quadratic_forms,
     row_dots,
 )
 from fieldcircuit.waveforms import WaveformStack, zero_input
@@ -286,17 +285,19 @@ class _StageSolver:
         """Whether every row of x is finite and passes the residual test of
         `solve` as the solution for the same row of rhs.  Each per-row
         figure is computed with the arithmetic of `solve`, so the verdict is
-        the one `solve` reaches row by row; a non-finite x is refused before
-        any residual is formed, whatever its residual would say."""
-        if not np.isfinite(x).all():
+        the one `solve` reaches row by row.  The per-row max|x| of the bound
+        is taken first: a NaN or an infinity in x makes it non-finite, and
+        the block is refused before any residual is formed, whatever its
+        residual would say."""
+        x_max = np.abs(x).max(axis=1, initial=0.0)
+        if not np.isfinite(x_max).all():
             return False
         res = self.residuals(rhs, x)
         # |res| overwrites a real residual
         res_max = np.abs(res, out=res if res.dtype.kind == "f" else None).max(
             axis=0, initial=0.0)
-        scale = self._row_scale * np.abs(x).max(axis=1, initial=0.0)
         bound = _RESIDUAL_BOUND * _EPS * (np.abs(rhs).max(axis=1, initial=0.0)
-                                          + scale)
+                                          + self._row_scale * x_max)
         return bool((res_max <= bound).all())
 
 
@@ -534,24 +535,54 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
     the input the scheme used for trapezoidal and midpoint, whose balance
     is therefore exact, but not for BDF2 (u(t+τ)) or Gauss-4 and Radau IIA
     (their stage values u(t + c_i τ)).
-    Steps are taken in blocks of `block_rows` states, so no temporary grows
-    with the span; every step's arithmetic is the same whatever block it
-    falls in.
+
+    Only what B and R read is formed: z* on the z2 and z3 columns, and w
+    on the columns `cols` where B or R store entries (none of the z1
+    columns of a lossless field model but the coupling's).  y takes the
+    rows `cols` of B, and wᵀRw the rows and columns `cols` of R; each
+    product sums the same terms in the same order as with the full-width
+    flow, whose other columns B and R never read.  The products w_i (Rw)_i
+    go into a row of length n that is zero outside `cols`, so numpy's
+    pairwise sum adds them in the order the full-width row did; on finite
+    states the dissipation is the full-width one bit for bit, except that
+    a sum of exactly zero reads +0.0, and it is exactly 0 when R stores no
+    entries.  Steps are taken in blocks of `block_rows` states, so no
+    temporary grows with the span; every step's arithmetic is the same
+    whatever block it falls in.
     """
     p = sys.partition
+    n1 = p.n1
+    b_ptr, r_ptr = sys.B.indptr, sys.R.indptr
+    used = (np.diff(b_ptr) > 0) | (np.diff(r_ptr) > 0)
+    used[sys.R.indices[: r_ptr[-1]]] = True
+    cols = np.flatnonzero(used)
+    # B and R on the rows `cols` (the rows left out store nothing), R's
+    # columns renumbered to positions in `cols`
+    at = np.concatenate(([0], cols + 1))
+    b_cols = sp.csr_array((sys.B.data, sys.B.indices, b_ptr[at]),
+                          shape=(cols.size, p.m))
+    r_cols = sp.csr_array((sys.R.data[: r_ptr[-1]], np.searchsorted(
+        cols, sys.R.indices[: r_ptr[-1]]), r_ptr[at]),
+        shape=(cols.size, cols.size))
+    d1, d23 = cols[cols < n1], cols[cols >= n1] - n1
     n_steps = len(states) - 1
     y = np.empty((n_steps, p.m))
-    dissipated = np.empty(n_steps)
+    dissipated = np.zeros(n_steps)
     h = np.empty(n_steps)
     rows = block_rows(p.n)
+    # the products w_i (Rw)_i of a block, zero outside `cols`; none without R
+    prod = np.zeros((min(rows, n_steps), p.n)) if r_ptr[-1] else None
     for k in range(0, n_steps, rows):
         blk = states[k : k + rows + 1]
-        z_at = blk[1:] if endpoint else 0.5 * (blk[:-1] + blk[1:])
-        w = np.hstack([(blk[1:, : p.n1] - blk[:-1, : p.n1]) / tau,
-                       (sys.S @ z_at[:, p.n1 : p.n1 + p.n2].T).T,
-                       z_at[:, p.n1 + p.n2 :]])
-        y[k : k + rows] = (sys.B.T @ w.T).T
-        dissipated[k : k + rows] = quadratic_forms(sys.R, w)
+        tail = blk[:, n1:]
+        z_at = tail[1:] if endpoint else 0.5 * (tail[:-1] + tail[1:])
+        w23 = np.hstack([(sys.S @ z_at[:, : p.n2].T).T, z_at[:, p.n2 :]])
+        w = np.hstack([(blk[1:, d1] - blk[:-1, d1]) / tau, w23[:, d23]])
+        y[k : k + rows] = (b_cols.T @ w.T).T
+        if prod is not None:
+            terms = prod[: len(w)]
+            terms[:, cols] = w * (r_cols @ w.T).T
+            dissipated[k : k + rows] = terms.sum(axis=1)
         h[k : k + rows] = hamiltonian(sys, blk[1:])
     return y, dissipated, h
 
@@ -698,6 +729,34 @@ def _row_max_abs(mat) -> np.ndarray:
     return row_max
 
 
+def _row_blocks(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+    """Block label of each of n_rows rows, given entries (rows, cols) that
+    reach every row: two rows share a block when they share a column, and
+    the blocks are numbered in the order of their first row.  A union of
+    rows over the entry arrays: every entry joins its row to the first row
+    of its column; each round hooks the larger of two roots an entry joins
+    under the smaller, then points every row at its root, until no entry
+    joins two roots.  Roots only ever hook under smaller rows, so a root is
+    the first row of its block."""
+    parent = np.arange(n_rows)
+    first = np.full(n_cols, n_rows)
+    np.minimum.at(first, cols, rows)
+    joined = first[cols]
+    while True:
+        a, b = parent[rows], parent[joined]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    return np.unique(parent, return_inverse=True)[1]
+
+
 def _left_null_basis(rows, cols, vals, n_rows: int):
     """Sparse basis V of the left null space of the n_rows-row matrix with
     the entries (rows, cols, vals), Vᵀ mat = 0, as the entries (rows,
@@ -713,13 +772,7 @@ def _left_null_basis(rows, cols, vals, n_rows: int):
     zero_rows, nz_rows = np.flatnonzero(is_zero), np.flatnonzero(~is_zero)
     local = np.searchsorted(nz_rows, rows)
     col_ids, col_of = np.unique(cols, return_inverse=True)
-    # rows and columns as the two sides of one graph: the components that
-    # hold a row come first, numbered in the order of their first row
-    size = nz_rows.size + col_ids.size
-    _, labels = csgraph.connected_components(
-        csr_from_entries([(local, nz_rows.size + col_of, np.ones(local.size))],
-                         (size, size)), directed=False)
-    labels = labels[: nz_rows.size]
+    labels = _row_blocks(local, col_of, nz_rows.size, col_ids.size)
     blocks = labels.max(initial=-1) + 1
     row_order = np.argsort(labels, kind="stable")
     row_at = np.zeros(blocks + 1, dtype=np.intp)

@@ -48,8 +48,10 @@ class NumericalError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def as_block(X, shape, name: str) -> sp.csr_array:
-    """Copy a matrix block, dense or sparse, into a canonical float64 CSR
-    array (sorted indices, no duplicate entries).
+    """Copy a matrix block, dense or sparse, into a fresh canonical float64
+    CSR array (sorted indices, no duplicate entries) that shares no array
+    with X.  A CSR input is copied once, with its data in float64; any
+    other input is converted once, which builds new arrays.
 
     A 1-d input is read as a column.  Raises StructureError naming the block
     when the shape disagrees or an entry is complex, NaN or infinite.
@@ -64,7 +66,11 @@ def as_block(X, shape, name: str) -> sp.csr_array:
     if np.iscomplexobj(X):
         raise StructureError(f"block {name}: complex entries; every block "
                              "must be real", name)
-    X = sp.csr_array(X).astype(np.float64)
+    if sp.issparse(X) and X.format == "csr":
+        X = sp.csr_array((X.data.astype(np.float64), X.indices.copy(),
+                          X.indptr.copy()), shape=shape)
+    else:
+        X = sp.csr_array(X, dtype=np.float64)
     if not np.isfinite(X.data).all():
         raise StructureError(f"block {name}: non-finite entries (NaN or inf)",
                              name)
@@ -139,8 +145,14 @@ def block_rows(width: int) -> int:
 
 
 def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """⟨x_k, y_k⟩ for every pair of rows of two equally shaped stacks."""
-    return np.sum(np.ascontiguousarray(X) * np.ascontiguousarray(Y), axis=1)
+    """⟨x_k, y_k⟩ for every pair of rows of two equally shaped stacks (or
+    of X and the one row Y).  The products are written into one C-ordered
+    array, whatever the layout of X and Y, so each row is summed as one
+    contiguous run: the sums of C-ordered copies of the operands, bit for
+    bit, without making those copies."""
+    prod = np.empty(np.broadcast_shapes(np.shape(X), np.shape(Y)),
+                    np.result_type(X, Y))
+    return np.multiply(X, Y, out=prod).sum(axis=1)
 
 
 def min_sym_eig(R, shift: float = 0.0) -> float:
@@ -254,12 +266,15 @@ class EnergySystem:
     def __post_init__(self):
         p = self.partition
         n = p.n
+        # an M2 given as the very object E (a circuit's) is that block
+        m2_is_e = self.M2 is self.E
         object.__setattr__(self, "E", as_block(self.E, (p.n2, p.n2), "E"))
         object.__setattr__(self, "J", as_block(self.J, (n, n), "J"))
         object.__setattr__(self, "R", as_block(self.R, (n, n), "R"))
         object.__setattr__(self, "B", as_block(self.B, (n, p.m), "B"))
         object.__setattr__(self, "M1", as_block(self.M1, (p.n1, p.n1), "M1"))
-        object.__setattr__(self, "M2", as_block(self.M2, (p.n2, p.n2), "M2"))
+        object.__setattr__(self, "M2", self.E if m2_is_e else
+                           as_block(self.M2, (p.n2, p.n2), "M2"))
         object.__setattr__(self, "S", as_block(self.S, (p.n2, p.n2), "S"))
         if self.state_labels is not None:
             labels = tuple(self.state_labels)

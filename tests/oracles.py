@@ -17,6 +17,9 @@ step by step and every stage solve checked and refined on its own by
 `reference_residual_test` is the per-solve residual and acceptance test of
 `_StageSolver.solve`, the reference of the batched `residuals` and
 `accepts`.
+`reference_bookkeeping` is the audit of a span with the full-width
+midpoint and flow, the reference of the audit that forms only the columns
+B and R read.
 `reference_csv` is the value-at-a-time `csv.writer` loop that the streamed
 CSV writer must reproduce byte for byte.
 `reference_incidences`, `reference_mna_system`, `reference_rearrange`,
@@ -40,7 +43,8 @@ from fieldcircuit.integrators import (_pencil_plan, _pencil_solver,
                                       to_linear_dae)
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import GROUND
-from fieldcircuit.structure import EnergySystem, Partition
+from fieldcircuit.structure import (EnergySystem, Partition, block_rows,
+                                    hamiltonian)
 
 _S15 = math.sqrt(15.0)
 _RULE = [((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 9.0 / 40.0)]
@@ -214,6 +218,31 @@ def reference_residual_test(solver, rhs, x):
     bound = (integrators._RESIDUAL_BOUND * np.finfo(np.float64).eps
              * (np.abs(rhs).max(initial=0.0) + scale))
     return r, bool(np.abs(r).max(initial=0.0) <= bound)
+
+
+def reference_bookkeeping(sys, states, tau, endpoint):
+    """(y, wᵀRw, H) of the steps of a span, as `_energy_bookkeeping`
+    returns them, from the full-width z* and w = [(z1⁺−z1)/τ; S z2*; z3*]
+    of each block of `block_rows(n)` steps: y = Bᵀw over all n rows and
+    wᵀRw the row sums of the C-ordered products w ⊙ Rw."""
+    p = sys.partition
+    n_steps = len(states) - 1
+    y = np.empty((n_steps, p.m))
+    dissipated = np.empty(n_steps)
+    h = np.empty(n_steps)
+    rows = block_rows(p.n)
+    for k in range(0, n_steps, rows):
+        blk = states[k : k + rows + 1]
+        z_at = blk[1:] if endpoint else 0.5 * (blk[:-1] + blk[1:])
+        w = np.hstack([(blk[1:, : p.n1] - blk[:-1, : p.n1]) / tau,
+                       (sys.S @ z_at[:, p.n1 : p.n1 + p.n2].T).T,
+                       z_at[:, p.n1 + p.n2 :]])
+        y[k : k + rows] = (sys.B.T @ w.T).T
+        dissipated[k : k + rows] = np.sum(
+            np.ascontiguousarray(w)
+            * np.ascontiguousarray((sys.R @ w.T).T), axis=1)
+        h[k : k + rows] = hamiltonian(sys, blk[1:])
+    return y, dissipated, h
 
 
 def reference_csv(header, columns) -> bytes:

@@ -13,8 +13,8 @@ from fieldcircuit.integrators import METHOD_TAGS, simulate
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
 from fieldcircuit.serialization import load_system, save_system
-from fieldcircuit.structure import (EnergySystem, Partition, hamiltonian,
-                                    to_dense)
+from fieldcircuit.structure import (EnergySystem, Partition, as_block,
+                                    hamiltonian, to_dense)
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_energy_system
 from tests.oracles import direct_sum_spec
@@ -152,6 +152,52 @@ def _assert_csr_blocks(obj, names):
 def _spd(rng, n, rank=None):
     g = rng.standard_normal((n, rank or n))
     return g @ g.T + (0.0 if rank else 0.1 * np.eye(n))
+
+
+def test_as_block_returns_a_fresh_canonical_float64_csr_array(rng):
+    dense = rng.standard_normal((4, 3))
+    dense[dense < 0.3] = 0.0
+    # int64 indices, unsorted, with a duplicate entry
+    messy = sp.csr_matrix((np.array([2, 1, 5, 4], dtype=np.int64),
+                           np.array([2, 0, 0, 0], dtype=np.int64),
+                           np.array([0, 2, 4, 4, 4], dtype=np.int64)),
+                          shape=(4, 3))
+    want_messy = messy.toarray().astype(np.float64)
+    for given in (dense, dense.astype(np.float32), sp.csr_array(dense),
+                  sp.csr_matrix(dense), sp.csc_array(dense),
+                  sp.coo_array(dense), messy):
+        block = as_block(given, (4, 3), "X")
+        assert isinstance(block, sp.csr_array)
+        assert block.dtype == np.float64
+        assert block.has_canonical_format
+        want = want_messy if given is messy else np.asarray(
+            to_dense(given), dtype=np.float64)
+        assert np.array_equal(block.toarray(), want)
+        arrays = ((given.data, given.indices, given.indptr)
+                  if sp.issparse(given) and given.format == "csr"
+                  else (given,) if not sp.issparse(given) else ())
+        for mine in (block.data, block.indices, block.indptr):
+            assert not any(np.shares_memory(mine, theirs)
+                           for theirs in arrays)
+    # the messy input itself is left as it was
+    assert list(messy.indices) == [2, 0, 0, 0]
+
+
+def test_m2_given_as_e_is_one_block(rng):
+    sys_r = random_energy_system(rng, 2, 3, 1, 1)
+    e = sp.csr_array(sys_r.M2)
+    shared = EnergySystem(sys_r.partition, E=e, J=sys_r.J, R=sys_r.R,
+                          B=sys_r.B, M1=sys_r.M1, M2=e,
+                          S=sp.identity(3, format="csr"))
+    assert shared.M2 is shared.E
+    assert shared.E is not e
+    apart = EnergySystem(sys_r.partition, E=e, J=sys_r.J, R=sys_r.R,
+                         B=sys_r.B, M1=sys_r.M1, M2=e.copy(),
+                         S=sp.identity(3, format="csr"))
+    assert apart.M2 is not apart.E
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(shared.M2, name),
+                              getattr(apart.M2, name))
 
 
 def test_energy_system_from_dense_input_is_csr(rng):

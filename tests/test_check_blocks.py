@@ -3,9 +3,10 @@ of `block_rows(n)` steps: trajectories are bit-identical to stepping with
 `_StageSolver.solve`, which checks and refines each solve on its own; a
 block that fails the check is stepped again through `solve`, and no other
 block is; the batched residual is the per-solve residual bit for bit; a
-block holding a non-finite solution is refused whatever its residual says;
-and a non-finite stage solution, from a NaN, an infinite or an overflowing
-input, names its step, its time and its pencil, with no warning first."""
+block holding a non-finite solution is refused whatever its residual says,
+before any residual is formed; and a non-finite stage solution, from a
+NaN, an infinite or an overflowing input, names its step, its time and
+its pencil, with no warning first."""
 
 import warnings
 
@@ -175,6 +176,38 @@ def test_accepts_refuses_an_infinite_solution_whose_residual_test_passes(
     assert not solver.accepts(rhs, x)
     assert not solver.accepts(rhs[1:], x[1:])
     assert solver.accepts(rhs[:1], x[:1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["trapezoidal", "gauss4"])
+def test_accepts_refuses_a_non_finite_block_before_any_residual(
+        oscillator, monkeypatch, method, bad):
+    # a real and a complex pencil
+    parts = oscillator
+    dae = to_linear_dae(parts.system)
+    (lam, row, _), *_ = _pencil_plan(method_from_tag(method))[1]
+    solver = _StageSolver(dae.E_dae - (parts.config.tau * lam) * dae.A_dae,
+                          method)
+    z = parts.z0 + np.linspace(0.0, 1.0, parts.system.n)
+    rhs = np.stack([row.sum() * (dae.A_dae @ z)] * 3)
+    x = np.array([solver.solve_unchecked(b) for b in rhs])
+    assert solver.accepts(rhs, x)
+    formed = []
+    residuals = _StageSolver.residuals
+
+    def spy_residuals(self, rhs, x):
+        formed.append(len(x))
+        return residuals(self, rhs, x)
+
+    monkeypatch.setattr(integrators._StageSolver, "residuals", spy_residuals)
+    # in the real part, and in the imaginary part of a complex solution
+    for value in ((bad, complex(0.0, bad)) if np.iscomplexobj(x) else (bad,)):
+        bad_x = x.copy()
+        bad_x[1, 7] = value
+        assert not solver.accepts(rhs, bad_x)
+        assert formed == []
+    assert solver.accepts(rhs, x)
+    assert formed == [3]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
