@@ -167,6 +167,8 @@ def _cmd_simulate(args) -> int:
         "H_final_J": float(traj.hamiltonians[-1]),
         "E_in_final_J": float(traj.supplied_cum[-1]),
         "D_cum_final_J": float(traj.dissipated_cum[-1]),
+        "stepping_path": traj.stepping_path,
+        "differential_coordinates": traj.differential_coordinates,
     })
     _print_files([csv_path, man_path])
     return EXIT_OK

@@ -242,6 +242,9 @@ class OscillatorReport:
             "omega_predicted_rad_s": self.omega_predicted,
             "f_measured_Hz": self.omega_measured / (2 * math.pi),
             "f_predicted_Hz": self.omega_predicted / (2 * math.pi),
+            "stepping_path": self.trajectory.stepping_path,
+            "differential_coordinates":
+                self.trajectory.differential_coordinates,
         }
 
 
@@ -330,6 +333,9 @@ class Index2Report:
             "max_defect_J": self.max_defect,
             "energy_scale_J": self.scale,
             "defect_at_end_rel": self.defect_at_end / self.scale,
+            "stepping_path": self.trajectory.stepping_path,
+            "differential_coordinates":
+                self.trajectory.differential_coordinates,
         }
 
 

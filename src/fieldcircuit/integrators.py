@@ -1,14 +1,28 @@
 """Time integration of energy-based DAE systems with energy bookkeeping.
 
 Every system is rewritten as one implicit linear DAE, E_dae ẋ = A_dae x +
-B_dae u, and stepped with fixed-step implicit schemes by one stepper: each
-step solves for the increment with one n×n pencil E_dae − τλ A_dae per
-real λ and per conjugate pair, never a stacked sn×sn stage system.  Every
-method with an invertible Butcher matrix (midpoint, implicit Euler, Gauss-4,
-Radau IIA of order 5) takes λ from the eigenvalues of that matrix (one real
-solve for midpoint and implicit Euler, one complex for Gauss-4, one real
-and one complex for Radau IIA); trapezoidal (λ = ½) and BDF2 (λ = ⅔, after
-a trapezoidal first step) are one real pencil each.
+B_dae u, and stepped with fixed-step implicit schemes, each a plan of
+pencils (`_pencil_plan`): a step solves for the increment with one pencil
+E_dae − τλ A_dae per real λ and per conjugate pair, never a stacked sn×sn
+stage system.  Every method with an invertible Butcher matrix (midpoint,
+implicit Euler, Gauss-4, Radau IIA of order 5) takes λ from the eigenvalues
+of that matrix (one real solve for midpoint and implicit Euler, one complex
+for Gauss-4, one real and one complex for Radau IIA); trapezoidal (λ = ½)
+and BDF2 (λ = ⅔, after a trapezoidal first step) are one real pencil each.
+
+The plan is stepped on one of two paths.  An index-1 system whose rank r
+of E_dae is small steps on its differential coordinates x = E_dae[R] z,
+with R r independent rows of E_dae: with the constraint rows (C, D) of
+`_constraint_basis` and M = [E_dae[R]; C], every consistent state is
+z = V x + G u, V = M⁻¹[I; 0] and G = M⁻¹[0; −D], and the DAE is the ODE
+ẋ = A_r x + B_r u, A_r = A_dae[R] V, B_r = A_dae[R] G + B_dae[R] (the
+state-space form of Hairer & Wanner, Solving ODEs II, §VI.1; Kron
+reduction in circuit theory).  Each pencil is then the dense r×r
+I − τλ A_r, and a step is one product with a propagator.  The cost rule
+`_condenses` takes this path when V, n×r, stores no more entries than
+E_dae or A_dae; a singular M, which makes the index 2 or more, keeps the
+sparse path, on which each pencil is an n×n sparse LU.  The two paths
+agree to round-off and keep the same discrete power balance.
 Trajectories carry the Hamiltonian and cumulative dissipated/supplied energy
 so the discrete power balance can be audited after the fact.
 """
@@ -19,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
@@ -59,6 +74,15 @@ class LinearDae:
     # first one factored (`_pencil_solver`)
     _permc_spec: str = field(default=None, init=False, repr=False,
                              compare=False)
+    # (C, D) and R of `_constraint_basis`, built on first use; `simulate`
+    # lets (C, D) go once it has its map (`_condensed_map`)
+    _constraints: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
+    _rows: np.ndarray = field(default=None, init=False, repr=False,
+                              compare=False)
+    # the `_CondensedMap` of `_condensed_map`, or False where M is singular
+    _condensed: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
 
 def to_linear_dae(sys: EnergySystem) -> LinearDae:
@@ -330,6 +354,13 @@ class Trajectory:
     the discrete power terms of `_energy_bookkeeping`: the balance is exact
     for midpoint and trapezoidal, and exact up to the numerical dissipation
     of implicit Euler.
+    stepping_path names the path `simulate` took, "condensed" or "sparse",
+    and differential_coordinates is r, the rank of E_dae (None when the
+    constraint rows could not be formed).  On the sparse path the energies
+    and outputs are computed from the full states, so hamiltonians[k] is
+    `hamiltonian` of states[k] bit for bit; on the condensed path they are
+    forms on the coordinates (`_condensed_audit`), equal to those of the
+    states to round-off.
     """
 
     times: np.ndarray
@@ -340,6 +371,9 @@ class Trajectory:
     supplied_cum: np.ndarray
     state_labels: tuple
     output_labels: tuple
+    # "condensed" or "sparse", and r, the rank of E_dae (`simulate`)
+    stepping_path: str = "sparse"
+    differential_coordinates: int = None
 
     def __post_init__(self):
         k = len(self.times)
@@ -444,29 +478,38 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     """March the system on the equidistant grid t0, t0+tau, ..., t_end.
 
     tau must divide t_end − t0 (`step_count`).  Identical inputs produce
-    bit-identical trajectories: stepping is sequential, and every stage
-    matrix is factorized before the first step, with the column ordering
-    chosen once per system (`_pencil_solver`), and reused by every step.
+    bit-identical trajectories: stepping is sequential, and every matrix a
+    step applies is formed before the first step and reused by every step.
     The input u is sampled once per node offset for the whole grid before
     the first step, as one array (`_input_grid`: `at` of a waveform stack,
     one call per time of a plain callable); the stepper and the energy
     bookkeeping read the same values.
 
-    The loop steps one span of `_SPAN_BLOCKS` · `block_rows(n)` states at a
-    time.  The finiteness and the residual of every stage solve are checked
-    once per block of `block_rows(n)` steps, not after each solve; a block
-    that fails the check is stepped again with refined solves
-    (`_make_stepper`), so the states are those of refining solve by solve,
-    and a non-finite input or solution raises NumericalError naming the
-    step, its time and the pencil.  After a span the loop
-    audits it (`_energy_bookkeeping`: outputs, dissipated power and H) and
-    stores only the state columns `keep` names, a 1-D array of indices in
-    [0, n), in that order.  The last state of a span (and for BDF2 the one
-    before it) starts the next.  `keep=None` keeps every column.  Memory
-    is O(span · n + steps · |keep|): with every column kept the steps
-    write straight into the returned array, otherwise into one span of
-    full states that is reused.  Which columns are kept changes no value:
-    the arithmetic of every step and of the audit is the same.
+    Two paths step the same scheme, and `_condensed_map` chooses between
+    them from counts known before anything is factored (`_condenses`).
+    The condensed path takes an index-1 system with few differential
+    coordinates x = E_dae[R] z and steps the ODE ẋ = A_r x + B_r u with
+    r×r propagators, the input terms of the whole grid formed up front
+    (`_condensed_run`); each state is V x + G v + μ δ, and the audit reads
+    the coordinates only.  The sparse path takes every other system, an
+    index-2 one included, and solves n×n pencils with the column ordering
+    chosen once per system (`_pencil_solver`), one span of
+    `_SPAN_BLOCKS` · `block_rows(n)` states at a time (`_sparse_run`).
+    The finiteness and the residual of every stage solve are checked once
+    per block of `block_rows(n)` steps; a block that fails is stepped
+    again with refined solves (`_make_stepper`), so the states are those
+    of refining solve by solve.  After a span the loop audits it
+    (`_energy_bookkeeping`: outputs, dissipated power and H, from the full
+    states); the last state of a span (and for BDF2 the one before it)
+    starts the next.  The two paths agree to round-off.  On both, a
+    non-finite input or solution raises NumericalError naming the step
+    and its time (and on the sparse path the pencil).
+
+    Only the state columns `keep` names are stored, a 1-D array of indices
+    in [0, n), in that order; `keep=None` keeps every column.  Which columns
+    are kept changes no value: the arithmetic of every step, of the audit
+    and of each column is the same.  Memory is O(span · n + steps · |keep|)
+    on the sparse path and O(n · r + steps · |keep|) on the condensed one.
     """
     method = method_from_tag(method)
     n_steps = step_count(tau, t_end, t0)
@@ -478,23 +521,51 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     cols = _kept_columns(keep, p.n)
     times = t0 + tau * np.arange(n_steps + 1)
     u_at = _input_grid(_resolve_input(u, p.m), times[:-1])
-    march = _make_stepper(to_linear_dae(sys), method, tau, times, u_at)
+    dae = to_linear_dae(sys)
+    r, cmap = _condensed_map(dae)
+    endpoint = method.tag == "implicit_euler"
+    if cmap is None:
+        states, outputs, dissipated, h = _sparse_run(
+            sys, dae, method, tau, times, u_at, z0, cols, endpoint)
+    else:
+        states, outputs, dissipated, h = _condensed_run(
+            sys, cmap, method, tau, times, u_at, z0, cols, endpoint)
 
-    span = _SPAN_BLOCKS * block_rows(p.n)
+    if method.tag == "trapezoidal":
+        u_step = 0.5 * (u_at(0.0) + u_at(tau))
+    else:
+        u_step = u_at(tau if endpoint else 0.5 * tau)
+    zero = np.zeros(1)
+    d_cum = np.concatenate([zero, np.cumsum(tau * dissipated)])
+    s_cum = np.concatenate(
+        [zero, np.cumsum(tau * row_dots(outputs[1:], u_step))])
     labels = sys.default_state_labels()
+    if cols is not None:
+        labels = tuple(labels[i] for i in cols)
+    return Trajectory(times, states, outputs, h, d_cum, s_cum, labels,
+                      sys.default_output_labels(),
+                      "sparse" if cmap is None else "condensed", r)
+
+
+def _sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint):
+    """States (the columns `cols`, or all), outputs, dissipated powers and
+    H of `simulate` on the sparse path: spans of full states stepped by
+    `_make_stepper` and audited by `_energy_bookkeeping`."""
+    p = sys.partition
+    n_steps = len(times) - 1
+    march = _make_stepper(dae, method, tau, times, u_at)
+    span = _SPAN_BLOCKS * block_rows(p.n)
     if cols is None:
         states = buf = np.empty((n_steps + 1, p.n))
     else:
         states = np.empty((n_steps + 1, cols.size))
         states[0] = z0[cols]
         buf = np.empty((min(span, n_steps) + 1, p.n))
-        labels = tuple(labels[i] for i in cols)
     buf[0] = z0
     outputs = np.zeros((n_steps + 1, p.m))
     dissipated = np.empty(n_steps)
     h = np.empty(n_steps + 1)
     h[0] = hamiltonian(sys, buf[:1])[0]
-    endpoint = method.tag == "implicit_euler"
     z_prev = z0  # the state before the span's first, for BDF2
     for base in range(0, n_steps, span):
         stop = min(base + span, n_steps)
@@ -506,17 +577,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
         if cols is not None:
             states[base + 1 : stop + 1] = blk[1:, cols]
             buf[0] = blk[-1]
-
-    if method.tag == "trapezoidal":
-        u_step = 0.5 * (u_at(0.0) + u_at(tau))
-    else:
-        u_step = u_at(tau if endpoint else 0.5 * tau)
-    zero = np.zeros(1)
-    d_cum = np.concatenate([zero, np.cumsum(tau * dissipated)])
-    s_cum = np.concatenate(
-        [zero, np.cumsum(tau * row_dots(outputs[1:], u_step))])
-    return Trajectory(times, states, outputs, h, d_cum, s_cum, labels,
-                      sys.default_output_labels())
+    return states, outputs, dissipated, h
 
 
 def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
@@ -552,18 +613,7 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
     """
     p = sys.partition
     n1 = p.n1
-    b_ptr, r_ptr = sys.B.indptr, sys.R.indptr
-    used = (np.diff(b_ptr) > 0) | (np.diff(r_ptr) > 0)
-    used[sys.R.indices[: r_ptr[-1]]] = True
-    cols = np.flatnonzero(used)
-    # B and R on the rows `cols` (the rows left out store nothing), R's
-    # columns renumbered to positions in `cols`
-    at = np.concatenate(([0], cols + 1))
-    b_cols = sp.csr_array((sys.B.data, sys.B.indices, b_ptr[at]),
-                          shape=(cols.size, p.m))
-    r_cols = sp.csr_array((sys.R.data[: r_ptr[-1]], np.searchsorted(
-        cols, sys.R.indices[: r_ptr[-1]]), r_ptr[at]),
-        shape=(cols.size, cols.size))
+    cols, b_cols, r_cols = _read_columns(sys)
     d1, d23 = cols[cols < n1], cols[cols >= n1] - n1
     n_steps = len(states) - 1
     y = np.empty((n_steps, p.m))
@@ -571,7 +621,7 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
     h = np.empty(n_steps)
     rows = block_rows(p.n)
     # the products w_i (Rw)_i of a block, zero outside `cols`; none without R
-    prod = np.zeros((min(rows, n_steps), p.n)) if r_ptr[-1] else None
+    prod = np.zeros((min(rows, n_steps), p.n)) if sys.R.indptr[-1] else None
     for k in range(0, n_steps, rows):
         blk = states[k : k + rows + 1]
         tail = blk[:, n1:]
@@ -585,6 +635,23 @@ def _energy_bookkeeping(sys: EnergySystem, states: np.ndarray, tau: float,
             dissipated[k : k + rows] = terms.sum(axis=1)
         h[k : k + rows] = hamiltonian(sys, blk[1:])
     return y, dissipated, h
+
+
+def _read_columns(sys: EnergySystem):
+    """The columns `cols` of the flow w where B or R store entries, and B
+    and R on the rows `cols` (the rows left out store nothing), R's columns
+    renumbered to positions in `cols`."""
+    b_ptr, r_ptr = sys.B.indptr, sys.R.indptr
+    used = (np.diff(b_ptr) > 0) | (np.diff(r_ptr) > 0)
+    used[sys.R.indices[: r_ptr[-1]]] = True
+    cols = np.flatnonzero(used)
+    at = np.concatenate(([0], cols + 1))
+    b_cols = sp.csr_array((sys.B.data, sys.B.indices, b_ptr[at]),
+                          shape=(cols.size, sys.m))
+    r_cols = sp.csr_array((sys.R.data[: r_ptr[-1]], np.searchsorted(
+        cols, sys.R.indices[: r_ptr[-1]]), r_ptr[at]),
+        shape=(cols.size, cols.size))
+    return cols, b_cols, r_cols
 
 
 def _pencil_plan(method: Method):
@@ -713,6 +780,234 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
 
 
 # ---------------------------------------------------------------------------
+# condensed stepping of index-1 systems
+# ---------------------------------------------------------------------------
+
+def _condenses(n: int, r: int, nnz_e: int, nnz_a: int) -> bool:
+    """The cost rule of `simulate`: step on the r differential coordinates
+    when V, n×r and dense, stores no more entries than E_dae or A_dae.
+    Every pencil E_dae − τλ A_dae holds both patterns, and so does its LU
+    factor, so V never outgrows the factor it replaces, and the r×r product
+    of a step costs less than a solve with that factor.  The counts are
+    known before anything is factored.  The stranded oscillators without a
+    conductive core (r = 2) condense; the solid conductor with a conductive
+    core at h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 21k entries of
+    A_dae) stays sparse with the factorizations it had."""
+    return n * r <= max(nnz_e, nnz_a)
+
+
+@dataclass(frozen=True)
+class _CondensedMap:
+    """The state-space form ẋ = A_r x + B_r u of an index-1 DAE on its
+    differential coordinates x = E_dae[R] z.  Every consistent state is
+    z = V x + G u, with V = M⁻¹[I; 0] and G = M⁻¹[0; −D] for
+    M = [E_dae[R]; C]; A_r = A_dae[R] V and B_r = A_dae[R] G + B_dae[R]."""
+
+    e_rows: object      # E_dae[R], r × n, sparse
+    V: np.ndarray       # n × r
+    G: np.ndarray       # n × m
+    A_r: np.ndarray     # r × r
+    B_r: np.ndarray     # r × m
+
+
+def _condensed_map(dae: LinearDae):
+    """(r, the `_CondensedMap` of dae, or None for the sparse path): None
+    when the cost rule `_condenses` keeps the system sparse, or when M is
+    singular, which makes the index 2 or more.  The map is built on first
+    use and kept on the DAE; the rule is evaluated on every call.  The
+    steps read only R and the map, so the constraint rows (C, D) are let
+    go here: on the sparse path they would stay alive next to the pencil
+    factors (0.24 MB on `mixed_ports`).  A DAE whose constraint rows cannot
+    be formed (a singular pivot block, which `consistent_init` reports)
+    steps sparse, with r unknown (None)."""
+    rows = dae._rows
+    if rows is None:
+        try:
+            rows = _constraint_basis(dae)[2]
+        except NumericalError:
+            return None, None
+    cmap = None
+    if _condenses(dae.partition.n, rows.size, dae.E_dae.nnz, dae.A_dae.nnz):
+        if dae._condensed is None:
+            c_mat, d_mat, _ = _constraint_basis(dae)
+            object.__setattr__(dae, "_condensed", _build_condensed(
+                dae, c_mat, d_mat, rows) or False)
+        cmap = dae._condensed or None
+    object.__setattr__(dae, "_constraints", None)
+    return rows.size, cmap
+
+
+def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
+    """The `_CondensedMap` of dae with its rows R and constraint rows
+    (C, D), or None when M = [E_dae[R]; C] is singular: SuperLU finds it
+    exactly singular, or the row-scaled M has a pivot ratio
+    min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  M is factored once
+    (COLAMD) and freed once V and G are formed by one solve with r + m
+    right sides."""
+    n, m, r = dae.partition.n, dae.partition.m, rows.size
+    e_rows = dae.E_dae[rows]
+    mat = sp.vstack([e_rows, c_mat], format="csr")
+    row_max = _row_max_abs(mat)
+    if not row_max.all():
+        return None
+    scale = 1.0 / row_max
+    m_rows, m_cols, m_vals = csr_entries(mat)
+    try:
+        lu = _splu(csr_from_entries([(m_rows, m_cols, scale[m_rows] * m_vals)],
+                                    (n, n), like=(mat,)), "condensing matrix")
+    except NumericalError:
+        return None
+    u_diag = np.abs(lu.U.diagonal())
+    if u_diag.min(initial=np.inf) < _PIVOT_RATIO * u_diag.max(initial=0.0):
+        return None
+    d_rows, d_cols, d_vals = csr_entries(d_mat)
+    eye = np.arange(r)
+    rhs = csr_from_entries(
+        [(eye, eye, scale[:r]),
+         (r + d_rows, r + d_cols, -scale[r + d_rows] * d_vals)],
+        (n, r + m)).toarray()
+    sol = lu.solve(rhs) if rhs.size else rhs
+    del lu
+    v, g = sol[:, :r], sol[:, r:]
+    a_rows = dae.A_dae[rows]
+    return _CondensedMap(e_rows, v, g, a_rows @ v,
+                         a_rows @ g + dae.B_dae[rows].toarray())
+
+
+def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
+                     n_steps: int):
+    """The stepping of ξ = [x; v; μ] per plan, as (first, stop, Ψ, g):
+    steps first..stop−1 set ξ_{k+1} = Ψ ξ_k + g_k, or for BDF2, which adds
+    L (x_k − x_{k−1}) to x, ξ_{k+1} = Ψ [ξ_{k−1}; ξ_k] + g_k with the q×2q
+    Ψ = [−L 0; Ψ + L], one product of the two rows ξ_{k−1}, ξ_k as they
+    lie in memory.  Each pencil (λ_j, r_j, γ_j) of `_pencil_plan` is the
+    r×r matrix P_j = I − τλ_j A_r, and with s_j = Σ_i r_ji and U_k the
+    inputs at the nodes of step k
+        x⁺ = x + τ Σ_j Re γ_j P_j⁻¹ (s_j A_r x + B_r r_j U_k + h (x − x⁻)/τ),
+        v⁺ = R∞ v + Σ_j Re (γ_j/λ_j) r_j U_k,   μ⁺ = R∞ μ,
+    with R∞ = 1 − Σ_j Re γ_j s_j/λ_j: the sparse step on the state
+    V x + G v + μ δ (with the C rows of that step, C z⁺ = R∞ C z −
+    D Σ_j Re(γ_j/λ_j) r_j U_k) gives the state V x⁺ + G v⁺ + μ⁺ δ.  The
+    inputs of every step of a plan are formed at once."""
+    r, m = cmap.B_r.shape
+    eye = np.eye(r)
+    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
+    plans = []
+    for first, mth in enumerate(startup + [method]):
+        stop = None if mth is method else first + 1
+        nodes, pencils, history = _pencil_plan(mth)
+        # [k, i]: the input at node i of step first + k, u(t_k + c_i τ)
+        u_nodes = np.stack([u_at(float(ci) * tau, first, stop)
+                            for ci in nodes], axis=1)
+        psi = np.zeros((r + m + 1, r + m + 1))
+        psi[:r, :r] = eye
+        lag = np.zeros((r, r)) if history else None
+        g = np.zeros((len(u_nodes), r + m + 1))
+        r_inf = 1.0
+        for lam, row, weight in pencils:
+            pencil = eye - (tau * lam) * cmap.A_r
+            sol = np.linalg.solve(pencil, np.hstack(
+                [cmap.A_r, cmap.B_r] + ([eye] if history else [])))
+            u_row = row @ u_nodes
+            psi[:r, :r] += (tau * weight * row.sum() * sol[:, :r]).real
+            g[:, :r] += (tau * weight * (u_row @ sol[:, r : r + m].T)).real
+            g[:, r : r + m] += (weight / lam * u_row).real
+            if history:
+                lag += (history * weight * sol[:, r + m :]).real
+            r_inf -= (weight * row.sum() / lam).real
+        psi[r:, r:] = r_inf * np.eye(m + 1)
+        if history:
+            psi = np.hstack((np.zeros_like(psi), psi))
+            psi[:r, :r] = -lag
+            psi[:r, r + m + 1 : 2 * r + m + 1] += lag
+        plans.append((first, stop or n_steps, psi, g))
+    return plans
+
+
+def _condensed_run(sys, cmap: _CondensedMap, method, tau, times, u_at, z0,
+                   cols, endpoint):
+    """States (the columns `cols`, or all), outputs, dissipated powers and
+    H of `simulate` on the condensed path.  ξ_0 = [E_dae[R] z0; u(t0); 1]
+    and δ = z0 − V x0 − G v0, which holds what of z0 is not a consistent
+    state (it is round-off after `consistent_init`), so that every state is
+    Φ ξ_k with the basis Φ = [V G δ] and z0 = Φ ξ_0.  The coordinates are
+    stepped for the whole grid (`_condensed_plans`), tested for finiteness
+    (NumericalError naming the first non-finite step and its time), and
+    audited (`_condensed_audit`).  A stored column i is Σ_j ξ_j Φ_ij,
+    summed one basis column j at a time in order, so it has the same bits
+    whichever columns are kept."""
+    n_steps = len(times) - 1
+    r, m = cmap.B_r.shape
+    xi = np.empty((n_steps + 1, r + m + 1))
+    x0, v0 = cmap.e_rows @ z0, u_at(0.0, 0, 1)[0]
+    xi[0] = np.concatenate((x0, v0, [1.0]))
+    basis = np.column_stack((cmap.V, cmap.G,
+                             z0 - cmap.V @ x0 - cmap.G @ v0))
+    # a non-finite input or state ends in a non-finite ξ, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, stop, psi, g in _condensed_plans(cmap, method, tau, u_at,
+                                                    n_steps):
+            # what the step reads: ξ_k, or for BDF2 ξ_{k−1} and ξ_k, which
+            # are row k − 1 of the windows of two rows of ξ
+            back = psi.shape[1] // xi.shape[1] - 1
+            reads = xi if not back else sliding_window_view(
+                xi.reshape(-1), psi.shape[1])[:: xi.shape[1]]
+            for k in range(first, stop):
+                np.dot(psi, reads[k - back], out=xi[k + 1])
+                xi[k + 1] += g[k - first]
+    finite = np.isfinite(xi).all(axis=1)
+    finite[0] &= bool(np.isfinite(basis).all())
+    if not finite.all():
+        k = max(int(np.argmin(finite)), 1)
+        raise NumericalError(f"step {k} at t = {times[k - 1]}: non-finite "
+                             f"state ({method.tag}, condensed)")
+    kept = np.ascontiguousarray((basis if cols is None else basis[cols]).T)
+    states = np.empty((n_steps + 1, kept.shape[1]))
+    states[0] = z0 if cols is None else z0[cols]
+    rows = block_rows(kept.shape[1])
+    for lo in range(1, n_steps + 1, rows):
+        blk, coef = states[lo : lo + rows], xi[lo : lo + rows]
+        np.multiply(coef[:, :1], kept[0], out=blk)
+        for j in range(1, len(kept)):
+            blk += coef[:, j : j + 1] * kept[j]
+    outputs = np.zeros((n_steps + 1, sys.partition.m))
+    h = np.empty(n_steps + 1)
+    h[0] = hamiltonian(sys, z0[None])[0]
+    outputs[1:], dissipated, h[1:] = _condensed_audit(sys, basis, xi, tau,
+                                                      endpoint)
+    return states, outputs, dissipated, h
+
+
+def _condensed_audit(sys: EnergySystem, basis: np.ndarray, xi: np.ndarray,
+                     tau: float, endpoint: bool):
+    """Port outputs, dissipated powers and H of the steps between the rows
+    of ξ, as `_energy_bookkeeping` gives them for the states Φ ξ, without
+    forming a state: H = ½ ξᵀ (Φ1ᵀ M1 Φ1 + Φ2ᵀ M2 Φ2) ξ, and the flow
+    w = F ζ with F = [Φ1/τ 0; 0 S Φ2; 0 Φ3] and ζ = [ξ⁺ − ξ; ξ*] (ξ* the
+    endpoint for implicit Euler, the midpoint otherwise) is formed on the
+    columns B and R read (`_read_columns`) for y = Bᵀw and wᵀRw.  A form
+    Fᵀ R F would cancel digits: on random index-1 draws its wᵀRw is off
+    by 1e-11 where w formed first is off by 1e-14."""
+    p = sys.partition
+    n1, n12, q = p.n1, p.n1 + p.n2, basis.shape[1]
+    b1, b2 = basis[:n1], basis[n1:n12]
+    h_form = b1.T @ (sys.M1 @ b1) + b2.T @ (sys.M2 @ b2)
+    flow = np.zeros((p.n, 2 * q))
+    flow[:n1, :q] = b1 / tau
+    flow[n1:n12, q:] = sys.S @ b2
+    flow[n12:, q:] = basis[n12:]
+    cols, b_cols, r_cols = _read_columns(sys)
+    zeta = np.hstack((np.diff(xi, axis=0),
+                      xi[1:] if endpoint else 0.5 * (xi[:-1] + xi[1:])))
+    w = zeta @ flow[cols].T
+    y = (b_cols.T @ w.T).T
+    dissipated = (row_dots(w, (r_cols @ w.T).T) if sys.R.nnz
+                  else np.zeros(len(zeta)))
+    h = 0.5 * row_dots(xi[1:], xi[1:] @ h_form)
+    return y, dissipated, h
+
+
+# ---------------------------------------------------------------------------
 # consistent initialization
 # ---------------------------------------------------------------------------
 
@@ -760,11 +1055,16 @@ def _row_blocks(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
 def _left_null_basis(rows, cols, vals, n_rows: int):
     """Sparse basis V of the left null space of the n_rows-row matrix with
     the entries (rows, cols, vals), Vᵀ mat = 0, as the entries (rows,
-    columns, values) of V and its column count: a unit vector per zero row,
-    then one dense SVD per connected block of the other rows (two rows share
-    a block when they share a column), blocks in the order of their first
-    row.  Zero entries are left out, of the matrix and of V; the entries of
-    a row of V come in ascending columns."""
+    columns, values) of V, its column count and `width` dependent rows: a
+    unit vector per zero row, then one dense SVD per connected block of the
+    other rows (two rows share a block when they share a column), blocks in
+    the order of their first row.  Zero entries are left out, of the matrix
+    and of V; the entries of a row of V come in ascending columns.
+
+    The dependent rows are the zero rows and, per block with a null space
+    of k < its rows, the k rows a column-pivoted QR of the block's null
+    vectors picks; V on them is nonsingular, so the rows of the matrix
+    that are left are independent."""
     stored = vals != 0.0
     rows, cols, vals = rows[stored], cols[stored], vals[stored]
     is_zero = np.ones(n_rows, dtype=bool)
@@ -782,6 +1082,7 @@ def _left_null_basis(rows, cols, vals, n_rows: int):
     np.cumsum(np.bincount(labels[local], minlength=blocks),
               out=entry_at[1:])
     parts = [(zero_rows, np.arange(zero_rows.size), np.ones(zero_rows.size))]
+    dependent = [zero_rows]
     width = zero_rows.size
     for b in range(blocks):
         blk = row_order[row_at[b] : row_at[b + 1]]
@@ -793,13 +1094,22 @@ def _left_null_basis(rows, cols, vals, n_rows: int):
         null = scipy.linalg.null_space(dense)
         i, j = np.nonzero(null)
         parts.append((nz_rows[blk[i]], width + j, null[i, j]))
-        width += null.shape[1]
-    return (*map(np.concatenate, zip(*parts)), width)
+        k = null.shape[1]
+        picked = (scipy.linalg.qr(null.T, mode="r", pivoting=True)[1][:k]
+                  if 0 < k < blk.size else np.arange(k))
+        dependent.append(nz_rows[blk[picked]])
+        width += k
+    return (*map(np.concatenate, zip(*parts)), width,
+            np.concatenate(dependent))
 
 
 def _constraint_basis(dae: LinearDae):
     """Sparse algebraic constraint rows (C, D): C x + D u = 0 holds on every
-    solution of E ẋ = A x + B u.
+    solution of E ẋ = A x + B u; and the rows R of E that are left when the
+    dependent rows of the left null basis are taken out, r = n − rows(C)
+    independent rows of E.  Built once per DAE and kept on it, so that
+    `consistent_init` and the `simulate` calls after it share them (the
+    first `simulate` lets C and D go, and a later call forms them again).
 
     The rows are vᵀA and vᵀB for a basis of the left null space of E, taken
     after every row of [E A B] is scaled to unit size so rank detection is
@@ -810,6 +1120,15 @@ def _constraint_basis(dae: LinearDae):
     remains (`_left_null_basis`) zero rows are a row selection; only the
     circuit and coupling rows get a dense SVD per connected block.
     """
+    if dae._constraints is None:
+        c_mat, d_mat, rows = _constraint_rows(dae)
+        object.__setattr__(dae, "_constraints", (c_mat, d_mat))
+        object.__setattr__(dae, "_rows", rows)
+    return (*dae._constraints, dae._rows)
+
+
+def _constraint_rows(dae: LinearDae):
+    """(C, D, R) of `_constraint_basis`, computed."""
     row_max = np.maximum.reduce(
         [_row_max_abs(mat) for mat in (dae.E_dae, dae.A_dae, dae.B_dae)])
     row_max[row_max == 0.0] = 1.0
@@ -827,10 +1146,13 @@ def _constraint_basis(dae: LinearDae):
     is_piv[rows[rows == cols]] = True
     is_piv[n1:] = False
     if is_piv.any():
-        v_rows, v_cols, v_vals, width = _eliminate_pivots(
+        v_rows, v_cols, v_vals, width, dependent = _eliminate_pivots(
             rows, cols, vals, is_piv, dae.E_dae)
     else:
-        v_rows, v_cols, v_vals, width = _left_null_basis(rows, cols, vals, n)
+        v_rows, v_cols, v_vals, width, dependent = _left_null_basis(
+            rows, cols, vals, n)
+    independent = np.ones(n, dtype=bool)
+    independent[dependent] = False
     # Vᵀ D⁻¹, each row in ascending columns
     order = np.argsort(v_rows, kind="stable")
     v_rows, v_cols = v_rows[order], v_cols[order]
@@ -838,7 +1160,7 @@ def _constraint_basis(dae: LinearDae):
     stored = v_vals != 0.0
     v_t = csr_from_entries([(v_cols[stored], v_rows[stored],
                              v_vals[stored])], (width, n))
-    return v_t @ dae.A_dae, v_t @ dae.B_dae
+    return v_t @ dae.A_dae, v_t @ dae.B_dae, np.flatnonzero(independent)
 
 
 def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):
@@ -846,9 +1168,10 @@ def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):
     entries, whose pivots `is_piv` are eliminated first: v = [v_P; w] with
     w a left null vector of the Schur remainder E[Q, K] − E[Q, P]
     E[P, P]⁻¹ E[P, K] on the other rows Q and columns K, and v_P =
-    −E[P, P]⁻ᵀ E[Q, P]ᵀ w.  Returns the entries of v and its column count
-    as `_left_null_basis` does.  The blocks of E keep the index dtype of
-    e_dae, and E[Q, P] the descending column order of its rows.  The LU
+    −E[P, P]⁻ᵀ E[Q, P]ᵀ w.  Returns the entries of v, its column count and
+    its dependent rows, all in Q, as `_left_null_basis` does.  The blocks
+    of E keep the index dtype of e_dae, and E[Q, P] the descending column
+    order of its rows.  The LU
     keeps COLAMD, the sparser ordering here: on the conductive core block
     MMD_AT_PLUS_A stores 34.2k entries against 13.4k at h = 0.5 mm.
     """
@@ -892,8 +1215,8 @@ def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):
         s_cols = np.concatenate((kept[s_cols[~moved]],
                                  n_q - touched.size + t_cols))
         s_vals = np.concatenate((s_vals[~moved], t_vals))
-    w_rows, w_cols, w_vals, width = _left_null_basis(s_rows, s_cols, s_vals,
-                                                     n_q)
+    w_rows, w_cols, w_vals, width, dependent = _left_null_basis(
+        s_rows, s_cols, s_vals, n_q)
     # v_P vanishes for the null vectors w that E[Q, P] does not reach
     hit = np.unique(w_cols[np.diff(e_qp.indptr)[w_rows] > 0])
     on_hit = np.isin(w_cols, hit)
@@ -904,7 +1227,7 @@ def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):
     i, j = np.nonzero(v_p)
     return (np.concatenate((piv[i], rest[w_rows])),
             np.concatenate((hit[j], w_cols)),
-            np.concatenate((v_p[i, j], w_vals)), width)
+            np.concatenate((v_p[i, j], w_vals)), width, rest[dependent])
 
 
 def _sparse_least_squares(mat, rhs) -> np.ndarray:
@@ -971,12 +1294,12 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
         raise StructureError(f"u0: expected length {p.m}, got {u_val.shape}")
 
     dae = to_linear_dae(sys)
-    c_mat, d_mat = _constraint_basis(dae)
+    c_mat, d_mat, _ = _constraint_basis(dae)
     # the free directions [0; N; 0] of η and [0; 0; I] of z3, N from the
     # entries of Eᵀ
     e_rows, e_cols, e_vals = csr_entries(sys.E)
-    n_rows, n_cols, n_vals, width = _left_null_basis(e_cols, e_rows, e_vals,
-                                                     p.n2)
+    n_rows, n_cols, n_vals, width, _ = _left_null_basis(e_cols, e_rows,
+                                                        e_vals, p.n2)
     z3 = np.arange(p.n3)
     free = csr_from_entries([(p.n1 + n_rows, n_cols, n_vals),
                              (p.n1 + p.n2 + z3, width + z3, np.ones(p.n3))],

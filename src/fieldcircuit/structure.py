@@ -15,7 +15,9 @@ non-finite input.  Checks on the blocks stay sparse at every size: the PSD
 test of `min_sym_eig` is a sparse LDLᵀ certificate, then a Lanczos
 eigensolve.  Dense arrays appear only where a block is small by
 construction (n×k coupling columns, k×k port blocks, circuit-sized blocks
-of the initialization), never as an n×n matrix of the system.
+of the initialization, the n×r map of a system stepped on its r
+differential coordinates, which `integrators._condenses` bounds), never as
+an n×n matrix of the system.
 """
 
 from __future__ import annotations

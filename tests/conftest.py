@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fieldcircuit import serialization
+from fieldcircuit import integrators, serialization
 from fieldcircuit.integrators import consistent_init
 from fieldcircuit.structure import EnergySystem, Partition
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
@@ -67,6 +67,13 @@ def random_draws():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def sparse_stepper(monkeypatch):
+    """`simulate` steps every system on its sparse path: the cost rule
+    condenses none."""
+    monkeypatch.setattr(integrators, "_condenses", lambda *counts: False)
 
 
 # the CSV writer splits a file only where it can fork

@@ -73,7 +73,10 @@ def _drive(m):
 
 
 @pytest.mark.parametrize("method", METHOD_TAGS)
-def test_batched_bookkeeping_matches_per_step(rng, method):
+def test_batched_bookkeeping_matches_per_step(rng, sparse_stepper, method):
+    # the sparse path audits the full states, so H is hamiltonian() of each
+    # stored state bit for bit; tests/test_condensed.py holds the condensed
+    # audit to round-off
     tau = 0.05
     for shape in ((3, 3, 2, 2), (2, 0, 1, 1), (0, 3, 2, 3), (4, 2, 0, 2)):
         sys_r = random_energy_system(rng, *shape)

@@ -6,7 +6,9 @@ block is; the batched residual is the per-solve residual bit for bit; a
 block holding a non-finite solution is refused whatever its residual says,
 before any residual is formed; and a non-finite stage solution, from a
 NaN, an infinite or an overflowing input, names its step, its time and
-its pencil, with no warning first."""
+its pencil, with no warning first.  The block check belongs to the sparse
+path of `simulate`, so every test here steps on it (`sparse_stepper`),
+whatever path the cost rule would choose."""
 
 import warnings
 
@@ -21,6 +23,8 @@ from fieldcircuit.integrators import (METHOD_TAGS, _pencil_plan,
 from fieldcircuit.structure import NumericalError
 from tests.conftest import random_draws, random_energy_system
 from tests.oracles import reference_per_step_run, reference_residual_test
+
+pytestmark = pytest.mark.usefixtures("sparse_stepper")
 
 # steps per check block in the runs that cross blocks; a span is
 # `_SPAN_BLOCKS` = 8 of them

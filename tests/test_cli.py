@@ -34,7 +34,9 @@ def rc_netlist(tmp_path):
     return str(p)
 
 
-def test_simulate_rc_and_determinism(tmp_path, rc_netlist):
+def test_simulate_rc_and_determinism(tmp_path, rc_netlist, sparse_stepper):
+    # the sparse path audits H from the full states, so the H column is
+    # hamiltonian() of the written states bit for bit
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli_main(["simulate", rc_netlist, "--out", out1]) == EXIT_OK
     man = read_manifest(os.path.join(out1, "run.manifest"))

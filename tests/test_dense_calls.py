@@ -22,7 +22,10 @@ _LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 
 # one entry per call: (module, enclosing function, callee, the shape it
 # densifies); n is a state or field dimension, k a port or coupling-column
-# count and s the number of Runge-Kutta stages
+# count, s the number of Runge-Kutta stages, m the port count and r the
+# differential coordinates of a system that `integrators._condenses`
+# lets step condensed: n·r ≤ max(nnz E_dae, nnz A_dae), so an n×r array
+# stores no more entries than the pencil it replaces
 LISTED = [
     ("structure.py", "to_dense", ".toarray",
      "the helper itself; each caller is listed below"),
@@ -55,6 +58,16 @@ LISTED = [
     ("integrators.py", "_left_null_basis", "scipy.linalg.null_space",
      "one circuit-sized connected block of constraint rows, filled from "
      "its entries"),
+    ("integrators.py", "_left_null_basis", "scipy.linalg.qr",
+     "the null vectors of that block, k × its rows"),
+    ("integrators.py", "_build_condensed", ".toarray",
+     "the n×(r + m) right sides [I 0; 0 −D] of V and G, under the cost "
+     "rule"),
+    ("integrators.py", "_build_condensed", ".toarray",
+     "the r×m input rows B_dae[R], under the cost rule"),
+    ("integrators.py", "_condensed_plans", "numpy.linalg.solve",
+     "one r×r pencil I − τλA_r per eigenvalue, with r + m (+ r for BDF2) "
+     "right sides, under the cost rule"),
     ("integrators.py", "_eliminate_pivots", ".toarray",
      "n×k columns E[P, K] that the circuit rows touch"),
     ("integrators.py", "_eliminate_pivots", ".toarray",

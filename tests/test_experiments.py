@@ -192,11 +192,14 @@ def test_convergence_rejects_lossy_config():
 
 # --- artefact consistency --------------------------------------------------------------
 
-def test_trajectory_csv_h_column_matches_hamiltonian(tmp_path, coarse_parts):
+def test_trajectory_csv_h_column_matches_hamiltonian(tmp_path, coarse_parts,
+                                                     sparse_stepper):
     # the H column is the structure Hamiltonian evaluated on the full states
     # of a run that keeps every column, not a lumped-circuit formula; the
     # written state columns are that run's phi and i, and the file
-    # round-trips exactly
+    # round-trips exactly.  On the sparse path H is audited from the full
+    # states, bit for bit; the condensed path is held to round-off in
+    # tests/test_condensed.py
     cfg = coarse_parts.config
     out = str(tmp_path / "osc")
     report = run_oscillator(cfg, out_dir=out, parts=coarse_parts)

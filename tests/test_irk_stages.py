@@ -98,7 +98,8 @@ def test_increment_form_matches_endpoint_formula_on_oscillators(kind, bound,
 
 
 @pytest.mark.parametrize("method", METHOD_TAGS)
-def test_grid_inputs_match_per_step_evaluation_on_random_systems(method):
+def test_grid_inputs_match_per_step_evaluation_on_random_systems(
+        sparse_stepper, method):
     tau, steps = 0.05, 20
     for sys_r, z0, u in random_draws():
         traj = simulate(sys_r, z0, u, tau, steps * tau, method)
@@ -118,7 +119,7 @@ def test_grid_inputs_match_per_step_evaluation_on_random_systems(method):
     ("bdf2", ["float64", "float64"]),
 ])
 def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
-        monkeypatch, rng, method, expected):
+        sparse_stepper, monkeypatch, rng, method, expected):
     sys_r = random_energy_system(rng, n1=2, n2=3, n3=2, m=2)
     u = WaveformStack((Sinusoid(0.3, 1.0, 0.2), Sinusoid(-0.5, 0.7, 0.4)))
     z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u)

@@ -57,7 +57,8 @@ class CountingLU:
     # the oscillator command of sweep-small
     (dict(), ("trapezoidal",), 500),
 ])
-def test_refinement_never_fires_on_bench_pencils(monkeypatch, config,
+def test_refinement_never_fires_on_bench_pencils(sparse_stepper,
+                                                 monkeypatch, config,
                                                  methods, steps):
     kept, refined = [], []
     init, solve = _StageSolver.__init__, _StageSolver.solve

@@ -1,7 +1,10 @@
 """The streaming step loop of `simulate`: the columns `keep` names, and every
 energy, are bit-identical to a run that keeps every column; keeping a few
 columns bounds the memory of a long run; one implicit DAE serves every
-initialization and simulation of a system and is never written."""
+initialization and simulation of a system and is never written.  The
+oscillator tests run on the path the cost rule chooses (the lossless
+stranded oscillator condenses, the solid one does not); the `sparse_path`
+tests run the lossless one on the sparse path too."""
 
 import tracemalloc
 from dataclasses import replace
@@ -55,8 +58,35 @@ def test_kept_columns_and_energies_match_a_full_run(oscillator, method,
                               simulate(*args))
 
 
-def test_keeping_two_columns_halves_the_peak_of_a_long_run():
-    parts = build_oscillator(OscillatorConfig(mesh_h=1e-3))
+@pytest.fixture(scope="module")
+def lossless():
+    """The 1 mm lossless stranded oscillator, which the cost rule condenses."""
+    return build_oscillator(OscillatorConfig(mesh_h=1e-3))
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_sparse_path_kept_columns_and_energies_match_a_full_run(
+        lossless, sparse_stepper, method, monkeypatch):
+    monkeypatch.setattr(integrators, "_SPAN_BLOCKS", 1)
+    steps = 2 * block_rows(lossless.system.partition.n) + 37
+    tau = lossless.config.tau
+    args = (lossless.system, lossless.z0, lossless.u, tau, steps * tau,
+            method)
+    kept = simulate(*args, keep=lossless.written_columns)
+    assert kept.stepping_path == "sparse"
+    _assert_kept_matches_full(lossless, kept, simulate(*args))
+
+
+def test_keeping_two_columns_halves_the_peak_of_a_long_run(lossless):
+    _assert_keeping_two_columns_halves_the_peak(lossless)
+
+
+def test_sparse_path_keeping_two_columns_halves_the_peak(lossless,
+                                                         sparse_stepper):
+    _assert_keeping_two_columns_halves_the_peak(lossless)
+
+
+def _assert_keeping_two_columns_halves_the_peak(parts):
     tau = parts.config.tau
     # 5000 steps are 3.55 spans of 8 blocks at n = 743
     args = (parts.system, parts.z0, parts.u, tau, 5000 * tau, "trapezoidal")
