@@ -19,10 +19,11 @@ z = V x + G u, V = M⁻¹[I; 0] and G = M⁻¹[0; −D], and the DAE is the ODE
 state-space form of Hairer & Wanner, Solving ODEs II, §VI.1; Kron
 reduction in circuit theory).  Each pencil is then the dense r×r
 I − τλ A_r, and a step is one product with a propagator.  The cost rule
-`_condenses` takes this path when V, n×r, stores no more entries than
-E_dae or A_dae; a singular M, which makes the index 2 or more, keeps the
-sparse path, on which each pencil is an n×n sparse LU.  The two paths
-agree to round-off and keep the same discrete power balance.
+`_condenses` takes this path when V, n×r, stores no more entries than the
+LU factor of any pencil can; a singular M, which makes the index 2 or
+more, keeps the sparse path, on which each pencil is an n×n sparse LU and
+every solve with it is checked on its own (`_StageSolver.solve`).  The two
+paths agree to round-off and keep the same discrete power balance.
 Trajectories carry the Hamiltonian and cumulative dissipated/supplied energy
 so the discrete power balance can be audited after the fact.
 """
@@ -253,11 +254,8 @@ class _StageSolver:
     `solve` checks the residual of each solve against `_RESIDUAL_BOUND`
     and refines it once or twice if needed, which keeps it near round-off
     even when the stage matrix mixes badly scaled physical blocks, and
-    raises NumericalError on a non-finite solution.  The stepper of
-    `simulate` solves with `solve_unchecked` instead, which tests nothing,
-    and applies the finiteness test and the residual test to a whole block
-    of solves at once (`accepts`); a block that fails either is stepped
-    again through `solve`.
+    raises NumericalError on a non-finite solution.  Every stage solve of
+    `simulate`'s sparse path is one call of `solve`.
     """
 
     def __init__(self, mat, context: str, permc_spec: str = None):
@@ -292,37 +290,6 @@ class _StageSolver:
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
-
-    def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
-        """The first solve of `solve`, without its residual and finiteness
-        tests."""
-        return self._lu.solve(rhs)
-
-    def residuals(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """rhs_k − P x_k for each row k of two stacks of right sides and
-        solutions, as column k of one array: one sparse-times-dense
-        product, whose columns are bit-identical to the products P x_k."""
-        res = self._mat @ x.T
-        return np.subtract(rhs.T, res, out=res)
-
-    def accepts(self, rhs: np.ndarray, x: np.ndarray) -> bool:
-        """Whether every row of x is finite and passes the residual test of
-        `solve` as the solution for the same row of rhs.  Each per-row
-        figure is computed with the arithmetic of `solve`, so the verdict is
-        the one `solve` reaches row by row.  The per-row max|x| of the bound
-        is taken first: a NaN or an infinity in x makes it non-finite, and
-        the block is refused before any residual is formed, whatever its
-        residual would say."""
-        x_max = np.abs(x).max(axis=1, initial=0.0)
-        if not np.isfinite(x_max).all():
-            return False
-        res = self.residuals(rhs, x)
-        # |res| overwrites a real residual
-        res_max = np.abs(res, out=res if res.dtype.kind == "f" else None).max(
-            axis=0, initial=0.0)
-        bound = _RESIDUAL_BOUND * _EPS * (np.abs(rhs).max(axis=1, initial=0.0)
-                                          + self._row_scale * x_max)
-        return bool((res_max <= bound).all())
 
 
 def _pencil_solver(dae: LinearDae, mat, context: str) -> _StageSolver:
@@ -495,10 +462,9 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     index-2 one included, and solves n×n pencils with the column ordering
     chosen once per system (`_pencil_solver`), one span of
     `_SPAN_BLOCKS` · `block_rows(n)` states at a time (`_sparse_run`).
-    The finiteness and the residual of every stage solve are checked once
-    per block of `block_rows(n)` steps; a block that fails is stepped
-    again with refined solves (`_make_stepper`), so the states are those
-    of refining solve by solve.  After a span the loop audits it
+    Every stage solve is checked on its own for finiteness and residual,
+    and refined if needed (`_StageSolver.solve`).  After a span the loop
+    audits it
     (`_energy_bookkeeping`: outputs, dissipated power and H, from the full
     states); the last state of a span (and for BDF2 the one before it)
     starts the next.  The two paths agree to round-off.  On both, a
@@ -675,6 +641,22 @@ def _pencil_plan(method: Method):
                       for j in np.flatnonzero(lam.imag >= 0.0)], 0.0
 
 
+def _stepping_plans(method: Method, tau: float, u_at, n_steps: int):
+    """(first, stop, m, pencils, history, u_nodes) of each plan of a method
+    on n_steps steps, BDF2 taking trapezoidal's for step 0: method m steps
+    first..stop−1 by its `_pencil_plan` (pencils, history), and u_nodes[k, i]
+    is the grid input `u_at` at node i of step first + k, u(t_k + c_i τ)."""
+    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
+    plans = []
+    for first, m in enumerate(startup + [method]):
+        stop = None if m is method else first + 1
+        nodes, pencils, history = _pencil_plan(m)
+        u_nodes = np.stack([u_at(float(ci) * tau, first, stop)
+                            for ci in nodes], axis=1)
+        plans.append((first, stop or n_steps, m, pencils, history, u_nodes))
+    return plans
+
+
 def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     """Bind the stepping of the grid `times`, factorizing every pencil up
     front with the ordering of the system (`_pencil_solver`): per pencil
@@ -682,100 +664,60 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     (E − τλ_j A) w_j = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ)
     + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j), summed in pencil
     order straight into the state's row (Re is taken of a conjugate pair's
-    complex w only).  BDF2's first step is trapezoidal's.  The input term
-    is formed for every step before the first, from the grid inputs `u_at`
-    of `_input_grid` and on the rows that B reaches only; a step then does
-    one product A z and, per pencil, one indexed add and the solve.
-
-    Steps run in check blocks of `block_rows(n)` steps.  Within a block
-    each solve is `solve_unchecked`, which tests nothing, and each pencil's
-    right sides and solutions are written to its rows × n buffers,
-    allocated once here.  After the block, `_StageSolver.accepts` tests
-    them all: every solution finite, and within the residual bound of
-    `_StageSolver.solve`.  A block that fails is stepped again from its
-    first state (and the one before it) through `solve`, which refines
-    each solve as needed and raises on a non-finite solution.  So every
-    state is the one that stepping through `solve` alone gives, and so is
-    every NumericalError.  The input term and the steps are computed with
-    numpy's overflow and invalid-value warnings off: a non-finite value
-    they produce reaches `accepts` and then `solve`, which report it.
+    complex w only).  BDF2's first step is trapezoidal's
+    (`_stepping_plans`).  The input term is formed for every step before
+    the first, from the grid inputs `u_at` of `_input_grid` and on the rows
+    that B reaches only; a step then does one product A z and, per pencil,
+    one indexed add and one `_StageSolver.solve`, which checks and refines
+    the solve and raises NumericalError on a non-finite solution.  The
+    input term and the steps are computed with numpy's overflow and
+    invalid-value warnings off: a non-finite value they produce reaches
+    `solve`, which reports it.
 
     Returns march(first, states, z_prev): steps states[1:] from states[0],
     whose step is `first` and whose predecessor is z_prev (read by BDF2).
     """
-    n_steps = len(times) - 1
-    rows = min(block_rows(dae.partition.n), n_steps)
     src = np.flatnonzero(np.diff(dae.B_dae.indptr))
     b_src = dae.B_dae[src]
-    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
     plans = []
-    for first, m in enumerate(startup + [method]):
-        stop = None if m is method else first + 1
-        nodes, pencils, history = _pencil_plan(m)
-        # [k, i]: the input at node i of step first + k, u(t_k + c_i τ)
-        u_nodes = np.stack([u_at(float(ci) * tau, first, stop)
-                            for ci in nodes], axis=1)
+    for first, _, m, pencils, history, u_nodes in _stepping_plans(
+            method, tau, u_at, len(times) - 1):
         solvers = []
         for lam, row, weight in pencils:
-            mat = dae.E_dae - (tau * lam) * dae.A_dae
-            rhs_buf, x_buf = np.empty((2, rows, mat.shape[0]), mat.dtype)
             solver = _pencil_solver(
-                dae, mat, f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
+                dae, dae.E_dae - (tau * lam) * dae.A_dae,
+                f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
             # a non-finite input surfaces as a non-finite stage solution
             with np.errstate(over="ignore", invalid="ignore"):
                 b_u = (b_src @ (row @ u_nodes).T).T
             solvers.append((solver, row.sum(), b_u, weight,
-                            np.iscomplexobj(weight), rhs_buf, x_buf))
-        plans.append((first, stop or n_steps, solvers, history / tau))
+                            np.iscomplexobj(weight)))
+        plans.append((first, solvers, history / tau))
 
-    def step(k, z, z_prev, z_next, slot, refine):
+    def step(k, z, z_prev, z_next):
         """Write the state after step k from z (and z_prev) into z_next."""
-        first, _, pencils, lag = plans[min(k, len(plans) - 1)]
+        first, pencils, lag = plans[min(k, len(plans) - 1)]
         az = dae.A_dae @ z
         acc = z
-        for solver, row_sum, b_u, weight, pair, rhs_buf, x_buf in pencils:
-            rhs = np.multiply(row_sum, az, out=rhs_buf[slot])
+        for solver, row_sum, b_u, weight, pair in pencils:
+            rhs = row_sum * az
             rhs[src] += b_u[k - first]
             if lag:
                 rhs += lag * (dae.E_dae @ (z - z_prev))
-            if refine:
-                x = solver.solve(rhs)
-            else:
-                x = x_buf[slot] = solver.solve_unchecked(rhs)
-            inc = weight * x
+            inc = weight * solver.solve(rhs)
             np.add(acc, tau * (inc.real if pair else inc), out=z_next)
             acc = z_next
 
-    def run(first, states, z_prev, refine):
-        try:
+    def march(first, states, z_prev):
+        with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(states) - 1):
                 k = first + j
-                step(k, states[j], states[j - 1] if j else z_prev,
-                     states[j + 1], j, refine)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"step {k + 1} at t = {times[k]}: {exc}") from exc
-
-    def accepted(first, count):
-        for plan_first, plan_stop, pencils, _ in plans:
-            lo, hi = max(plan_first - first, 0), min(plan_stop - first, count)
-            if lo < hi and not all(
-                    solver.accepts(rhs_buf[lo:hi], x_buf[lo:hi])
-                    for solver, *_, rhs_buf, x_buf in pencils):
-                return False
-        return True
-
-    def march(first, states, z_prev):
-        for lo in range(0, len(states) - 1, rows):
-            blk = states[lo : lo + rows + 1]
-            prev = states[lo - 1] if lo else z_prev
-            # an overflow or NaN in the unchecked steps is refused by
-            # `accepts`, and the refined steps raise NumericalError for it
-            with np.errstate(over="ignore", invalid="ignore"):
-                run(first + lo, blk, prev, refine=False)
-                if accepted(first + lo, len(blk) - 1):
-                    continue
-                run(first + lo, blk, prev, refine=True)
+                try:
+                    step(k, states[j], states[j - 1] if j else z_prev,
+                         states[j + 1])
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"step {k + 1} at t = {times[k]}: {exc}") from exc
     return march
 
 
@@ -783,17 +725,27 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
 # condensed stepping of index-1 systems
 # ---------------------------------------------------------------------------
 
-def _condenses(n: int, r: int, nnz_e: int, nnz_a: int) -> bool:
+def _condenses(dae: LinearDae, r: int) -> bool:
     """The cost rule of `simulate`: step on the r differential coordinates
-    when V, n×r and dense, stores no more entries than E_dae or A_dae.
-    Every pencil E_dae − τλ A_dae holds both patterns, and so does its LU
-    factor, so V never outgrows the factor it replaces, and the r×r product
-    of a step costs less than a solve with that factor.  The counts are
-    known before anything is factored.  The stranded oscillators without a
-    conductive core (r = 2) condense; the solid conductor with a conductive
-    core at h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 21k entries of
-    A_dae) stays sparse with the factorizations it had."""
-    return n * r <= max(nnz_e, nnz_a)
+    when V, n×r and dense, stores no more entries than the LU factor of any
+    pencil E_dae − τλ A_dae can: the pencil's entries and the n unit
+    diagonal entries of L, n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n.  So
+    V never outgrows the factor it replaces, and the r×r product of a step
+    costs less than a solve with that factor.  The counts are known before
+    anything is factored.  The solid conductor with a conductive core at
+    h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 24.6k) stays sparse."""
+
+    def magnitudes(mat):
+        # |mat| on the index arrays of mat, which scipy's abs() would sort
+        # in place (the shared rewrite of `to_linear_dae` is never written)
+        nnz = mat.indptr[-1]
+        return sp.csr_array((np.abs(mat.data[:nnz]), mat.indices[:nnz],
+                             mat.indptr), shape=mat.shape)
+
+    # the sum stores one entry per nonzero position of either matrix
+    union = (magnitudes(dae.E_dae) + magnitudes(dae.A_dae)).nnz
+    n = dae.partition.n
+    return n * r <= union + n
 
 
 @dataclass(frozen=True)
@@ -827,7 +779,7 @@ def _condensed_map(dae: LinearDae):
         except NumericalError:
             return None, None
     cmap = None
-    if _condenses(dae.partition.n, rows.size, dae.E_dae.nnz, dae.A_dae.nnz):
+    if _condenses(dae, rows.size):
         if dae._condensed is None:
             c_mat, d_mat, _ = _constraint_basis(dae)
             object.__setattr__(dae, "_condensed", _build_condensed(
@@ -840,10 +792,13 @@ def _condensed_map(dae: LinearDae):
 def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
     """The `_CondensedMap` of dae with its rows R and constraint rows
     (C, D), or None when M = [E_dae[R]; C] is singular: SuperLU finds it
-    exactly singular, or the row-scaled M has a pivot ratio
-    min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  M is factored once
-    (COLAMD) and freed once V and G are formed by one solve with r + m
-    right sides."""
+    exactly singular, or the scaled M has a pivot ratio
+    min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  M is scaled to unit
+    largest entries in its rows, then by powers of two into [½, 1) in its
+    columns, so the ratio does not read the circuit's units as an index
+    (`suffix_tour`); a power of two changes no pivot choice and no bit of
+    the solve.  M is factored once (COLAMD) and freed once V and G are
+    formed by one solve with r + m right sides, unscaled."""
     n, m, r = dae.partition.n, dae.partition.m, rows.size
     e_rows = dae.E_dae[rows]
     mat = sp.vstack([e_rows, c_mat], format="csr")
@@ -852,8 +807,14 @@ def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
         return None
     scale = 1.0 / row_max
     m_rows, m_cols, m_vals = csr_entries(mat)
+    m_vals = scale[m_rows] * m_vals
+    # an empty column keeps the scale 1, and SuperLU finds M singular
+    col_max = np.zeros(n)
+    np.maximum.at(col_max, m_cols, np.abs(m_vals))
+    col_scale = np.ldexp(1.0, -np.frexp(col_max)[1])
     try:
-        lu = _splu(csr_from_entries([(m_rows, m_cols, scale[m_rows] * m_vals)],
+        lu = _splu(csr_from_entries([(m_rows, m_cols,
+                                      m_vals * col_scale[m_cols])],
                                     (n, n), like=(mat,)), "condensing matrix")
     except NumericalError:
         return None
@@ -866,7 +827,7 @@ def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
         [(eye, eye, scale[:r]),
          (r + d_rows, r + d_cols, -scale[r + d_rows] * d_vals)],
         (n, r + m)).toarray()
-    sol = lu.solve(rhs) if rhs.size else rhs
+    sol = col_scale[:, None] * lu.solve(rhs) if rhs.size else rhs
     del lu
     v, g = sol[:, :r], sol[:, r:]
     a_rows = dae.A_dae[rows]
@@ -888,17 +849,13 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
     with R∞ = 1 − Σ_j Re γ_j s_j/λ_j: the sparse step on the state
     V x + G v + μ δ (with the C rows of that step, C z⁺ = R∞ C z −
     D Σ_j Re(γ_j/λ_j) r_j U_k) gives the state V x⁺ + G v⁺ + μ⁺ δ.  The
-    inputs of every step of a plan are formed at once."""
+    inputs of every step of a plan (`_stepping_plans`) are formed at
+    once."""
     r, m = cmap.B_r.shape
     eye = np.eye(r)
-    startup = [method_from_tag("trapezoidal")] if method.tag == "bdf2" else []
     plans = []
-    for first, mth in enumerate(startup + [method]):
-        stop = None if mth is method else first + 1
-        nodes, pencils, history = _pencil_plan(mth)
-        # [k, i]: the input at node i of step first + k, u(t_k + c_i τ)
-        u_nodes = np.stack([u_at(float(ci) * tau, first, stop)
-                            for ci in nodes], axis=1)
+    for first, stop, _, pencils, history, u_nodes in _stepping_plans(
+            method, tau, u_at, n_steps):
         psi = np.zeros((r + m + 1, r + m + 1))
         psi[:r, :r] = eye
         lag = np.zeros((r, r)) if history else None
@@ -920,7 +877,7 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
             psi = np.hstack((np.zeros_like(psi), psi))
             psi[:r, :r] = -lag
             psi[:r, r + m + 1 : 2 * r + m + 1] += lag
-        plans.append((first, stop or n_steps, psi, g))
+        plans.append((first, stop, psi, g))
     return plans
 
 

@@ -73,7 +73,7 @@ def rng():
 def sparse_stepper(monkeypatch):
     """`simulate` steps every system on its sparse path: the cost rule
     condenses none."""
-    monkeypatch.setattr(integrators, "_condenses", lambda *counts: False)
+    monkeypatch.setattr(integrators, "_condenses", lambda *args: False)
 
 
 # the CSV writer splits a file only where it can fork

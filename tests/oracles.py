@@ -13,10 +13,7 @@ reference of the increment form the stepper uses.
 `reference_per_step_run` steps every method with its inputs evaluated
 step by step and every stage solve checked and refined on its own by
 `_StageSolver.solve`, the reference of the grid-evaluated inputs of
-`simulate` and of its residual check once per block of steps.
-`reference_residual_test` is the per-solve residual and acceptance test of
-`_StageSolver.solve`, the reference of the batched `residuals` and
-`accepts`.
+`simulate` and of its stepper.
 `reference_bookkeeping` is the audit of a span with the full-width
 midpoint and flow, the reference of the audit that forms only the columns
 B and R read.
@@ -206,18 +203,6 @@ def reference_per_step_run(sys, z0, u, tau, steps, method):
         endpoint = method.tag == "implicit_euler"
         u_step = [u(t + (tau if endpoint else 0.5 * tau)) for t in times[:-1]]
     return np.array(states), np.asarray(u_step, dtype=np.float64)
-
-
-def reference_residual_test(solver, rhs, x):
-    """(rhs − P x, accepted) of one stage solve, with the arithmetic of the
-    first residual test of `_StageSolver.solve`: accepted when ‖rhs −
-    P x‖∞ ≤ bound · eps · (‖rhs‖∞ + ‖P‖∞ ‖x‖∞), bound the module's
-    `_RESIDUAL_BOUND`."""
-    r = rhs - solver._mat @ x
-    scale = solver._row_scale * np.abs(x).max(initial=0.0)
-    bound = (integrators._RESIDUAL_BOUND * np.finfo(np.float64).eps
-             * (np.abs(rhs).max(initial=0.0) + scale))
-    return r, bool(np.abs(r).max(initial=0.0) <= bound)
 
 
 def reference_bookkeeping(sys, states, tau, endpoint):

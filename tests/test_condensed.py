@@ -5,8 +5,9 @@ round-off on the 1 mm and 0.4 mm oscillators, on every corpus netlist the
 cost rule condenses and on random index-1 draws, for every method; its
 audit is the audit of its states to round-off.  The index-2 oscillator, a
 singular M and the `irk-solid` system stay on the sparse path, the last
-with the factorizations it had; a NaN input names its step and time; and
-the manifests name the path and r."""
+with the factorizations it had; the LU factor of every corpus and
+oscillator pencil stores at least the entries the cost rule counts; a NaN
+input names its step and time; and the manifests name the path and r."""
 
 import dataclasses
 import os
@@ -15,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fieldcircuit import coupling, experiments, integrators, mna
 from fieldcircuit.cli import EXIT_OK, cli_main
@@ -31,10 +34,11 @@ from tests.test_cli import port_models  # noqa: F401
 
 NETLISTS = pathlib.Path(__file__).parent / "netlists" / "valid"
 
-# bounds on the gaps between the two paths (`gaps`), about eight times the
-# largest measured over every case below: 6.3e-12 (states and outputs) and
-# 2.4e-12 (energies), both Gauss-4 on 200 steps of a corpus circuit; the
-# stranded oscillators read at most 3.5e-13 and 1.7e-14
+# bounds on the gaps between the two paths (`gaps`), above the largest
+# measured over every case below: 6.3e-12 (states and outputs, Gauss-4 on
+# 200 steps of a corpus circuit) and 5.4e-12 (energies, Radau IIA on 200
+# steps of `solid_port`); the stranded oscillators read at most 3.5e-13 and
+# 1.7e-14
 STATE_BOUND = 5e-11
 ENERGY_BOUND = 2e-11
 # the solid conductor with a conductive core at 1 mm (r = 174), which the
@@ -53,7 +57,7 @@ def both_paths(monkeypatch, sys, z0, u, tau, steps, method, force=False):
         with monkeypatch.context() as patch:
             if condense is not None:
                 patch.setattr(integrators, "_condenses",
-                              lambda *counts, c=condense: c)
+                              lambda *args, c=condense: c)
             runs.append(simulate(sys, z0, u, tau, steps * tau, method))
     fast, slow = runs
     assert (fast.stepping_path, slow.stepping_path) == ("condensed",
@@ -133,6 +137,36 @@ def test_random_index1_draws_match_sparse(monkeypatch, method):
                            force=True)
 
 
+def assert_factor_bound(system, r, tau):
+    """The premise of the cost rule on the trapezoidal pencil: under either
+    ordering SuperLU stores at least |pattern(E_dae) ∪ pattern(A_dae)| + n
+    entries, so a system that `_condenses` admits has n·r no larger than
+    the factor's entries."""
+    dae = to_linear_dae(system)
+    n = system.n
+    union = abs(dae.E_dae.copy()) + abs(dae.A_dae.copy())
+    union.eliminate_zeros()
+    pencil = sp.csc_matrix(dae.E_dae - (0.5 * tau) * dae.A_dae)
+    admitted = integrators._condenses(dae, r)
+    for spec in ("COLAMD", "MMD_AT_PLUS_A"):
+        nnz = spla.splu(pencil, permc_spec=spec).nnz
+        assert union.nnz + n <= nnz, spec
+        assert not admitted or n * r <= nnz, spec
+
+
+@pytest.mark.parametrize("config,extra_cards", [
+    (dict(mesh_h=1e-3), ()),
+    (dict(conductor_kind="solid", core_conductive=True, mesh_h=1e-3), ()),
+    (dict(v0=0.0, i0=0.0), ("V1 1 0 SIN 0 1 50k",)),
+    (dict(conductor_kind="solid", core_conductive=True, mesh_h=0.5e-3), ()),
+], ids=["stranded", "solid", "index2", "solid-0.5mm"])
+def test_oscillator_pencil_factors_bound_the_rule(config, extra_cards):
+    cfg = experiments.OscillatorConfig(**config)
+    system = experiments.build_oscillator(cfg, extra_cards=extra_cards).system
+    r, _ = _condensed_map(to_linear_dae(system))
+    assert_factor_bound(system, r, cfg.tau)
+
+
 def corpus_system(path, models):
     """(netlist, coupled system, input) of a corpus netlist."""
     nl = mna.read_netlist(str(path))
@@ -144,16 +178,17 @@ def corpus_system(path, models):
     return nl, system, coupling.coupled_input_stack(binding, nl, inc)
 
 
-# the netlists the cost rule condenses with the models of `port_models`;
-# suffix_tour (conductances from 1e-9 to 1e12 S) is index 1, but its
-# row-scaled M has a pivot ratio of 1e-12, so it stays sparse
+# the netlists the cost rule condenses with the models of `port_models`
+# (n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n, and M nonsingular);
+# cauer_ladder (n·r = 35 > 25) and mixed_ports (160 > 107) stay sparse
 CONDENSED_CORPUS = (
     "bridge_rectifier_rc", "comment_styles", "current_divider", "dc_block",
-    "foil_port", "grid_3x3", "method_bdf2", "method_euler", "method_midpoint",
-    "method_radau5", "multi_source", "no_time_grid", "plain_exponents",
-    "r2r_ladder", "ragged_whitespace", "rc_lowpass", "rl_highpass",
-    "rlc_series", "snubber", "stranded_port", "tee_attenuator",
-    "transformer_columns", "voltage_divider", "wheatstone")
+    "foil_port", "grid_3x3", "lc_tank", "method_bdf2", "method_euler",
+    "method_midpoint", "method_radau5", "multi_source", "no_time_grid",
+    "pi_filter", "plain_exponents", "r2r_ladder", "ragged_whitespace",
+    "rc_lowpass", "rl_highpass", "rlc_parallel", "rlc_series", "snubber",
+    "solid_port", "stranded_port", "suffix_tour", "tee_attenuator",
+    "transformer_columns", "twin_t_notch", "voltage_divider", "wheatstone")
 
 
 @pytest.mark.parametrize("path", sorted(NETLISTS.glob("*.cir")),
@@ -167,8 +202,9 @@ def test_corpus_netlists_take_the_path_the_rule_gives(monkeypatch,
     nl, system, u = corpus_system(path, port_models)
     z0 = consistent_init(system, np.zeros(system.n), u)
     tau = nl.tau if nl.tau is not None else 1e-5
-    _, cmap = _condensed_map(to_linear_dae(system))
+    r, cmap = _condensed_map(to_linear_dae(system))
     assert (cmap is not None) == (path.stem in CONDENSED_CORPUS)
+    assert_factor_bound(system, r, tau)
     if cmap is None:
         assert simulate(system, z0, u, tau, 5 * tau,
                         "trapezoidal").stepping_path == "sparse"
@@ -264,7 +300,7 @@ def test_irk_solid_stays_sparse_with_the_same_factorizations(monkeypatch):
                                        core_conductive=True, mesh_h=0.5e-3)
     parts = experiments.build_oscillator(cfg)
     runs = []
-    for rule in (integrators._condenses, lambda *counts: False):
+    for rule in (integrators._condenses, lambda *args: False):
         # a copy of the system, initialized as the benchmark's is
         system = dataclasses.replace(parts.system)
         z0 = consistent_init(system, parts.z0, parts.u)

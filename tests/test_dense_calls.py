@@ -24,8 +24,9 @@ _LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 # densifies); n is a state or field dimension, k a port or coupling-column
 # count, s the number of Runge-Kutta stages, m the port count and r the
 # differential coordinates of a system that `integrators._condenses`
-# lets step condensed: n·r ≤ max(nnz E_dae, nnz A_dae), so an n×r array
-# stores no more entries than the pencil it replaces
+# lets step condensed: n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n, so an
+# n×r array stores no more entries than the LU factor of the pencil it
+# replaces
 LISTED = [
     ("structure.py", "to_dense", ".toarray",
      "the helper itself; each caller is listed below"),

@@ -1,7 +1,7 @@
 """The stage solver keeps the sparser of the MMD_AT_PLUS_A and COLAMD
 factors of a pencil, and its iterative refinement never fires on the
-pencils of the benchmark workloads: no block of steps fails the batched
-residual check and is stepped again."""
+pencils of the benchmark workloads: each step calls `solve` once per
+pencil, and each call is one triangular solve with the factor."""
 
 import pytest
 import scipy.sparse as sp
@@ -60,7 +60,7 @@ class CountingLU:
 def test_refinement_never_fires_on_bench_pencils(sparse_stepper,
                                                  monkeypatch, config,
                                                  methods, steps):
-    kept, refined = [], []
+    kept, solved = [], []
     init, solve = _StageSolver.__init__, _StageSolver.solve
 
     def counting_init(self, mat, context, permc_spec=None):
@@ -69,19 +69,21 @@ def test_refinement_never_fires_on_bench_pencils(sparse_stepper,
         kept.append(self._lu)
 
     def counting_solve(self, rhs):
-        refined.append(self._context)
+        solved.append(self._lu)
         return solve(self, rhs)
 
     monkeypatch.setattr(integrators._StageSolver, "__init__", counting_init)
-    # `simulate` calls the refining solve only to step a block again
     monkeypatch.setattr(integrators._StageSolver, "solve", counting_solve)
     cfg = experiments.OscillatorConfig(**config)
     parts = experiments.build_oscillator(cfg)
     for method in methods:
         kept.clear()
+        solved.clear()
         simulate(parts.system, parts.z0, parts.u, cfg.tau, steps * cfg.tau,
                  method)
-        # each pencil is solved once per step: one lu.solve per solve
-        assert kept and [lu.solves for lu in kept] == [steps] * len(kept)
-        # no block is stepped again
-        assert refined == []
+        # one `solve` per pencil per step
+        assert kept and [solved.count(lu) for lu in kept] == \
+            [steps] * len(kept)
+        assert len(solved) == steps * len(kept)
+        # one lu.solve per solve: no refinement
+        assert [lu.solves for lu in kept] == [steps] * len(kept)
