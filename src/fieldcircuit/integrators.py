@@ -81,6 +81,8 @@ class LinearDae:
                                 compare=False)
     _rows: np.ndarray = field(default=None, init=False, repr=False,
                               compare=False)
+    # |pattern(E_dae) ∪ pattern(A_dae)| of `_condenses`, counted on first use
+    _union: int = field(default=None, init=False, repr=False, compare=False)
     # the `_CondensedMap` of `_condensed_map`, or False where M is singular
     _condensed: object = field(default=None, init=False, repr=False,
                                compare=False)
@@ -732,20 +734,34 @@ def _condenses(dae: LinearDae, r: int) -> bool:
     diagonal entries of L, n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n.  So
     V never outgrows the factor it replaces, and the r×r product of a step
     costs less than a solve with that factor.  The counts are known before
-    anything is factored.  The solid conductor with a conductive core at
+    anything is factored, and the union is counted once per DAE
+    (`_pattern_union`).  The solid conductor with a conductive core at
     h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 24.6k) stays sparse."""
-
-    def magnitudes(mat):
-        # |mat| on the index arrays of mat, which scipy's abs() would sort
-        # in place (the shared rewrite of `to_linear_dae` is never written)
-        nnz = mat.indptr[-1]
-        return sp.csr_array((np.abs(mat.data[:nnz]), mat.indices[:nnz],
-                             mat.indptr), shape=mat.shape)
-
-    # the sum stores one entry per nonzero position of either matrix
-    union = (magnitudes(dae.E_dae) + magnitudes(dae.A_dae)).nnz
+    if dae._union is None:
+        object.__setattr__(dae, "_union", _pattern_union(dae))
     n = dae.partition.n
-    return n * r <= union + n
+    return n * r <= dae._union + n
+
+
+def _pattern_union(dae: LinearDae) -> int:
+    """|pattern(E_dae) ∪ pattern(A_dae)|, the positions where either stores
+    a nonzero: A_dae's count plus E_dae's entries that A_dae does not hold,
+    found by looking up E_dae's few entries in A_dae's rows that they touch,
+    sorted as keys row·n + column.  No sum of the two is formed, and the
+    shared rewrite is only read."""
+    n = dae.partition.n
+    e_rows, e_cols, e_vals = csr_entries(dae.E_dae)
+    e_keys = e_rows[e_vals != 0] * n + e_cols[e_vals != 0]
+    a = dae.A_dae
+    touched = np.unique(e_keys // n)
+    starts, counts = a.indptr[touched], np.diff(a.indptr)[touched]
+    at = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+          + np.arange(counts.sum()))
+    held = a.data[at] != 0
+    a_keys = np.sort(np.repeat(touched, counts)[held] * n + a.indices[at][held])
+    found = np.minimum(np.searchsorted(a_keys, e_keys), a_keys.size - 1)
+    shared = np.count_nonzero(a_keys[found] == e_keys) if a_keys.size else 0
+    return np.count_nonzero(a.data[:a.indptr[-1]]) + e_keys.size - shared
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ plain-text manifests.
 A system directory holds E.mtx, J.mtx, R.mtx, B.mtx, M1.mtx, M2.mtx, S.mtx in
 Matrix Market coordinate format (1-based, `real general`) plus a one-line
 header file `partition` with the four dimensions.  Trajectories are plain CSV
-with 17 significant digits so a round trip is bit-exact.  CSV files are
-streamed to disk in blocks of rows (`structure.block_rows`), so memory does
-not grow with the file; a large one is formatted in slices of rows, one
-forked process per usable CPU, into the same bytes.  Every file is written
-to a sibling temp file that is renamed into place, and removed if writing
+with 17 significant digits so a round trip is bit-exact.  The `%.17g` text
+of floating columns comes from a numpy kernel (`_g17_cells`) that writes
+the bytes `format(v, ".17g")` writes, a block of about 16k values at a
+time; the few values it cannot round with certainty go through `format`.
+CSV files are streamed to disk in those blocks, so memory does not grow
+with the file; a large one is formatted in slices of rows, one forked
+process per usable CPU, into the same bytes.  Every file is written to a
+sibling temp file that is renamed into place, and removed if writing
 fails.
 """
 
@@ -20,6 +23,7 @@ import io
 import itertools
 import os
 import signal
+from fractions import Fraction
 
 import numpy as np
 import scipy.io
@@ -132,6 +136,189 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# ---------------------------------------------------------------------------
+# %.17g of float64 values, vectorized
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+# the powers 10^p that values in [1e-200, 1e200] need, with a decade to spare
+_P_MIN, _P_MAX = -186, 218
+
+
+def _powers() -> tuple:
+    """10^p for p in _P_MIN.._P_MAX as hi + lo, both correctly rounded
+    from the exact `Fraction`, and hi split into halves of 26 bits."""
+    exact = [Fraction(10) ** p for p in range(_P_MIN, _P_MAX + 1)]
+    hi = np.array([float(q) for q in exact])
+    lo = np.array([float(q - Fraction(h)) for q, h in zip(exact, hi)])
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, lo, hh, hi - hh
+
+
+# a cell word: byte k of the text is bits 8k..8k+7, on any host
+_WORD = np.dtype("<u8")
+
+
+def _words(texts, size: int) -> np.ndarray:
+    """Byte strings as rows of cell words, zero-padded to `size` bytes."""
+    return np.array(texts, f"S{size}").view(_WORD).reshape(len(texts), -1)
+
+
+def _quads() -> tuple:
+    """For each q < 10^4: its four digits as the text of a word, and how
+    many of them are left once trailing zeros are dropped (for q > 0)."""
+    q = np.arange(10000)
+    text = sum((q // 10 ** (3 - k) % 10 + ord("0")).astype(np.uint64)
+               << np.uint64(8 * k) for k in range(4))
+    return text, 4 - sum(q % 10 ** k == 0 for k in (1, 2, 3))
+
+
+def _layouts() -> tuple:
+    """Masks of the 24-byte digit field, one row per layout keep·18 + ip:
+    the field holds three zero bytes and the 17 digits, of which `keep`
+    are written, with the point after the first `ip` if any is left after
+    it.  LEFT keeps the digits before the point, RIGHT those after it once
+    the field is shifted up by a byte, POINT holds the point."""
+    left, right, point = [], [], []
+    for keep in range(18):
+        for ip in range(18):
+            left.append(b"\xff" * (3 + min(keep, ip)))
+            right.append(b"\0" * (ip + 4) + b"\xff" * max(keep - ip, 0))
+            point.append(b"\0" * (ip + 3) + b"." if keep > ip else b"")
+    return tuple(_words(m, 24).T.copy() for m in (left, right, point))
+
+
+_POW_HI, _POW_LO, _POW_HH, _POW_HL = _powers()
+_QUAD, _QUAD_DIGITS = _quads()
+_LEFT, _RIGHT, _POINT = _layouts()
+# a zero byte for the sign, then the "0.000" … "0." of exponents −4 … −1;
+# none for the others
+_PREFIX = _words([b"\0" + b"0." + b"0" * k for k in (3, 2, 1, 0)] + [b""],
+                 8)[:, 0]
+_EXP_MIN = -330
+_EXPONENT = _words([b""] + [b"e%+03d" % e for e in range(_EXP_MIN, 310)],
+                   8)[:, 0]
+_SHIFT = {s: np.uint64(s) for s in (8, 24, 32, 56)}
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple:
+    """ax·10^(16−e) as a double-double (yh, yl): Dekker's exact product of
+    ax and the hi part of the power, plus ax times its lo part."""
+    k = 16 - _P_MIN - e
+    bh, bl = np.take(_POW_HH, k), np.take(_POW_HL, k)
+    c = _SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    p = ax * np.take(_POW_HI, k)
+    t = ((((ah * bh - p) + ah * bl + al * bh) + al * bl)
+         + ax * np.take(_POW_LO, k))
+    yh = p + t
+    return yh, t - (yh - p)
+
+
+def _off_decade(yh: np.ndarray, yl: np.ndarray) -> np.ndarray:
+    """Where yh + yl lies outside [1e16, 1e17)."""
+    return ((yh < 1e16) | ((yh == 1e16) & (yl < 0))
+            | (yh > 1e17) | ((yh == 1e17) & (yl >= 0)))
+
+
+def _g17_cells(x: np.ndarray) -> np.ndarray:
+    """`format(v, ".17g")` of every value of the float64 vector x, as rows
+    of five cell words: the text, in order, with zero bytes between its
+    parts and after it.  Bytes 5..7 of the last word are zero.
+
+    Exactness.  For 1e-200 ≤ |x| ≤ 1e200 the decimal exponent e is the one
+    for which y = |x|·10^(16−e) lies in [1e16, 1e17), tested on yh + yl and
+    moved by one where log10 missed it (a value still outside goes through
+    the fallback).  yh + yl equals y to within about 2^-100·y < 1e-13:
+    Dekker's product is exact, and the lo part of the power and the
+    product of x with it each err by about 2^-106·y.  yh is an
+    integer (≥ 1e16 > 2^53), so the 17 correctly rounded digits are
+    D = yh + rint(yl) unless the fraction of yl lies within 1e-6 of ½, where
+    an exact tie may have to be broken to even.  Such values, the
+    non-finite ones and those outside [1e-200, 1e200] (the powers' table,
+    and no underflow in the split product) go through `_g17_fallback`; a
+    D of 10^17 carries into the exponent.  Zeros take D = 0, e = 0.  The
+    text then follows `%g`: fixed notation for −4 ≤ e ≤ 16, with the
+    integer digits kept and zeros after the point dropped, else d.ddde±XX
+    with at least two exponent digits, trailing zeros and a bare point
+    dropped in both."""
+    n = x.size
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = ((ax >= 1e-200) & (ax <= 1e200)) | zero
+    ax = np.where(fast & ~zero, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    yh, yl = _scaled(ax, e)
+    off = np.flatnonzero(_off_decade(yh, yl))
+    if off.size:
+        e[off] += np.where(yh[off] > 1e16, 1, -1)
+        yh[off], yl[off] = _scaled(ax[off], e[off])
+        fast[off[_off_decade(yh[off], yl[off])]] = False
+    fast &= np.abs(yl - np.floor(yl) - 0.5) > 1e-6
+    digits = yh.astype(np.int64) + np.rint(yl).astype(np.int64)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    e += carry
+    digits[zero] = 0
+    e[zero] = 0
+    # the digits in groups: one, then four of four
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    high = rest // 10 ** 8
+    low = (rest - high * 10 ** 8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    q0, q2 = high // np.uint32(10000), low // np.uint32(10000)
+    quads = (q0, high - q0 * np.uint32(10000), q2, low - q2 * np.uint32(10000))
+    significant = np.ones(n, np.int64)
+    for k, q in enumerate(quads):
+        significant = np.where(q != 0, 1 + 4 * k + np.take(_QUAD_DIGITS, q),
+                               significant)
+    field = [((lead.astype(np.uint64) + np.uint64(48)) << _SHIFT[24])
+             | (np.take(_QUAD, quads[0]) << _SHIFT[32]),
+             np.take(_QUAD, quads[1]) | (np.take(_QUAD, quads[2]) << _SHIFT[32]),
+             np.take(_QUAD, quads[3])]
+    sci = (e < -4) | (e > 16)
+    fixed = ~sci & (e >= 0)
+    ip = np.where(sci, 1, np.where(fixed, np.minimum(e + 1, 17), 17))
+    keep = np.where(fixed, np.maximum(significant, ip), significant)
+    layout = keep * 18 + ip
+    out = np.empty((n, 5), _WORD)
+    carried = np.zeros(n, np.uint64)
+    for j, w in enumerate(field):
+        shifted = (w << _SHIFT[8]) | carried
+        carried = w >> _SHIFT[56]
+        out[:, 1 + j] = ((w & np.take(_LEFT[j], layout))
+                         | (shifted & np.take(_RIGHT[j], layout))
+                         | np.take(_POINT[j], layout))
+    out[:, 0] = (np.take(_PREFIX, np.where(sci | fixed, 4, e + 4))
+                 | (np.signbit(x).astype(np.uint64) * np.uint64(ord("-"))))
+    out[:, 4] = np.take(_EXPONENT, np.where(sci, e - _EXP_MIN + 1, 0))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = _g17_fallback(x[slow])
+    return out
+
+
+def _g17_fallback(values) -> np.ndarray:
+    """`_g17_cells` of values one at a time through `format`."""
+    return _words([format(float(v), ".17g").encode() for v in values], 40)
+
+
+def _end_words(ends) -> np.ndarray:
+    """Each separator as the last word of a `_g17_cells` row."""
+    return _words([b"\0" * 5 + end for end in ends], 8)[:, 0]
+
+
+def _g17_text(block: np.ndarray, ends: np.ndarray) -> str:
+    """The values of the 2-D block row by row, each as `%.17g` followed by
+    the separator `ends` holds for its column (`_end_words`)."""
+    cells = _g17_cells(np.ascontiguousarray(block, np.float64).ravel())
+    cells.reshape(*block.shape, 5)[..., 4] |= ends
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_text(column, alone: bool) -> np.ndarray:
     """`str` of every value, quoted as `csv.writer` quotes it: a value with
     a comma, quote or line break, and an empty value alone on its row."""
@@ -142,12 +329,14 @@ def _csv_text(column, alone: bool) -> np.ndarray:
     return np.array(cells, dtype=object)
 
 
-# Fewest values that a slice of a split CSV holds.  On a 2-core Xeon host,
-# forking a process of about 130 MB resident (`sweep-small`) takes 2 ms;
-# the fork, the reap and the append of a part file of 65 536 values take
-# 7–8 ms in all, and formatting those values takes 40–65 ms, so a smaller
-# slice would not repay its process.
-_MIN_SLICE_VALUES = 65536
+# Fewest values that a slice of a split CSV holds.  On a 2-core x86_64
+# host, in a process of about 150 MB resident, `_g17_text` formats and
+# writes 65 536 values in 17–20 ms, while the fork, the reap and the append
+# of a part file cost 20–26 ms.  Over 31 interleaved pairs, a file of
+# 131 072 values took 1.29 times as long in two slices as in one (two
+# faster in 8 of 31), one of 262 144 values 0.71 times (29 of 31); so a
+# slice holds at least 131 072 values.
+_MIN_SLICE_VALUES = 131072
 
 
 def _row_slices(n_rows: int, n_columns: int) -> list:
@@ -161,17 +350,31 @@ def _row_slices(n_rows: int, n_columns: int) -> list:
     return [n_rows * k // count for k in range(count + 1)]
 
 
-def _csv_blocks(row: str, columns, lo: int, hi: int):
-    """The text of rows lo..hi, `block_rows` rows per chunk, each row
-    formatted by the `%` string `row`."""
-    step = block_rows(len(columns))
+def _csv_blocks(row: str | None, columns, lo: int, hi: int):
+    """The text of rows lo..hi, an eighth of `block_rows` rows per chunk.
+    With `row` None every column is floating, 1-D or a 2-D group of
+    adjacent columns, and each chunk is one block through `_g17_text`.
+    Otherwise the columns are 1-D, `row` is the `%` string of a row, and
+    the floating columns enter it as `_g17_text` writes them."""
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    step = max(1, block_rows(width) // 8)
+    ends = _end_words([b","] * (width - 1) + [b"\r\n"] if row is None
+                      else [b"\n"])
     for k in range(lo, hi, step):
         stop = min(k + step, hi)
-        yield "".join(row % cells for cells in
-                      zip(*[c[k:stop].tolist() for c in columns]))
+        if row is None:
+            yield _g17_text(np.concatenate(
+                [c[k:stop] if c.ndim == 2 else c[k:stop, None]
+                 for c in columns], axis=1, dtype=np.float64), ends)
+        else:
+            yield "".join(row % cells for cells in zip(*[
+                _g17_text(c[k:stop, None], ends).split("\n")[:-1]
+                if np.issubdtype(c.dtype, np.floating) else c[k:stop].tolist()
+                for c in columns]))
 
 
-def _write_part(part: str, row: str, columns, lo: int, hi: int) -> None:
+def _write_part(part: str, row: str | None, columns, lo: int,
+                hi: int) -> None:
     """In a forked process: write rows lo..hi to `part` and leave by
     `os._exit`, with status 0 once the file is closed and 1 on any error, so
     nothing of the parent (exit handlers, buffered streams) runs twice."""
@@ -187,7 +390,7 @@ def _write_part(part: str, row: str, columns, lo: int, hi: int) -> None:
 
 
 @contextlib.contextmanager
-def _forked_slices(path: str, row: str, columns, bounds):
+def _forked_slices(path: str, row: str | None, columns, bounds):
     """Fork one process for each slice of rows after the first; each writes
     its rows to the part file `<path>.tmp.part<k>`.  Yields an iterator that
     waits for the processes in row order and gives each part file, and
@@ -230,20 +433,20 @@ def _forked_slices(path: str, row: str, columns, bounds):
 
 
 def _write_csv_rows(path: str, header, columns) -> None:
-    """One CSV row per index of the equal-length columns, formatted by one
-    `%` string per row: `%.17g` for floating columns, `%s` for the rest.
-    The header goes through `csv.writer`; the rows are streamed to the file
-    `block_rows` at a time, so the byte format is that of `csv.writer` with
-    `_fmt` for floats and `str` for the other values.  The rows after the
-    first slice of `_row_slices` are formatted by forked processes and
-    appended in order."""
+    """One CSV row per index of the equal-length columns: `%.17g` for
+    floating values, `str` for the rest.  A 2-D column is a group of
+    adjacent floating columns.  The header goes through `csv.writer`; the
+    rows are streamed to the file in chunks of `_csv_blocks`, so the byte
+    format is that of `csv.writer` with `_fmt` for floats and `str` for the
+    other values.  The rows after the first slice of `_row_slices` are
+    formatted by forked processes and appended in order."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
-    row = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
+    row = None if all(numeric) else ",".join(["%s"] * len(columns)) + "\r\n"
     columns = [c if num else _csv_text(c, len(columns) == 1)
                for c, num in zip(columns, numeric)]
-    bounds = _row_slices(columns[0].shape[0] if columns else 0, len(columns))
+    bounds = _row_slices(columns[0].shape[0] if columns else 0, len(header))
     with _forked_slices(path, row, columns, bounds) as parts:
         write_text_atomic(path, itertools.chain(
             [head.getvalue()], _csv_blocks(row, columns, *bounds[:2])), parts)
@@ -252,10 +455,9 @@ def _write_csv_rows(path: str, header, columns) -> None:
 def write_trajectory_csv(traj, path: str) -> None:
     """Header: t,H,D_cum,E_in,<state labels...>,<output labels...>."""
     header = ["t", "H", "D_cum", "E_in", *traj.state_labels, *traj.output_labels]
+    # the states and outputs go as 2-D groups: neither matrix is copied
     columns = [traj.times, traj.hamiltonians, traj.dissipated_cum,
-               traj.supplied_cum, *np.asarray(traj.states).T,
-               *np.asarray(traj.outputs).T]
-    # the state and output columns are views: neither matrix is copied
+               traj.supplied_cum, traj.states, traj.outputs]
     _write_csv_rows(path, header,
                     [np.asarray(c, dtype=np.float64) for c in columns])
 

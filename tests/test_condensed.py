@@ -148,6 +148,7 @@ def assert_factor_bound(system, r, tau):
     union.eliminate_zeros()
     pencil = sp.csc_matrix(dae.E_dae - (0.5 * tau) * dae.A_dae)
     admitted = integrators._condenses(dae, r)
+    assert dae._union == union.nnz  # the count the rule keeps on the DAE
     for spec in ("COLAMD", "MMD_AT_PLUS_A"):
         nnz = spla.splu(pencil, permc_spec=spec).nnz
         assert union.nnz + n <= nnz, spec

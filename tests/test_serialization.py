@@ -1,11 +1,15 @@
 import importlib.util
 import io
+import math
 import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.io
 import scipy.sparse as sp
 
@@ -27,8 +31,39 @@ from tests.oracles import reference_csv
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # values whose %.17g text is easy to get wrong; 3.0 is written `3`
-EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300,
-                        1.7976931348623157e308, 3.0])
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                           1e-300, 1.7976931348623157e308, 3.0])
+
+
+def _kernel_edges() -> np.ndarray:
+    """Values that test the decade, the rounding and the fallback of the
+    vectorized `%.17g` kernel (`serialization._g17_cells`)."""
+    powers = np.array([float(f"1e{k}") for k in range(-210, 211)])
+    near = [powers]
+    for direction in (np.inf, -np.inf):
+        step = powers
+        for _ in range(2):  # one and two ulps away
+            step = np.nextafter(step, direction)
+            near.append(step)
+    # dyadic N / 2^m whose exact expansion has 18 digits ending in 5:
+    # exact ties at 17 digits, which round half to even
+    ties = []
+    for m in range(2, 26):
+        least = -(-10 ** 17 // 5 ** m) | 1
+        most = min(2 ** 53 - 1, 10 ** 18 // 5 ** m - 1) | 1
+        ties += [n / 2 ** m for n in (least, least + 2, least + 8, most)
+                 if len(str(n * 5 ** m)) == 18]
+    assert len(ties) > 40
+    values = np.concatenate(near + [
+        [1e-06, 0.1, 2.0 ** 53 - 2, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+         9.9999999999999999e22, 1e16, 1e17, 2.2250738585072014e-308, 1e-5,
+         1e-4, 1e-200, 1e200, np.nextafter(1e-200, 0),
+         np.nextafter(1e200, np.inf)],
+        ties])
+    return np.concatenate([values, -values])
+
+
+EDGE_VALUES = np.concatenate([SPECIAL_VALUES, _kernel_edges()])
 
 
 def test_matrix_round_trip_dense(tmp_path, rng):
@@ -179,8 +214,8 @@ def _trajectory(rng, rows, n_states, n_outputs, labels=None):
     data = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
         -300, 300, (rows, width))
     for j in range(width):
-        k = min(rows, EDGE_VALUES.size)
-        data[:k, j] = np.roll(EDGE_VALUES, j)[:k]
+        k = min(rows, SPECIAL_VALUES.size)
+        data[:k, j] = np.roll(SPECIAL_VALUES, j)[:k]
     states, outputs = data[:, 4 : 4 + n_states], data[:, 4 + n_states :]
     state_labels = labels or tuple(f"x{i}" for i in range(n_states))
     traj = Trajectory(data[:, 0], states, outputs, data[:, 1], data[:, 2],
@@ -227,12 +262,91 @@ def test_trajectory_csv_quotes_labels_like_csv_writer(tmp_path, rng):
       np.array(['"', ",", "c", "", "d", "e", "f", "g", "h", "i"]),
       np.array([True, False] * 5),
       np.arange(-5, 5),
-      np.r_[EDGE_VALUES, 0.5]]),
+      np.r_[SPECIAL_VALUES, 0.5]]),
 ], ids=["single-float", "zero-rows", "single-text", "mixed"])
 def test_columns_csv_bytes_match_reference(tmp_path, header, columns):
     path = tmp_path / "c.csv"
     write_columns_csv(str(path), header, columns)
     assert path.read_bytes() == reference_csv(header, columns)
+
+
+def _kernel_text(values) -> str:
+    return serialization._g17_text(np.asarray(values)[:, None],
+                                   serialization._end_words([b"\n"]))
+
+
+def _format_text(values) -> str:
+    return "".join(format(float(v), ".17g") + "\n" for v in values)
+
+
+# any float64 by its bits: every exponent, NaNs of any payload, ±inf,
+# subnormals and ±0 alike
+ANY_FLOAT64 = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(ANY_FLOAT64 | st.floats(), max_size=200))
+def test_kernel_bytes_equal_format_for_any_float64(values):
+    assert _kernel_text(np.array(values, np.float64)) == _format_text(values)
+
+
+def test_kernel_bytes_equal_format_on_edge_values():
+    assert _kernel_text(EDGE_VALUES) == _format_text(EDGE_VALUES)
+
+
+def _tie_distance(value: float) -> float:
+    """How far the exact x·10^(16−e), 10^16 ≤ it < 10^17, lies from the
+    nearest half-integer: 0 for an exact tie at 17 digits."""
+    q, e = abs(Fraction(value)), 0
+    while q * Fraction(10) ** (16 - e) >= 10 ** 17:
+        e += 1
+    while q * Fraction(10) ** (16 - e) < 10 ** 16:
+        e -= 1
+    y = q * Fraction(10) ** (16 - e)
+    return float(abs(y - math.floor(y) - Fraction(1, 2)))
+
+
+def test_kernel_sends_only_ties_extremes_and_non_finite_values_one_by_one(
+        monkeypatch, rng):
+    fallback, sent = serialization._g17_fallback, []
+
+    def counting(values):
+        sent.extend(values.tolist())
+        return fallback(values)
+
+    monkeypatch.setattr(serialization, "_g17_fallback", counting)
+    common = rng.standard_normal(5000) * 10.0 ** rng.integers(-199, 199, 5000)
+    zeros = np.zeros(100) * np.resize([1.0, -1.0], 100)
+    assert _kernel_text(np.r_[common, zeros]) == _format_text(
+        np.r_[common, zeros])
+    # zeros and −0 stay on the vector path; a common value is sent only
+    # when it is within 1e-6 of a tie (doubles near 1e14 with few fraction
+    # bits are exact ties often)
+    assert len(sent) < 50 and all(_tie_distance(v) <= 1e-6 for v in sent)
+    sent.clear()
+    ties = [2.0 ** -25, 1e15 + 0.25]  # 18-digit expansions ending in 5
+    others = [np.nan, np.inf, -np.inf, 5e-324, 1e-201, 1e201]
+    assert _kernel_text(ties + others) == _format_text(ties + others)
+    assert _kernel_text(ties) == "2.9802322387695312e-08\n1000000000000000.2\n"
+    assert sent[:2] == ties and len(sent) == 2 + len(others) + 2
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+def test_columns_csv_of_other_float_widths_match_reference(tmp_path, rng,
+                                                           dtype):
+    # a longdouble is written as `%.17g` of its float64 rounding
+    reach = min(30, int(np.log10(np.finfo(dtype).max)) - 1)
+    scale = 10.0 ** rng.integers(-reach, reach, 300)
+    wide = (rng.standard_normal(300) * scale).astype(dtype)
+    if dtype is np.longdouble:
+        wide = wide / dtype(3)
+    with np.errstate(over="ignore"):  # 1.8e308 is inf in a narrow type
+        special = np.r_[SPECIAL_VALUES, np.ones(291)].astype(dtype)
+    columns = [wide, special, rng.standard_normal(300)]
+    path = tmp_path / "w.csv"
+    write_columns_csv(str(path), ["a", "b", "c"], columns)
+    assert path.read_bytes() == reference_csv(["a", "b", "c"], columns)
 
 
 def test_traced_trajectory_write_counts_values_and_bytes(tmp_path, rng):
@@ -323,7 +437,7 @@ def _split_case(rng, name):
             [np.array(["a,b", 'q"t', "", "plain", " x "] * 2),
              np.array(['"', ",", "c", "", "d", "e", "f", "g", "h", "i"]),
              np.array([True, False] * 5), np.arange(-5, 5),
-             np.r_[EDGE_VALUES, 0.5]])
+             np.r_[SPECIAL_VALUES, 0.5]])
 
 
 @needs_fork
