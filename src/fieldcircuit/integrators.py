@@ -243,16 +243,21 @@ _RESIDUAL_BOUND = 32.0
 
 
 class _StageSolver:
-    """LU factorization of a fixed stage matrix, reused across all steps.
+    """LU factorization of a fixed stage matrix P, reused across all steps.
 
-    The matrix is factored once with the column ordering `permc_spec`.
-    Without one it is factored with the MMD_AT_PLUS_A and with the COLAMD
-    ordering, and the factor that stores fewer entries (SuperLU's `nnz`,
-    supernode blocks included: what the triangular solves read) is kept,
-    COLAMD on a tie; `permc_spec` then names the ordering kept.  MMD is
-    the sparser on the pencils of fine meshes (281k entries against 416k
-    at n = 4952), COLAMD on coarse ones (about 30k against 33k–37k at
-    n ≈ 743).  Only one factor is alive at a time.
+    P is kept once, as canonical CSR (sorted, summed entries), and its
+    arrays are read without a copy as the CSC arrays of Pᵀ, which is what
+    is factored; P x = rhs is solved through that factor with SuperLU's
+    transposed triangular solves (`trans="T"`), the faster of its two solve
+    loops on the FE pencils.  Pᵀ is factored once with the column ordering
+    `permc_spec`.  Without one it is factored with the MMD_AT_PLUS_A and
+    with the COLAMD ordering, and the factor that stores fewer entries
+    (SuperLU's `nnz`, supernode blocks included: what the triangular
+    solves read) is kept, COLAMD on a tie; `permc_spec` then names the
+    ordering kept; COLAMD on Pᵀ orders the rows of P.  MMD is the sparser
+    on the pencils of fine meshes (243k entries against 397k at n = 4952),
+    COLAMD on coarse ones (about 30k against 33k at n ≈ 743).  Only one
+    factor is alive at a time.
     `solve` checks the residual of each solve against `_RESIDUAL_BOUND`
     and refines it once or twice if needed, which keeps it near round-off
     even when the stage matrix mixes badly scaled physical blocks, and
@@ -262,25 +267,32 @@ class _StageSolver:
 
     def __init__(self, mat, context: str, permc_spec: str = None):
         self._context = context
-        self._mat = sp.csr_array(mat)
+        mat = sp.csr_array(mat)
+        if not mat.has_canonical_format:
+            # splu sums the duplicates of its CSC input in place, which
+            # would corrupt the CSR matrix that shares its arrays
+            mat = mat.copy()
+            mat.sum_duplicates()
+        self._mat = mat
         what = (f"stage matrix ({context}); the matrix pencil may be "
                 f"irregular or the model inconsistent")
-        csc = sp.csc_matrix(mat)
+        p_t = sp.csc_matrix((mat.data, mat.indices, mat.indptr),
+                            shape=mat.shape[::-1])
         if permc_spec is None:
-            mmd_nnz = _splu(csc, what, "MMD_AT_PLUS_A").nnz
+            mmd_nnz = _splu(p_t, what, "MMD_AT_PLUS_A").nnz
             permc_spec = "COLAMD"
-            self._lu = _splu(csc, what, permc_spec)
+            self._lu = _splu(p_t, what, permc_spec)
             if mmd_nnz < self._lu.nnz:
                 del self._lu
                 permc_spec = "MMD_AT_PLUS_A"
-                self._lu = _splu(csc, what, permc_spec)
+                self._lu = _splu(p_t, what, permc_spec)
         else:
-            self._lu = _splu(csc, what, permc_spec)
+            self._lu = _splu(p_t, what, permc_spec)
         self.permc_spec = permc_spec
-        self._row_scale = float(abs(self._mat).sum(axis=1).max(initial=0.0))
+        self._row_scale = float(abs(mat).sum(axis=1).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(rhs)
+        x = self._lu.solve(rhs, "T")  # trans="T": P x = rhs
         for _ in range(2):
             r = rhs - self._mat @ x
             scale = self._row_scale * np.abs(x).max(initial=0.0)
@@ -288,7 +300,7 @@ class _StageSolver:
                                               + scale)
             if np.abs(r).max(initial=0.0) <= bound:
                 break
-            x = x + self._lu.solve(r)
+            x = x + self._lu.solve(r, "T")
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite stage solution ({self._context})")
         return x
@@ -660,8 +672,9 @@ def _stepping_plans(method: Method, tau: float, u_at, n_steps: int):
 
 
 def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
-    """Bind the stepping of the grid `times`, factorizing every pencil up
-    front with the ordering of the system (`_pencil_solver`): per pencil
+    """Bind the stepping of the grid `times`, factorizing the transpose of
+    every pencil up front with the ordering of the system (`_pencil_solver`),
+    each kept once, as the CSR arrays of the pencil: per pencil
     (λ_j, r_j, γ_j) of `_pencil_plan` a step solves
     (E − τλ_j A) w_j = (Σ_i r_ji) A z + B Σ_i r_ji u(t + c_i τ)
     + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j), summed in pencil
@@ -670,11 +683,12 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     (`_stepping_plans`).  The input term is formed for every step before
     the first, from the grid inputs `u_at` of `_input_grid` and on the rows
     that B reaches only; a step then does one product A z and, per pencil,
-    one indexed add and one `_StageSolver.solve`, which checks and refines
-    the solve and raises NumericalError on a non-finite solution.  The
-    input term and the steps are computed with numpy's overflow and
-    invalid-value warnings off: a non-finite value they produce reaches
-    `solve`, which reports it.
+    one indexed add and one `_StageSolver.solve`, a transposed solve with
+    the factor of the pencil's transpose, which checks and refines the
+    solve and raises NumericalError on a non-finite solution.  The input
+    term and the steps are computed with numpy's overflow and invalid-value
+    warnings off: a non-finite value they produce reaches `solve`, which
+    reports it.
 
     Returns march(first, states, z_prev): steps states[1:] from states[0],
     whose step is `first` and whose predecessor is z_prev (read by BDF2).

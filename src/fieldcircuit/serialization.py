@@ -23,7 +23,6 @@ import io
 import itertools
 import os
 import signal
-from fractions import Fraction
 
 import numpy as np
 import scipy.io
@@ -147,10 +146,17 @@ _P_MIN, _P_MAX = -186, 218
 
 def _powers() -> tuple:
     """10^p for p in _P_MIN.._P_MAX as hi + lo, both correctly rounded
-    from the exact `Fraction`, and hi split into halves of 26 bits."""
-    exact = [Fraction(10) ** p for p in range(_P_MIN, _P_MAX + 1)]
-    hi = np.array([float(q) for q in exact])
-    lo = np.array([float(q - Fraction(h)) for q, h in zip(exact, hi)])
+    from the exact value, and hi split into halves of 26 bits.  10^p is the
+    ratio of Python integers a/b and hi = c/d (d a power of two), so
+    10^p − hi = (a·d − c·b)/(b·d); int/int division is correctly rounded."""
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        a, b = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        h = a / b
+        c, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((a * d - c * b) / (b * d))
+    hi, lo = np.array(hi), np.array(lo)
     c = _SPLIT * hi
     hh = c - (c - hi)
     return hi, lo, hh, hi - hh

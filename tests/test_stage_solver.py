@@ -1,14 +1,18 @@
-"""The stage solver keeps the sparser of the MMD_AT_PLUS_A and COLAMD
-factors of a pencil, and its iterative refinement never fires on the
-pencils of the benchmark workloads: each step calls `solve` once per
-pencil, and each call is one triangular solve with the factor."""
+"""The stage solver factors the transpose of a pencil, read from the
+pencil's own CSR arrays, keeps the sparser of its MMD_AT_PLUS_A and COLAMD
+factors, and its iterative refinement never fires on the pencils of the
+benchmark workloads: each step calls `solve` once per pencil, and each
+call is one triangular solve with the factor."""
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fieldcircuit import experiments, integrators
-from fieldcircuit.integrators import _StageSolver, simulate, to_linear_dae
+from fieldcircuit.integrators import (_StageSolver, _pencil_plan,
+                                      method_from_tag, simulate,
+                                      to_linear_dae)
 
 
 def trapezoidal_pencil(**config):
@@ -27,11 +31,49 @@ def test_kept_factor_is_the_sparser_on_a_fine_solid_core_pencil():
 
 
 def test_kept_factor_is_colamd_on_a_coarse_stranded_pencil():
+    # the factor is of the transpose: COLAMD orders the rows of the pencil
     pencil = trapezoidal_pencil(mesh_h=1.0e-3)
-    colamd = spla.splu(pencil, permc_spec="COLAMD")
+    colamd = spla.splu(pencil.T.tocsc(), permc_spec="COLAMD")
     kept = _StageSolver(pencil, "stranded 1 mm")._lu
     assert kept.nnz == colamd.nnz
     assert (kept.perm_c == colamd.perm_c).all()
+
+
+def scrambled_csr(mat, rng):
+    """`mat` as a CSR matrix with every entry stored as two halves, in a
+    shuffled order within each row: duplicate and unsorted indices."""
+    mat = sp.csr_array(mat)
+    data, indices, indptr = [], [], [0]
+    for i in range(mat.shape[0]):
+        row = slice(mat.indptr[i], mat.indptr[i + 1])
+        cols = np.tile(mat.indices[row], 2)
+        vals = np.tile(mat.data[row] / 2.0, 2)
+        order = rng.permutation(len(cols))
+        indices.append(cols[order])
+        data.append(vals[order])
+        indptr.append(indptr[-1] + len(cols))
+    return sp.csr_array((np.concatenate(data), np.concatenate(indices),
+                         np.array(indptr)), shape=mat.shape)
+
+
+@pytest.mark.parametrize("method", ["trapezoidal", "gauss4", "radau5"])
+def test_scrambled_pencil_solves_to_round_off(rng, method):
+    cfg = experiments.OscillatorConfig(conductor_kind="solid",
+                                       core_conductive=True)
+    dae = to_linear_dae(experiments.build_oscillator(cfg).system)
+    for lam, _, _ in _pencil_plan(method_from_tag(method))[1]:
+        pencil = dae.E_dae - (cfg.tau * lam) * dae.A_dae
+        dense = pencil.toarray()
+        scrambled = scrambled_csr(pencil, rng)
+        assert not scrambled.has_canonical_format
+        solver = _StageSolver(scrambled, f"scrambled {method}")
+        # neither the kept pencil nor the input is changed by the factor
+        assert (solver._mat.toarray() == dense).all()
+        assert (scrambled.toarray() == dense).all()
+        rhs = rng.standard_normal(len(dense))
+        x = solver.solve(rhs)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class CountingLU:
