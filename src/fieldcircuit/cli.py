@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from fieldcircuit import conductors, coupling, experiments, fem, mna, serialization
-from fieldcircuit.integrators import (METHOD_TAGS, consistent_init,
-                                     method_from_tag, simulate, step_count)
+from fieldcircuit._stepping import METHOD_TAGS, method_from_tag
+from fieldcircuit.integrators import consistent_init, simulate, step_count
 from fieldcircuit.mna import NetlistError
 from fieldcircuit.structure import NumericalError, StructureError, validate
 

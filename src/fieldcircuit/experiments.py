@@ -18,9 +18,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fieldcircuit import conductors, coupling, fem, mna, serialization
-from fieldcircuit.integrators import (Trajectory, consistent_init,
-                                      error_measures, method_from_tag,
-                                      simulate)
+from fieldcircuit._audit import error_measures
+from fieldcircuit._stepping import method_from_tag
+from fieldcircuit.integrators import Trajectory, consistent_init, simulate
 from fieldcircuit.structure import StructureError, to_dense
 
 SIGMA_CORE_CONDUCTIVE = 100.0       # S/m

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fieldcircuit.conductors import KINDS
-from fieldcircuit.integrators import method_from_tag
+from fieldcircuit._stepping import method_from_tag
 from fieldcircuit.structure import (EnergySystem, Partition, csr_entries,
                                    csr_from_entries)
 from fieldcircuit.waveforms import Constant, Sinusoid, WaveformStack

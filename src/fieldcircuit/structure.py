@@ -16,10 +16,9 @@ test of `min_sym_eig` is a sparse LDLᵀ certificate, then a Lanczos
 eigensolve.  Dense arrays appear only where a block is small by
 construction (n×k coupling columns, k×k port blocks, circuit-sized blocks
 of the initialization, the n×r map of a system stepped on its r
-differential coordinates, which `integrators._condenses` admits only when
+differential coordinates, which `_stepping._condenses` admits only when
 it stores no more entries than the LU factor of any pencil can: n·r ≤
-|pattern(E_dae) ∪ pattern(A_dae)| + n), never as an n×n matrix of the
-system.
+nnz(A_dae) + n), never as an n×n matrix of the system.
 """
 
 from __future__ import annotations

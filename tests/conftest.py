@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fieldcircuit import integrators, serialization
+from fieldcircuit import _stepping, serialization
 from fieldcircuit.integrators import consistent_init
 from fieldcircuit.structure import EnergySystem, Partition
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
@@ -73,7 +73,7 @@ def rng():
 def sparse_stepper(monkeypatch):
     """`simulate` steps every system on its sparse path: the cost rule
     condenses none."""
-    monkeypatch.setattr(integrators, "_condenses", lambda *args: False)
+    monkeypatch.setattr(_stepping, "_condenses", lambda *args: False)
 
 
 # the CSV writer splits a file only where it can fork

@@ -34,10 +34,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from fieldcircuit import integrators
-from fieldcircuit.integrators import (_pencil_plan, _pencil_solver,
-                                      _StageSolver, method_from_tag,
-                                      to_linear_dae)
+from fieldcircuit import _dae
+from fieldcircuit._stepping import (_pencil_plan, _pencil_solver,
+                                    _StageSolver, method_from_tag)
+from fieldcircuit.integrators import to_linear_dae
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import GROUND
 from fieldcircuit.structure import (EnergySystem, Partition, block_rows,
@@ -206,7 +206,7 @@ def reference_per_step_run(sys, z0, u, tau, steps, method):
 
 
 def reference_bookkeeping(sys, states, tau, endpoint):
-    """(y, wᵀRw, H) of the steps of a span, as `_energy_bookkeeping`
+    """(y, wᵀRw, H) of the steps of a span, as `_audit.energy_bookkeeping`
     returns them, from the full-width z* and w = [(z1⁺−z1)/τ; S z2*; z3*]
     of each block of `block_rows(n)` steps: y = Bᵀw over all n rows and
     wᵀRw the row sums of the C-ordered products w ⊙ Rw."""
@@ -323,7 +323,7 @@ def reference_mna_system(inc):
 
 
 def reference_rearrange(sys):
-    """(E_dae, A_dae, B_dae) of `integrators._rearrange`, each from a
+    """(E_dae, A_dae, B_dae) of `_dae.rearrange`, each from a
     `bmat` or `vstack` of the sliced blocks of J − R."""
     p = sys.partition
     n1, n2, n3 = p.n1, p.n2, p.n3
@@ -353,7 +353,7 @@ def reference_rearrange(sys):
 
 
 def reference_left_null_basis(mat):
-    """`integrators._left_null_basis` with its row blocks found through
+    """`_dae._left_null_basis` with its row blocks found through
     the graph of abs(m) abs(m)ᵀ and assembled by `block_diag`."""
     mat = sp.csr_array(mat)
     mat.eliminate_zeros()
@@ -373,17 +373,17 @@ def reference_left_null_basis(mat):
 
 
 def reference_constraint_basis(e_dae, a_dae, b_dae, n1):
-    """(C, D) of `integrators._constraint_basis`, with the scaling as a
+    """(C, D) of `_dae.constraint_basis`, with the scaling as a
     diagonal product and the pivot block factored even when it is empty."""
     row_max = np.maximum.reduce(
-        [integrators._row_max_abs(mat) for mat in (e_dae, a_dae, b_dae)])
+        [_dae._row_max_abs(mat) for mat in (e_dae, a_dae, b_dae)])
     row_max[row_max == 0.0] = 1.0
     d_inv = sp.diags_array(1.0 / row_max, format="csr")
     e_eq = d_inv @ e_dae
     is_piv = e_eq.diagonal() != 0.0
     is_piv[n1:] = False
     piv, rest = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
-    lu = integrators._splu(e_eq[piv][:, piv], "pivot block")
+    lu = _dae._splu(e_eq[piv][:, piv], "pivot block")
     e_rest = e_eq[rest]
     e_qp, e_pk, schur = e_rest[:, piv], e_eq[piv][:, rest], e_rest[:, rest]
     if e_pk.nnz:
@@ -401,15 +401,15 @@ def reference_constraint_basis(e_dae, a_dae, b_dae, n1):
 
 
 def reference_sparse_least_squares(mat, rhs):
-    """`integrators._sparse_least_squares` with the augmented system
+    """`_dae.sparse_least_squares` with the augmented system
     assembled by `bmat`."""
     mat = sp.csr_array(mat)
     mat.eliminate_zeros()
     rows, cols = np.flatnonzero(np.diff(mat.indptr)), np.unique(mat.indices)
-    scale = 1.0 / integrators._row_max_abs(mat[rows])
+    scale = 1.0 / _dae._row_max_abs(mat[rows])
     g = sp.diags_array(scale) @ mat[rows][:, cols]
-    lu = integrators._splu(sp.bmat([[sp.eye_array(rows.size), g],
-                                    [g.T, None]]), "least squares")
+    lu = _dae._splu(sp.bmat([[sp.eye_array(rows.size), g],
+                             [g.T, None]]), "least squares")
     sol = lu.solve(np.r_[scale * rhs[rows], np.zeros(cols.size)])
     x = np.zeros(mat.shape[1])
     x[cols] = sol[rows.size :]

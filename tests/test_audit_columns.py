@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fieldcircuit import integrators
+from fieldcircuit import _audit
+from fieldcircuit._audit import energy_bookkeeping
 from fieldcircuit.coupling import bind_circuit, couple, coupled_input_stack
 from fieldcircuit.experiments import OscillatorConfig, build_oscillator
-from fieldcircuit.integrators import (_energy_bookkeeping, consistent_init,
-                                      simulate)
+from fieldcircuit.integrators import consistent_init, simulate
 from fieldcircuit.mna import build_incidence, mna_system, read_netlist
 from fieldcircuit.structure import Partition, block_rows, row_dots
 from tests.conftest import random_energy_system
@@ -31,7 +31,7 @@ STEPS = 2 * BLOCK + 3
 def assert_same_audit(sys, states, tau):
     """Midpoint and endpoint audits equal the full-width reference's bytes."""
     for endpoint in (False, True):
-        got = _energy_bookkeeping(sys, states, tau, endpoint)
+        got = energy_bookkeeping(sys, states, tau, endpoint)
         want = reference_bookkeeping(sys, states, tau, endpoint)
         for name, a, b in zip(("y", "dissipated", "h"), got, want):
             assert a.shape == b.shape, name
@@ -40,7 +40,7 @@ def assert_same_audit(sys, states, tau):
 
 @pytest.fixture
 def short_blocks(monkeypatch):
-    monkeypatch.setattr(integrators, "block_rows", lambda width: BLOCK)
+    monkeypatch.setattr(_audit, "block_rows", lambda width: BLOCK)
 
 
 @pytest.mark.parametrize("kind", ["stranded", "solid"])
@@ -55,7 +55,7 @@ def test_oscillator_audit_equals_full_width(kind, blocks, monkeypatch):
     steps = block_rows(sys.n) + 7
     traj = simulate(sys, parts.z0, parts.u, tau, steps * tau, "trapezoidal")
     if blocks == "short":
-        monkeypatch.setattr(integrators, "block_rows", lambda width: BLOCK)
+        monkeypatch.setattr(_audit, "block_rows", lambda width: BLOCK)
     assert_same_audit(sys, traj.states, tau)
     assert_same_audit(sys, traj.states[: STEPS + 1], tau)
 
@@ -85,7 +85,7 @@ def _with_r_on(rng, sys, lo, hi):
 @pytest.mark.parametrize("blocks", ["natural", "short"])
 def test_random_audit_equals_full_width(rng, blocks, monkeypatch):
     if blocks == "short":
-        monkeypatch.setattr(integrators, "block_rows", lambda width: BLOCK)
+        monkeypatch.setattr(_audit, "block_rows", lambda width: BLOCK)
     tau = 0.05
     for n1, n2, n3, m in ((3, 3, 2, 2), (4, 2, 3, 3), (0, 3, 2, 2),
                           (3, 0, 2, 1), (2, 2, 0, 2)):

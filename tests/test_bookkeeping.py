@@ -9,7 +9,8 @@ from fieldcircuit.conductors import (SolidModel, StrandedModel, foil_system,
                                      solid_system, stranded_system, synth_foil)
 from fieldcircuit.coupling import bind_circuit, couple
 from fieldcircuit.experiments import OscillatorConfig, build_oscillator
-from fieldcircuit.integrators import METHOD_TAGS, simulate
+from fieldcircuit._stepping import METHOD_TAGS
+from fieldcircuit.integrators import simulate
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import build_incidence, mna_system, parse_netlist
 from fieldcircuit.serialization import load_system, save_system

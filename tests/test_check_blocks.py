@@ -13,11 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
-from fieldcircuit import integrators
+from fieldcircuit import _audit, _stepping
+from fieldcircuit._stepping import (METHOD_TAGS, _pencil_plan, _StageSolver,
+                                    method_from_tag)
 from fieldcircuit.experiments import OscillatorConfig, build_oscillator
-from fieldcircuit.integrators import (METHOD_TAGS, _pencil_plan,
-                                      _StageSolver, method_from_tag,
-                                      simulate)
+from fieldcircuit.integrators import simulate
 from fieldcircuit.structure import NumericalError
 from tests.conftest import random_draws, random_energy_system
 from tests.oracles import reference_per_step_run
@@ -43,7 +43,8 @@ def oscillator(request):
 
 @pytest.fixture
 def short_blocks(monkeypatch):
-    monkeypatch.setattr(integrators, "block_rows", lambda width: BLOCK)
+    for module in (_stepping, _audit):
+        monkeypatch.setattr(module, "block_rows", lambda width: BLOCK)
 
 
 def spy_solves(monkeypatch):
@@ -55,7 +56,7 @@ def spy_solves(monkeypatch):
         calls.append(self._context)
         return solve(self, rhs)
 
-    monkeypatch.setattr(integrators._StageSolver, "solve", counting_solve)
+    monkeypatch.setattr(_stepping._StageSolver, "solve", counting_solve)
     return calls
 
 
@@ -91,7 +92,7 @@ def test_zero_bound_refines_every_solve_like_the_per_solve_reference(
     steps, tau = 30, parts.config.tau
     args = (parts.system, parts.z0, parts.u, tau, steps)
     unrefined, _ = reference_per_step_run(*args, method)
-    monkeypatch.setattr(integrators, "_RESIDUAL_BOUND", 0.0)
+    monkeypatch.setattr(_stepping, "_RESIDUAL_BOUND", 0.0)
     solves = spy_solves(monkeypatch)
     traj = simulate(*args[:3], tau, steps * tau, method)
     # one `solve` per pencil per step, each of which fails the check and

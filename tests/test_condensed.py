@@ -1,6 +1,6 @@
 """The condensed path of `simulate`: an index-1 system whose differential
 coordinates are few steps on x = E_dae[R] z through r×r propagators
-(`integrators._condensed_map`).  It agrees with the sparse path to
+(`_stepping.condensed_map`).  It agrees with the sparse path to
 round-off on the 1 mm and 0.4 mm oscillators, on every corpus netlist the
 cost rule condenses and on random index-1 draws, for every method; its
 audit is the audit of its states to round-off.  The index-2 oscillator, a
@@ -19,12 +19,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fieldcircuit import coupling, experiments, integrators, mna
+from fieldcircuit import _dae, _stepping, coupling, experiments, mna
+from fieldcircuit._audit import energy_bookkeeping
+from fieldcircuit._stepping import METHOD_TAGS, condensed_map
 from fieldcircuit.cli import EXIT_OK, cli_main
 from fieldcircuit.conductors import load_model
-from fieldcircuit.integrators import (METHOD_TAGS, _condensed_map,
-                                      _energy_bookkeeping, consistent_init,
-                                      simulate, to_linear_dae)
+from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.serialization import read_manifest, read_trajectory_csv
 from fieldcircuit.structure import NumericalError, hamiltonian
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
@@ -56,7 +56,7 @@ def both_paths(monkeypatch, sys, z0, u, tau, steps, method, force=False):
     for condense in (force or None, False):
         with monkeypatch.context() as patch:
             if condense is not None:
-                patch.setattr(integrators, "_condenses",
+                patch.setattr(_stepping, "_condenses",
                               lambda *args, c=condense: c)
             runs.append(simulate(sys, z0, u, tau, steps * tau, method))
     fast, slow = runs
@@ -140,15 +140,18 @@ def test_random_index1_draws_match_sparse(monkeypatch, method):
 def assert_factor_bound(system, r, tau):
     """The premise of the cost rule on the trapezoidal pencil: under either
     ordering SuperLU stores at least |pattern(E_dae) ∪ pattern(A_dae)| + n
-    entries, so a system that `_condenses` admits has n·r no larger than
-    the factor's entries."""
+    ≥ nnz(A_dae) + n entries, so a system that `_condenses` admits has n·r
+    no larger than the factor's entries."""
     dae = to_linear_dae(system)
     n = system.n
     union = abs(dae.E_dae.copy()) + abs(dae.A_dae.copy())
     union.eliminate_zeros()
     pencil = sp.csc_matrix(dae.E_dae - (0.5 * tau) * dae.A_dae)
-    admitted = integrators._condenses(dae, r)
-    assert dae._union == union.nnz  # the count the rule keeps on the DAE
+    admitted = _stepping._condenses(dae, r)
+    # the count the rule reads, on a copy: count_nonzero sorts in place
+    a_nnz = dae.A_dae.copy().count_nonzero()
+    assert admitted == (n * r <= a_nnz + n)
+    assert a_nnz <= union.nnz
     for spec in ("COLAMD", "MMD_AT_PLUS_A"):
         nnz = spla.splu(pencil, permc_spec=spec).nnz
         assert union.nnz + n <= nnz, spec
@@ -164,7 +167,7 @@ def assert_factor_bound(system, r, tau):
 def test_oscillator_pencil_factors_bound_the_rule(config, extra_cards):
     cfg = experiments.OscillatorConfig(**config)
     system = experiments.build_oscillator(cfg, extra_cards=extra_cards).system
-    r, _ = _condensed_map(to_linear_dae(system))
+    r, _ = condensed_map(to_linear_dae(system))
     assert_factor_bound(system, r, cfg.tau)
 
 
@@ -180,8 +183,8 @@ def corpus_system(path, models):
 
 
 # the netlists the cost rule condenses with the models of `port_models`
-# (n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n, and M nonsingular);
-# cauer_ladder (n·r = 35 > 25) and mixed_ports (160 > 107) stay sparse
+# (n·r ≤ nnz(A_dae) + n, and M nonsingular); cauer_ladder
+# (n·r = 35 > 22) and mixed_ports (160 > 97) stay sparse
 CONDENSED_CORPUS = (
     "bridge_rectifier_rc", "comment_styles", "current_divider", "dc_block",
     "foil_port", "grid_3x3", "lc_tank", "method_bdf2", "method_euler",
@@ -203,7 +206,7 @@ def test_corpus_netlists_take_the_path_the_rule_gives(monkeypatch,
     nl, system, u = corpus_system(path, port_models)
     z0 = consistent_init(system, np.zeros(system.n), u)
     tau = nl.tau if nl.tau is not None else 1e-5
-    r, cmap = _condensed_map(to_linear_dae(system))
+    r, cmap = condensed_map(to_linear_dae(system))
     assert (cmap is not None) == (path.stem in CONDENSED_CORPUS)
     assert_factor_bound(system, r, tau)
     if cmap is None:
@@ -223,9 +226,9 @@ def test_condensed_audit_is_the_audit_of_its_states(monkeypatch, method):
     for sys_r, z0, u in random_draws():
         for start in (z0, rng.standard_normal(sys_r.n)):
             with monkeypatch.context() as patch:
-                patch.setattr(integrators, "_condenses", lambda *c: True)
+                patch.setattr(_stepping, "_condenses", lambda *c: True)
                 traj = simulate(sys_r, start, u, 0.05, 2.0, method)
-            y, dissipated, h = _energy_bookkeeping(sys_r, traj.states, 0.05,
+            y, dissipated, h = energy_bookkeeping(sys_r, traj.states, 0.05,
                                                    endpoint)
             assert np.abs(traj.hamiltonians[1:] - h).max() <= \
                 1e-13 * np.abs(h).max()
@@ -250,14 +253,29 @@ def test_condensed_path_keeps_the_balance_of_the_lossless_oscillator():
 
 def spy_splu(monkeypatch):
     calls = []
-    splu = integrators.spla.splu
+    splu = _dae.spla.splu
 
     def recording(mat, *args, **kwargs):
         calls.append((mat.shape, mat.dtype.name, kwargs.get("permc_spec")))
         return splu(mat, *args, **kwargs)
 
-    monkeypatch.setattr(integrators.spla, "splu", recording)
+    monkeypatch.setattr(_dae.spla, "splu", recording)
     return calls
+
+
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["rule", "sparse_stepper"])
+def test_sparse_stepper_steps_a_condensing_system_sparse(request,
+                                                          port_models,
+                                                          forced):
+    # the rule condenses lc_tank; the fixture of the sparse-path tests must
+    # patch the rule in the module that looks it up
+    if forced:
+        request.getfixturevalue("sparse_stepper")
+    nl, system, u = corpus_system(NETLISTS / "lc_tank.cir", port_models)
+    z0 = consistent_init(system, np.zeros(system.n), u)
+    traj = simulate(system, z0, u, nl.tau, 5 * nl.tau, "trapezoidal")
+    assert traj.stepping_path == ("sparse" if forced else "condensed")
 
 
 def test_index2_oscillator_stays_sparse(monkeypatch):
@@ -301,12 +319,12 @@ def test_irk_solid_stays_sparse_with_the_same_factorizations(monkeypatch):
                                        core_conductive=True, mesh_h=0.5e-3)
     parts = experiments.build_oscillator(cfg)
     runs = []
-    for rule in (integrators._condenses, lambda *args: False):
+    for rule in (_stepping._condenses, lambda *args: False):
         # a copy of the system, initialized as the benchmark's is
         system = dataclasses.replace(parts.system)
         z0 = consistent_init(system, parts.z0, parts.u)
         with monkeypatch.context() as patch:
-            patch.setattr(integrators, "_condenses", rule)
+            patch.setattr(_stepping, "_condenses", rule)
             calls = spy_splu(patch)
             traj = simulate(system, z0, parts.u, cfg.tau, 5 * cfg.tau,
                             "gauss4")
@@ -348,7 +366,7 @@ def test_manifests_name_the_stepping_path(tmp_path, monkeypatch):
         out = tmp_path / path
         with monkeypatch.context() as patch:
             if condense is not None:
-                patch.setattr(integrators, "_condenses", lambda *c: False)
+                patch.setattr(_stepping, "_condenses", lambda *c: False)
             assert cli_main(["simulate", str(rc), "--out", str(out)]) \
                 == EXIT_OK
         man = read_manifest(str(out / "run.manifest"))

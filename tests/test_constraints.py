@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcircuit import experiments, mna
-from fieldcircuit.integrators import (_constraint_basis, _row_blocks,
-                                      consistent_init, simulate,
-                                      to_linear_dae)
+from fieldcircuit._dae import _row_blocks, constraint_basis
+from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
                                     to_dense)
 from fieldcircuit.waveforms import zero_input
@@ -52,7 +51,7 @@ def relative_residual(c, d, z, u):
 def assert_dense_parity(sys, z0, u0):
     dae = to_linear_dae(sys)
     c_ref, d_ref = dense_constraints(dae)
-    c_mat, d_mat, rows = _constraint_basis(dae)
+    c_mat, d_mat, rows = constraint_basis(dae)
     # as many constraints as n − rank(E_dae)
     assert c_mat.shape == (c_ref.shape[0], sys.n)
     assert d_mat.shape == (c_ref.shape[0], sys.m)
@@ -155,7 +154,7 @@ def test_constraint_basis_leaves_the_shared_rewrite_unchanged():
                   for m in mats]
         assert not dae.A_dae.has_sorted_indices
         if probe:
-            _constraint_basis(dae)
+            constraint_basis(dae)
             for mat, arrays in zip(mats, before):
                 for now, then in zip((mat.indices, mat.indptr, mat.data),
                                      arrays):

@@ -23,10 +23,9 @@ _LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 # one entry per call: (module, enclosing function, callee, the shape it
 # densifies); n is a state or field dimension, k a port or coupling-column
 # count, s the number of Runge-Kutta stages, m the port count and r the
-# differential coordinates of a system that `integrators._condenses`
-# lets step condensed: n·r ≤ |pattern(E_dae) ∪ pattern(A_dae)| + n, so an
-# n×r array stores no more entries than the LU factor of the pencil it
-# replaces
+# differential coordinates of a system that `_stepping._condenses` lets
+# step condensed: n·r ≤ nnz(A_dae) + n, so an n×r array stores no more
+# entries than the LU factor of the pencil it replaces
 LISTED = [
     ("structure.py", "to_dense", ".toarray",
      "the helper itself; each caller is listed below"),
@@ -50,30 +49,30 @@ LISTED = [
     ("fem.py", "pseudo_solve", "to_dense", "n×k right-hand sides"),
     ("fem.py", "pseudo_solve", ".toarray", "one column of row maxima"),
     ("fem.py", "lumped_inductance", "to_dense", "one n×1 winding column"),
-    ("integrators.py", "_pencil_plan", "numpy.linalg.eig",
+    ("_stepping.py", "_pencil_plan", "numpy.linalg.eig",
      "the s×s Butcher matrix"),
-    ("integrators.py", "_pencil_plan", "numpy.linalg.cond",
+    ("_stepping.py", "_pencil_plan", "numpy.linalg.cond",
      "the s×s eigenvector matrix of the Butcher matrix"),
-    ("integrators.py", "_pencil_plan", "numpy.linalg.inv",
+    ("_stepping.py", "_pencil_plan", "numpy.linalg.inv",
      "the s×s eigenvector matrix of the Butcher matrix"),
-    ("integrators.py", "_left_null_basis", "scipy.linalg.null_space",
+    ("_dae.py", "_left_null_basis", "scipy.linalg.null_space",
      "one circuit-sized connected block of constraint rows, filled from "
      "its entries"),
-    ("integrators.py", "_left_null_basis", "scipy.linalg.qr",
+    ("_dae.py", "_left_null_basis", "scipy.linalg.qr",
      "the null vectors of that block, k × its rows"),
-    ("integrators.py", "_build_condensed", ".toarray",
+    ("_stepping.py", "_build_condensed", ".toarray",
      "the n×(r + m) right sides [I 0; 0 −D] of V and G, under the cost "
      "rule"),
-    ("integrators.py", "_build_condensed", ".toarray",
+    ("_stepping.py", "_build_condensed", ".toarray",
      "the r×m input rows B_dae[R], under the cost rule"),
-    ("integrators.py", "_condensed_plans", "numpy.linalg.solve",
+    ("_stepping.py", "_condensed_plans", "numpy.linalg.solve",
      "one r×r pencil I − τλA_r per eigenvalue, with r + m (+ r for BDF2) "
      "right sides, under the cost rule"),
-    ("integrators.py", "_eliminate_pivots", ".toarray",
+    ("_dae.py", "_eliminate_pivots", ".toarray",
      "n×k columns E[P, K] that the circuit rows touch"),
-    ("integrators.py", "_eliminate_pivots", ".toarray",
+    ("_dae.py", "_eliminate_pivots", ".toarray",
      "n×k columns E[Q, P]ᵀ W of the null vectors E[Q, P] reaches"),
-    ("integrators.py", "_check_constraint_residual", ".toarray",
+    ("_dae.py", "check_constraint_residual", ".toarray",
      "one constraint row"),
 ]
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fieldcircuit.integrators import (METHOD_TAGS, consistent_init,
-                                      energy_audit, error_measures,
-                                      method_from_tag, simulate, to_linear_dae)
+from fieldcircuit._audit import energy_audit, error_measures
+from fieldcircuit._stepping import METHOD_TAGS, method_from_tag
+from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.structure import (EnergySystem, NumericalError, Partition,
                                     StructureError, dae_residual, hamiltonian,
                                     to_dense)

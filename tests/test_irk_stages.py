@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fieldcircuit import experiments, integrators
-from fieldcircuit.integrators import (METHOD_TAGS, Method, _StageSolver,
-                                      consistent_init, method_from_tag,
-                                      simulate, to_linear_dae)
+from fieldcircuit import _dae, experiments
+from fieldcircuit._stepping import (METHOD_TAGS, Method, _StageSolver,
+                                    method_from_tag)
+from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.structure import StructureError, row_dots
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
 from tests.conftest import random_draws, random_energy_system
@@ -123,7 +123,7 @@ def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
     sys_r = random_energy_system(rng, n1=2, n2=3, n3=2, m=2)
     u = WaveformStack((Sinusoid(0.3, 1.0, 0.2), Sinusoid(-0.5, 0.7, 0.4)))
     z0 = consistent_init(sys_r, rng.standard_normal(sys_r.n), u)
-    splu = integrators.spla.splu
+    splu = _dae.spla.splu
     factored = []
 
     def recording_splu(mat, *args, **kwargs):
@@ -132,7 +132,7 @@ def test_stepper_factors_one_n_by_n_pencil_per_eigenvalue(
                          lu.nnz))
         return lu
 
-    monkeypatch.setattr(integrators.spla, "splu", recording_splu)
+    monkeypatch.setattr(_dae.spla, "splu", recording_splu)
     first = simulate(sys_r, z0, u, 0.05, 1.0, method)
     # nothing larger than n×n
     assert {shape for shape, *_ in factored} == {(sys_r.n, sys_r.n)}

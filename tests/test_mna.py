@@ -278,7 +278,8 @@ def test_kirchhoff_rows_vanish_along_trajectory():
     inc = build_incidence(nl)
     sys_m = mna_system(inc)
     u = input_stack(nl, inc)
-    from fieldcircuit.integrators import consistent_init, energy_audit
+    from fieldcircuit._audit import energy_audit
+    from fieldcircuit.integrators import consistent_init
     from fieldcircuit.structure import dae_residual
     z0 = consistent_init(sys_m, np.zeros(sys_m.partition.n), u)
     tau = 1e-4

@@ -16,11 +16,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from fieldcircuit import coupling, experiments, integrators
+from fieldcircuit import _dae, coupling, experiments
 from fieldcircuit.conductors import (SolidModel, StrandedModel, load_model,
                                      save_model, synth_foil)
-from fieldcircuit.integrators import (_constraint_basis, consistent_init,
-                                      to_linear_dae)
+from fieldcircuit._dae import constraint_basis
+from fieldcircuit.integrators import consistent_init, to_linear_dae
 from fieldcircuit.mna import (build_incidence, mna_system, parse_netlist,
                               read_netlist)
 from fieldcircuit.structure import EnergySystem, StructureError
@@ -54,7 +54,7 @@ def assert_same_setup(system, differential_values, u):
     ref = reference_rearrange(system)
     for got, want in zip((dae.E_dae, dae.A_dae, dae.B_dae), ref):
         assert_same_arrays(got, want)
-    for got, want in zip(_constraint_basis(dae),
+    for got, want in zip(constraint_basis(dae),
                          reference_constraint_basis(*ref,
                                                     system.partition.n1)):
         assert_same_arrays(got, want)
@@ -191,12 +191,12 @@ def test_circuit_init_makes_one_factorization(monkeypatch):
     system = mna_system(build_incidence(nl))
     assert system.partition.n1 == 0
     factored = []
-    splu = integrators.spla.splu
+    splu = _dae.spla.splu
 
     def recording_splu(mat, *args, **kwargs):
         factored.append(mat.shape)
         return splu(mat, *args, **kwargs)
 
-    monkeypatch.setattr(integrators.spla, "splu", recording_splu)
+    monkeypatch.setattr(_dae.spla, "splu", recording_splu)
     consistent_init(system, np.zeros(system.n), np.zeros(system.m))
     assert len(factored) == 1 and factored[0][0] > 0

@@ -9,10 +9,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fieldcircuit import experiments, integrators
-from fieldcircuit.integrators import (_StageSolver, _pencil_plan,
-                                      method_from_tag, simulate,
-                                      to_linear_dae)
+from fieldcircuit import _stepping, experiments
+from fieldcircuit._stepping import _StageSolver, _pencil_plan, method_from_tag
+from fieldcircuit.integrators import simulate, to_linear_dae
 
 
 def trapezoidal_pencil(**config):
@@ -85,9 +84,9 @@ class CountingLU:
     def __getattr__(self, name):
         return getattr(self.lu, name)
 
-    def solve(self, rhs, *args):
+    def solve(self, rhs, *args, **kwargs):
         self.solves += 1
-        return self.lu.solve(rhs, *args)
+        return self.lu.solve(rhs, *args, **kwargs)
 
 
 @pytest.mark.parametrize("config,methods,steps", [
@@ -114,8 +113,8 @@ def test_refinement_never_fires_on_bench_pencils(sparse_stepper,
         solved.append(self._lu)
         return solve(self, rhs)
 
-    monkeypatch.setattr(integrators._StageSolver, "__init__", counting_init)
-    monkeypatch.setattr(integrators._StageSolver, "solve", counting_solve)
+    monkeypatch.setattr(_stepping._StageSolver, "__init__", counting_init)
+    monkeypatch.setattr(_stepping._StageSolver, "solve", counting_solve)
     cfg = experiments.OscillatorConfig(**config)
     parts = experiments.build_oscillator(cfg)
     for method in methods:

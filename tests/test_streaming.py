@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcircuit import coupling, integrators, mna
+from fieldcircuit import _stepping, coupling, integrators, mna
+from fieldcircuit._stepping import METHOD_TAGS
 from fieldcircuit.experiments import OscillatorConfig, build_oscillator
-from fieldcircuit.integrators import (METHOD_TAGS, Trajectory,
-                                      consistent_init, simulate,
+from fieldcircuit.integrators import (Trajectory, consistent_init, simulate,
                                       to_linear_dae)
 from fieldcircuit.structure import StructureError, block_rows
 
@@ -47,7 +47,7 @@ def test_kept_columns_and_energies_match_a_full_run(oscillator, method,
                                                     monkeypatch):
     # spans of one block keep the runs short; the span boundaries are the
     # same code at any span length
-    monkeypatch.setattr(integrators, "_SPAN_BLOCKS", 1)
+    monkeypatch.setattr(_stepping, "_SPAN_BLOCKS", 1)
     parts = oscillator
     # more than two spans and not a whole number of them, so BDF2's history
     # crosses two span boundaries and the last span is short
@@ -67,7 +67,7 @@ def lossless():
 @pytest.mark.parametrize("method", METHOD_TAGS)
 def test_sparse_path_kept_columns_and_energies_match_a_full_run(
         lossless, sparse_stepper, method, monkeypatch):
-    monkeypatch.setattr(integrators, "_SPAN_BLOCKS", 1)
+    monkeypatch.setattr(_stepping, "_SPAN_BLOCKS", 1)
     steps = 2 * block_rows(lossless.system.partition.n) + 37
     tau = lossless.config.tau
     args = (lossless.system, lossless.z0, lossless.u, tau, steps * tau,
@@ -164,8 +164,8 @@ def test_one_linear_dae_per_system_is_never_written(monkeypatch):
     # place on abs(): the shared rewrite must keep its assembled order
     nl, system, u = _netlist_system("rlc_series.cir")
     builds = []
-    rearrange = integrators._rearrange
-    monkeypatch.setattr(integrators, "_rearrange",
+    rearrange = integrators.rearrange
+    monkeypatch.setattr(integrators, "rearrange",
                         lambda sys: builds.append(sys) or rearrange(sys))
     dae = to_linear_dae(system)
     assert not dae.A_dae.has_sorted_indices
