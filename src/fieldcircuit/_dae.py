@@ -350,9 +350,9 @@ def sparse_least_squares(mat, rhs) -> np.ndarray:
     return x
 
 
-def check_constraint_residual(c_mat, d_mat, z, u_val, tol, p):
+def check_constraint_residual(c_mat, d_mat, z, u_val, p):
     """StructureError naming the state block of the worst constraint row
-    when |C z + D u| exceeds `tol` relative to the scale of that row."""
+    when |C z + D u| exceeds 1e-8 relative to the scale of that row."""
     if c_mat.shape[0] == 0:
         return
     res = c_mat @ z + d_mat @ u_val
@@ -362,7 +362,7 @@ def check_constraint_residual(c_mat, d_mat, z, u_val, tol, p):
     row_scale[row_scale == 0.0] = 1.0
     rel = np.abs(res) / row_scale
     bad = float(np.max(rel))
-    if bad > tol:
+    if bad > 1e-8:
         worst = int(np.argmax(rel))
         dominant = int(np.argmax(np.abs(c_mat[[worst]].toarray())))
         if dominant < p.n1:

@@ -496,7 +496,7 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
 def condensed_run(sys, cmap: _CondensedMap, method, tau, times, u_at, z0,
                   cols, endpoint):
     """States (the columns `cols`, or all), outputs, dissipated powers and
-    H of `simulate` on the condensed path.  ξ_0 = [E_dae[R] z0; u(t0); 1]
+    H of `simulate` on the condensed path.  ξ_0 = [E_dae[R] z0; u(0); 1]
     and δ = z0 − V x0 − G v0, which holds what of z0 is not a consistent
     state (it is round-off after `consistent_init`), so that every state is
     Φ ξ_k with the basis Φ = [V G δ] and z0 = Φ ξ_0.  The coordinates are

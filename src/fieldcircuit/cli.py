@@ -61,29 +61,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tend", type=_POSITIVE, default=None)
     _add_common(p_sim)
 
-    p_osc = sub.add_parser("oscillator", help="LC oscillator experiment")
-    p_osc.add_argument("--kind", default="stranded",
+    p_osc = sub.add_parser("oscillator", help="LC oscillator experiment",
+                           argument_default=argparse.SUPPRESS)
+    p_osc.add_argument("--kind", dest="conductor_kind",
                        choices=("stranded", "solid"))
-    p_osc.add_argument("--conductive-core", action="store_true")
-    p_osc.add_argument("--method", default="trapezoidal",
-                       choices=sorted(METHOD_TAGS))
-    p_osc.add_argument("--tau", type=_POSITIVE, default=0.1e-6)
-    p_osc.add_argument("--tend", type=_POSITIVE, default=50e-6)
-    p_osc.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
-    p_osc.add_argument("--turns", type=_POSITIVE, default=10.0)
-    p_osc.add_argument("--v0", type=_FINITE, default=1.0)
-    p_osc.add_argument("--i0", type=_FINITE, default=0.0)
+    p_osc.add_argument("--conductive-core", dest="core_conductive",
+                       action="store_true")
+    p_osc.add_argument("--method", choices=sorted(METHOD_TAGS))
+    p_osc.add_argument("--tau", type=_POSITIVE)
+    p_osc.add_argument("--tend", dest="t_end", type=_POSITIVE)
+    p_osc.add_argument("--mesh-h", dest="mesh_h", type=_POSITIVE)
+    p_osc.add_argument("--turns", type=_POSITIVE)
+    p_osc.add_argument("--v0", type=_FINITE)
+    p_osc.add_argument("--i0", type=_FINITE)
     _add_common(p_osc)
 
     p_idx = sub.add_parser("index2", help="oscillator with parallel "
-                                          "voltage source (index-2 DAE)")
-    p_idx.add_argument("--method", default="trapezoidal",
-                       choices=sorted(METHOD_TAGS))
-    p_idx.add_argument("--tau", type=_POSITIVE, default=0.1e-6)
-    p_idx.add_argument("--tend", type=_POSITIVE, default=50e-6)
-    p_idx.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
-    p_idx.add_argument("--amplitude", type=_FINITE, default=1.0)
-    p_idx.add_argument("--freq", type=_FINITE, default=50e3)
+                                          "voltage source (index-2 DAE)",
+                           argument_default=argparse.SUPPRESS)
+    p_idx.add_argument("--method", choices=sorted(METHOD_TAGS))
+    p_idx.add_argument("--tau", type=_POSITIVE)
+    p_idx.add_argument("--tend", dest="t_end", type=_POSITIVE)
+    p_idx.add_argument("--mesh-h", dest="mesh_h", type=_POSITIVE)
+    p_idx.add_argument("--amplitude", type=_FINITE)
+    p_idx.add_argument("--freq", dest="freq_hz", type=_FINITE)
     _add_common(p_idx)
 
     p_cnv = sub.add_parser("convergence", help="step-size study on the "
@@ -97,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated step sizes in seconds")
     p_cnv.add_argument("--tend", type=_POSITIVE,
                        default=experiments.CONVERGENCE_T_END)
-    p_cnv.add_argument("--mesh-h", type=_POSITIVE, default=1.0e-3)
+    p_cnv.add_argument("--mesh-h", type=_POSITIVE,
+                       default=experiments.OscillatorConfig.mesh_h)
     _add_common(p_cnv)
 
     p_val = sub.add_parser("validate", help="check a saved system directory")
@@ -174,11 +176,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _given(args) -> dict:
+    """The experiment options given on the command line, by the name of
+    the `OscillatorConfig` field or `run_index2` argument each sets."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+
+
 def _cmd_oscillator(args) -> int:
-    cfg = experiments.OscillatorConfig(
-        conductor_kind=args.kind, core_conductive=args.conductive_core,
-        tau=args.tau, t_end=args.tend, method=args.method,
-        mesh_h=args.mesh_h, turns=args.turns, v0=args.v0, i0=args.i0)
+    cfg = experiments.OscillatorConfig(**_given(args))
     report = experiments.run_oscillator(cfg, out_dir=args.out or "osc-out")
     print(serialization.format_run_summary(report.summary_entries()), end="")
     _print_files(report.files)
@@ -186,12 +191,10 @@ def _cmd_oscillator(args) -> int:
 
 
 def _cmd_index2(args) -> int:
-    cfg = experiments.OscillatorConfig(
-        tau=args.tau, t_end=args.tend, method=args.method,
-        mesh_h=args.mesh_h)
-    report = experiments.run_index2(cfg, out_dir=args.out or "index2-out",
-                                    amplitude=args.amplitude,
-                                    freq_hz=args.freq)
+    given = _given(args)
+    source = {k: given.pop(k) for k in ("amplitude", "freq_hz") if k in given}
+    report = experiments.run_index2(experiments.OscillatorConfig(**given),
+                                    args.out or "index2-out", **source)
     print(serialization.format_run_summary(report.summary_entries()), end="")
     _print_files(report.files)
     return EXIT_OK

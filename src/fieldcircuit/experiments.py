@@ -20,7 +20,8 @@ import scipy.sparse.linalg as spla
 from fieldcircuit import conductors, coupling, fem, mna, serialization
 from fieldcircuit._audit import error_measures
 from fieldcircuit._stepping import method_from_tag
-from fieldcircuit.integrators import Trajectory, consistent_init, simulate
+from fieldcircuit.integrators import (Trajectory, consistent_init, simulate,
+                                      step_count)
 from fieldcircuit.structure import StructureError, to_dense
 
 SIGMA_CORE_CONDUCTIVE = 100.0       # S/m
@@ -261,6 +262,7 @@ pause -1
 
 def run_oscillator(cfg: OscillatorConfig, out_dir: str = None,
                    parts: OscillatorParts = None) -> OscillatorReport:
+    step_count(cfg.tau, cfg.t_end)  # the time grid is checked before set-up
     if parts is None:
         parts = build_oscillator(cfg)
     traj = simulate(parts.system, parts.z0, parts.u, cfg.tau, cfg.t_end,
@@ -339,14 +341,14 @@ class Index2Report:
         }
 
 
-def run_index2(cfg: OscillatorConfig = None, out_dir: str = None,
-               amplitude: float = 1.0, freq_hz: float = 50e3) -> Index2Report:
+def run_index2(cfg: OscillatorConfig = OscillatorConfig(),
+               out_dir: str = None, amplitude: float = 1.0,
+               freq_hz: float = 50e3) -> Index2Report:
     """Sinusoidal voltage source forcing the capacitor node: index-2 DAE.
 
     Tracks the defect |H - (E_in - D_cum)|; starts from rest (v0 = 0).
     """
-    if cfg is None:
-        cfg = OscillatorConfig()
+    step_count(cfg.tau, cfg.t_end)  # the time grid is checked before set-up
     if cfg.conductor_kind != "stranded" or cfg.core_conductive:
         raise StructureError(
             "the index-2 experiment uses the stranded oscillator with a "
@@ -437,7 +439,8 @@ pause -1
 
 
 def run_convergence(methods=CONVERGENCE_METHODS, taus=CONVERGENCE_TAUS,
-                    cfg: OscillatorConfig = None, t_end: float = None,
+                    cfg: OscillatorConfig = OscillatorConfig(),
+                    t_end: float = CONVERGENCE_T_END,
                     out_dir: str = None) -> ConvergenceTable:
     """eps_z / eps_H of the lossless oscillator against the closed form.
 
@@ -445,13 +448,11 @@ def run_convergence(methods=CONVERGENCE_METHODS, taus=CONVERGENCE_TAUS,
     winding current); the analytic reference uses the mesh-consistent
     lumped inductance, so discretization error in space cancels.
     """
-    if cfg is None:
-        cfg = OscillatorConfig()
+    for tau in taus:  # every time grid is checked before set-up
+        step_count(tau, t_end)
     if cfg.conductor_kind != "stranded" or cfg.core_conductive:
         raise StructureError("the convergence study runs on the lossless "
                              "stranded oscillator")
-    if t_end is None:
-        t_end = CONVERGENCE_T_END
     parts = build_oscillator(replace(cfg, t_end=t_end))
     l_val, c_val = parts.lumped_l, cfg.capacitance
 

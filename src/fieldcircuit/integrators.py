@@ -150,27 +150,24 @@ def _input_grid(u, starts: np.ndarray):
     return at
 
 
-def step_count(tau: float, t_end: float, t0: float = 0.0) -> int:
-    """Steps of the grid t0, t0 + tau, ..., t_end.  StructureError when tau
-    is not positive and finite, t_end − t0 not finite, or tau does not
-    divide t_end − t0."""
-    if not (0.0 < tau < math.inf and math.isfinite(t_end - t0)):
-        raise StructureError(
-            "tau must be positive and finite, t_end - t0 finite")
-    length = t_end - t0
-    n_steps_f = length / tau
+def step_count(tau: float, t_end: float) -> int:
+    """Steps of the grid 0, tau, ..., t_end.  StructureError when tau is not
+    positive and finite, t_end not finite, or tau does not divide t_end."""
+    if not (0.0 < tau < math.inf and math.isfinite(t_end)):
+        raise StructureError("tau must be positive and finite, t_end finite")
+    n_steps_f = t_end / tau
     n_steps = int(round(n_steps_f))
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps_f):
         raise StructureError(
-            f"tau = {tau} does not divide the interval of length {length}")
+            f"tau = {tau} does not divide the interval of length {t_end}")
     return n_steps
 
 
 def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
-             method, t0: float = 0.0, keep=None) -> Trajectory:
-    """March the system on the equidistant grid t0, t0+tau, ..., t_end.
+             method, keep=None) -> Trajectory:
+    """March the system on the equidistant grid 0, tau, ..., t_end.
 
-    tau must divide t_end − t0 (`step_count`).  Identical inputs produce
+    tau must divide t_end (`step_count`).  Identical inputs produce
     bit-identical trajectories: stepping is sequential, and every matrix a
     step applies is formed before the first step and reused by every step.
     The input u is sampled once per node offset for the whole grid before
@@ -198,14 +195,14 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     on the sparse path and O(n · r + steps · |keep|) on the condensed one.
     """
     method = method_from_tag(method)
-    n_steps = step_count(tau, t_end, t0)
+    n_steps = step_count(tau, t_end)
 
     p = sys.partition
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n,):
         raise StructureError(f"z0: expected length {p.n}, got {z0.shape}")
     cols = _kept_columns(keep, p.n)
-    times = t0 + tau * np.arange(n_steps + 1)
+    times = tau * np.arange(n_steps + 1)
     u_at = _input_grid(_resolve_input(u, p.m), times[:-1])
     dae = to_linear_dae(sys)
     r, cmap = condensed_map(dae)
@@ -233,9 +230,9 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
                       "sparse" if cmap is None else "condensed", r)
 
 
-def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
-                    t0: float = 0.0, tol: float = 1e-8) -> np.ndarray:
-    """Complete a partial initial state so the algebraic constraints hold at t0.
+def consistent_init(sys: EnergySystem, differential_values: np.ndarray,
+                    u0) -> np.ndarray:
+    """Complete a partial initial state so the algebraic constraints hold at t = 0.
 
     The z1 and E z2 of the full-length differential_values are kept.  With
     z2 = z2_g + N η, N a basis of the null space of E, η and z3 solve the
@@ -244,7 +241,8 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
     (hidden constraints, higher index), C ẋ = −D u̇ joins them and the joint
     system in (η, z3, ẋ) is solved the same way, at any size; `u0` may be a
     waveform for its derivative.
-    Raises StructureError when the kept values contradict the constraints.
+    Raises StructureError when the kept values contradict the constraints
+    (`check_constraint_residual`: a row beyond 1e-8 of its scale).
     """
     p = sys.partition
     z = np.asarray(differential_values, dtype=np.float64).copy()
@@ -252,8 +250,8 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
         raise StructureError(f"expected full-length vector of {p.n} entries")
 
     if callable(u0):
-        u_val = np.asarray(u0(t0), dtype=np.float64)
-        u_dot = (np.asarray(u0.derivative(t0), dtype=np.float64)
+        u_val = np.asarray(u0(0.0), dtype=np.float64)
+        u_dot = (np.asarray(u0.derivative(0.0), dtype=np.float64)
                  if hasattr(u0, "derivative") else np.zeros(p.m))
     else:
         u_val = np.asarray(u0, dtype=np.float64) if p.m else np.zeros(0)
@@ -282,7 +280,7 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray, u0,
                               -(d_mat @ u_dot)))
     z += free @ sparse_least_squares(mat, rhs)[: free.shape[1]]
 
-    check_constraint_residual(c_mat, d_mat, z, u_val, tol, p)
+    check_constraint_residual(c_mat, d_mat, z, u_val, p)
     return z
 
 

@@ -316,7 +316,7 @@ class ValidationReport:
     """Structural defect magnitudes of one EnergySystem.
 
     min_R_eig is a certified lower bound on the spectrum of the symmetrized
-    R when min_R_eig_is_bound is set, at any size: the bound −tol_psd·‖R‖_F
+    R when min_R_eig_is_bound is set, at any size: the bound −1e-10·‖R‖_F
     that `validate` passes to min_sym_eig as its shift.  Only when that
     certificate fails, or R has no nonzeros (0), is it an eigenvalue.
     """
@@ -346,22 +346,19 @@ class ValidationReport:
 # operations
 # ---------------------------------------------------------------------------
 
-def validate(sys: EnergySystem, tol_skew: float = 1e-10,
-             tol_psd: float = 1e-10) -> ValidationReport:
-    """Measure the structural defects of a system.
-
-    Tolerances are relative to the Frobenius norm of the checked block.
-    """
-    J, R = sys.J, sys.R
+def validate(sys: EnergySystem) -> ValidationReport:
+    """Measure the structural defects of a system; `ok` holds when each is
+    at most 1e-10 of the Frobenius norm of the checked block."""
+    J, R, tol = sys.J, sys.R, 1e-10
     skew_defect = max_abs(J + J.T)
     sym_defect = max_abs(R - R.T)
-    min_R, is_bound = _min_sym_eig(R, tol_psd * fro_norm(R))
+    min_R, is_bound = _min_sym_eig(R, tol * fro_norm(R))
     effort_defect = max_abs(sys.E.T @ sys.S - sys.M2)
     ok = (
-        skew_defect <= tol_skew * fro_norm(J)
-        and sym_defect <= tol_skew * fro_norm(R)
-        and min_R >= -tol_psd * fro_norm(R)
-        and effort_defect <= tol_skew * max(fro_norm(sys.M2), fro_norm(sys.E))
+        skew_defect <= tol * fro_norm(J)
+        and sym_defect <= tol * fro_norm(R)
+        and min_R >= -tol * fro_norm(R)
+        and effort_defect <= tol * max(fro_norm(sys.M2), fro_norm(sys.E))
     )
     return ValidationReport(skew_defect, sym_defect, min_R, effort_defect,
                             bool(ok), is_bound)

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -488,10 +490,97 @@ def test_out_of_range_float_options_are_refused(argv, option, capsys):
     assert "Traceback" not in err
 
 
-def test_finite_options_keep_their_values():
-    args = _build_parser().parse_args(["oscillator", "--v0", "-2",
-                                       "--i0", "0", "--tau", "1e-7"])
-    assert (args.v0, args.i0, args.tau) == (-2.0, 0.0, 1e-7)
+class _NoReport:
+    """What a recorded experiment returns: no summary and no files."""
+    files = ()
+
+    def summary_entries(self):
+        return {}
+
+
+def _record_runs(monkeypatch, name):
+    """Replace `experiments.<name>` by a recorder of (config, keywords)."""
+    calls = []
+
+    def run(cfg, out_dir, **kwargs):
+        calls.append((cfg, kwargs))
+        return _NoReport()
+
+    monkeypatch.setattr(experiments, name, run)
+    return calls
+
+
+def test_finite_options_keep_their_values(monkeypatch):
+    osc = _record_runs(monkeypatch, "run_oscillator")
+    idx = _record_runs(monkeypatch, "run_index2")
+    assert cli_main(["oscillator", "--v0", "-2", "--i0", "0", "--tau", "1e-7",
+                     "--kind", "solid", "--conductive-core", "--tend", "2e-5",
+                     "--mesh-h", "2e-3"]) == EXIT_OK
+    assert osc == [(experiments.OscillatorConfig(
+        conductor_kind="solid", core_conductive=True, v0=-2.0, i0=0.0,
+        tau=1e-7, t_end=2e-5, mesh_h=2e-3), {})]
+    assert cli_main(["index2", "--freq", "1e4", "--amplitude", "-2",
+                     "--tend", "2e-5", "--mesh-h", "2e-3"]) == EXIT_OK
+    assert idx == [(experiments.OscillatorConfig(t_end=2e-5, mesh_h=2e-3),
+                    {"amplitude": -2.0, "freq_hz": 1e4})]
+
+
+def test_experiment_defaults_are_the_experiments_own(monkeypatch):
+    # an option not given is not passed on, so OscillatorConfig and
+    # run_index2 are the one source of every default
+    parser = _build_parser()
+    for command in ("oscillator", "index2"):
+        assert vars(parser.parse_args([command])) == {"command": command,
+                                                      "out": None}
+    osc = _record_runs(monkeypatch, "run_oscillator")
+    idx = _record_runs(monkeypatch, "run_index2")
+    assert cli_main(["oscillator"]) == cli_main(["index2"]) == EXIT_OK
+    assert osc == idx == [(experiments.OscillatorConfig(), {})]
+    conv = parser.parse_args(["convergence"])
+    assert conv.mesh_h == experiments.OscillatorConfig().mesh_h
+    assert conv.tend == experiments.CONVERGENCE_T_END
+
+
+@pytest.mark.parametrize("argv,tau,length", [
+    (["oscillator", "--tau", "3e-6", "--tend", "1e-5"], "3e-06", "1e-05"),
+    (["index2", "--tau", "3e-6", "--tend", "1e-5"], "3e-06", "1e-05"),
+    # 8e-7 divides the default 1.2e-5, and is checked first
+    (["convergence", "--taus", "8e-7,7e-7"], "7e-07", "1.2e-05"),
+], ids=["oscillator", "index2", "convergence"])
+def test_experiment_time_grid_is_checked_before_setup(tmp_path, capsys,
+                                                      monkeypatch, argv, tau,
+                                                      length):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_oscillator called before the time "
+                             "grid was checked")
+
+    monkeypatch.setattr(experiments, "build_oscillator", fail)
+    assert cli_main([*argv, "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
+    assert capsys.readouterr().err == (
+        f"structure error: tau = {tau} does not divide the interval of "
+        f"length {length}\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_commands_parse():
+    # every `fieldcircuit` line of the shell blocks of the CLI section
+    # parses, and together they use every subcommand
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    blocks = re.findall(r"```sh\n(.*?)```", section.split("\n## ")[0],
+                        flags=re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines()
+                if line.startswith("fieldcircuit ")]
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fieldcircuit "
+                        f"{shlex.join(argv)}")
 
 
 def _no_convergence_run(*args, **kwargs):
