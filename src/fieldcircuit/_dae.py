@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from fieldcircuit.structure import (EnergySystem, NumericalError, Partition,
                                    StructureError, csr_entries,
-                                   csr_from_entries)
+                                   csr_from_entries, row_blocks)
 
 
 @dataclass(frozen=True)
@@ -109,34 +109,6 @@ def _row_max_abs(mat) -> np.ndarray:
     return row_max
 
 
-def _row_blocks(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
-    """Block label of each of n_rows rows, given entries (rows, cols) that
-    reach every row: two rows share a block when they share a column, and
-    the blocks are numbered in the order of their first row.  A union of
-    rows over the entry arrays: every entry joins its row to the first row
-    of its column; each round hooks the larger of two roots an entry joins
-    under the smaller, then points every row at its root, until no entry
-    joins two roots.  Roots only ever hook under smaller rows, so a root is
-    the first row of its block."""
-    parent = np.arange(n_rows)
-    first = np.full(n_cols, n_rows)
-    np.minimum.at(first, cols, rows)
-    joined = first[cols]
-    while True:
-        a, b = parent[rows], parent[joined]
-        apart = a != b
-        if not apart.any():
-            break
-        a, b = a[apart], b[apart]
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-    return np.unique(parent, return_inverse=True)[1]
-
-
 def _left_null_basis(rows, cols, vals, n_rows: int):
     """Sparse basis V of the left null space of the n_rows-row matrix with
     the entries (rows, cols, vals), Vᵀ mat = 0, as the entries (rows,
@@ -157,7 +129,7 @@ def _left_null_basis(rows, cols, vals, n_rows: int):
     zero_rows, nz_rows = np.flatnonzero(is_zero), np.flatnonzero(~is_zero)
     local = np.searchsorted(nz_rows, rows)
     col_ids, col_of = np.unique(cols, return_inverse=True)
-    labels = _row_blocks(local, col_of, nz_rows.size, col_ids.size)
+    labels = row_blocks(local, col_of, nz_rows.size, col_ids.size)
     blocks = labels.max(initial=-1) + 1
     row_order = np.argsort(labels, kind="stable")
     row_at = np.zeros(blocks + 1, dtype=np.intp)

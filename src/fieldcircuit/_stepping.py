@@ -107,20 +107,16 @@ _INCREMENT_PLANS = {
     "bdf2": ((1.0,), [(2.0 / 3.0, np.array([2.0 / 3.0]), 1.0)], 1.0 / 3.0),
 }
 
-_ALIASES = {"euler": "implicit_euler", "trap": "trapezoidal"}
-
 METHOD_TAGS = tuple(_TABLEAUX)
 
 
 def method_from_tag(tag) -> Method:
     if isinstance(tag, Method):
         return tag
-    key = _ALIASES.get(tag, tag)
-    if key not in _TABLEAUX:
+    if tag not in _TABLEAUX:
         raise ValueError(
             f"unknown method '{tag}'; choose from {', '.join(METHOD_TAGS)}")
-    a, b, c = _TABLEAUX[key]
-    return Method(key, a, b, c)
+    return Method(tag, *_TABLEAUX[tag])
 
 
 _EPS = np.finfo(np.float64).eps

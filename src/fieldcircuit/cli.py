@@ -41,6 +41,32 @@ def _number(positive: bool):
 _FINITE, _POSITIVE = _number(False), _number(True)
 
 
+def _methods(text: str) -> tuple:
+    """argparse type of a comma-separated list of method tags."""
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods:
+        raise argparse.ArgumentTypeError("names no method")
+    try:
+        return tuple(method_from_tag(m).tag for m in methods)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _taus(text: str) -> tuple:
+    """argparse type of a comma-separated list of at least two step sizes,
+    each finite and positive."""
+    try:
+        taus = tuple(_POSITIVE(t) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") \
+            from None
+    if len(taus) < 2:
+        raise argparse.ArgumentTypeError(
+            f"names {len(taus)} step size(s); a convergence order needs at "
+            f"least two")
+    return taus
+
+
 def _add_common(parser):
     parser.add_argument("--out", default=None, help="output directory")
 
@@ -89,12 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cnv = sub.add_parser("convergence", help="step-size study on the "
                                                "lossless oscillator")
-    p_cnv.add_argument("--methods",
-                       default=",".join(experiments.CONVERGENCE_METHODS),
+    p_cnv.add_argument("--methods", type=_methods,
+                       default=experiments.CONVERGENCE_METHODS,
                        help="comma-separated method tags")
-    p_cnv.add_argument("--taus",
-                       default=",".join(repr(t) for t in
-                                        experiments.CONVERGENCE_TAUS),
+    p_cnv.add_argument("--taus", type=_taus,
+                       default=experiments.CONVERGENCE_TAUS,
                        help="comma-separated step sizes in seconds")
     p_cnv.add_argument("--tend", type=_POSITIVE,
                        default=experiments.CONVERGENCE_T_END)
@@ -201,30 +226,11 @@ def _cmd_index2(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    try:
-        if not methods:
-            raise ValueError("--methods names no method")
-        for method in methods:
-            method_from_tag(method)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        taus = tuple(_POSITIVE(t) for t in args.taus.split(",") if t.strip())
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: cannot parse --taus {args.taus!r}: {exc}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    if len(taus) < 2:
-        print(f"error: --taus {args.taus!r} names {len(taus)} step "
-              f"size(s); a convergence order needs at least two",
-              file=sys.stderr)
-        return EXIT_PARSE
     cfg = experiments.OscillatorConfig(mesh_h=args.mesh_h)
-    table = experiments.run_convergence(methods, taus, cfg, t_end=args.tend,
+    table = experiments.run_convergence(args.methods, args.taus, cfg,
+                                        t_end=args.tend,
                                         out_dir=args.out or "convergence-out")
-    for method in methods:
+    for method in args.methods:
         print(f"{method}: slope {table.slopes[method]:+.3f}")
         for row in table.rows_for(method):
             mark = "  (saturated)" if row.saturated else ""

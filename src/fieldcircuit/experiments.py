@@ -71,6 +71,10 @@ class OscillatorConfig:
         for name in ("capacitance", "tau", "t_end", "mesh_h", "turns"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise StructureError(f"{name} must be positive and finite")
+        if self.i0 != 0.0 and self.conductor_kind != "stranded":
+            raise StructureError(
+                "nonzero initial winding current is only supported for the "
+                "stranded oscillator")
         method_from_tag(self.method)
 
 
@@ -165,10 +169,6 @@ def build_oscillator(cfg: OscillatorConfig, extra_cards=()) -> OscillatorParts:
     diff_vals = np.zeros(p.n)
     diff_vals[phi_index] = cfg.v0
     if cfg.i0 != 0.0:
-        if cfg.conductor_kind != "stranded":
-            raise StructureError(
-                "nonzero initial winding current is only supported for the "
-                "stranded oscillator")
         # static field of the winding at current i0 seeds the a-dofs
         a0 = spla.splu(sp.csc_matrix(model.K_nu)).solve(
             to_dense(model.X_str).ravel() * cfg.i0)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from fieldcircuit.conductors import KINDS
 from fieldcircuit._stepping import method_from_tag
 from fieldcircuit.structure import (EnergySystem, Partition, csr_entries,
-                                   csr_from_entries)
+                                   csr_from_entries, row_blocks)
 from fieldcircuit.waveforms import Constant, Sinusoid, WaveformStack
 
 
@@ -341,19 +341,11 @@ def build_incidence(nl: Netlist) -> IncidenceSet:
     node_index = {nm: k for k, nm in enumerate(nodes)}
     n = len(nodes)
 
-    parent = {GROUND: GROUND, **{nm: nm for nm in nodes}}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for card in nl.cards:
-        ra, rb = find(card.n_plus), find(card.n_minus)
-        if ra != rb:
-            parent[ra] = rb
-    floating = [nm for nm in nodes if find(nm) != find(GROUND)]
+    # one row per node and row n for ground, one column per card
+    ends = np.array([node_index.get(node, n) for card in nl.cards
+                     for node in (card.n_plus, card.n_minus)], dtype=np.intp)
+    blocks = row_blocks(ends, np.arange(ends.size) // 2, n + 1, len(nl.cards))
+    floating = [nm for nm, block in zip(nodes, blocks) if block != blocks[n]]
     if floating:
         raise NetlistError(
             [f"node {nm!r} has no path to ground" for nm in floating])

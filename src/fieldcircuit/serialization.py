@@ -8,11 +8,12 @@ with 17 significant digits so a round trip is bit-exact.  The `%.17g` text
 of floating columns comes from a numpy kernel (`_g17_cells`) that writes
 the bytes `format(v, ".17g")` writes, a block of about 16k values at a
 time; the few values it cannot round with certainty go through `format`.
-CSV files are streamed to disk in those blocks, so memory does not grow
-with the file; a large one is formatted in slices of rows, one forked
-process per usable CPU, into the same bytes.  Every file is written to a
-sibling temp file that is renamed into place, and removed if writing
-fails.
+Tables of floating columns are streamed to disk in those blocks, so memory
+does not grow with the file; a large one is formatted in slices of rows,
+one forked process per usable CPU, into the same bytes.  A table with any
+other column is written by `csv.writer` in one process.  Every file is
+written to a sibling temp file that is renamed into place, and removed if
+writing fails.
 """
 
 from __future__ import annotations
@@ -325,16 +326,6 @@ def _g17_text(block: np.ndarray, ends: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_text(column, alone: bool) -> np.ndarray:
-    """`str` of every value, quoted as `csv.writer` quotes it: a value with
-    a comma, quote or line break, and an empty value alone on its row."""
-    cells = [str(v) for v in column]
-    for k, cell in enumerate(cells):
-        if any(ch in cell for ch in ',"\r\n') or (alone and not cell):
-            cells[k] = '"' + cell.replace('"', '""') + '"'
-    return np.array(cells, dtype=object)
-
-
 # Fewest values that a slice of a split CSV holds.  On a 2-core x86_64
 # host, in a process of about 150 MB resident, `_g17_text` formats and
 # writes 65 536 values in 17–20 ms, while the fork, the reap and the append
@@ -356,38 +347,28 @@ def _row_slices(n_rows: int, n_columns: int) -> list:
     return [n_rows * k // count for k in range(count + 1)]
 
 
-def _csv_blocks(row: str | None, columns, lo: int, hi: int):
-    """The text of rows lo..hi, an eighth of `block_rows` rows per chunk.
-    With `row` None every column is floating, 1-D or a 2-D group of
-    adjacent columns, and each chunk is one block through `_g17_text`.
-    Otherwise the columns are 1-D, `row` is the `%` string of a row, and
-    the floating columns enter it as `_g17_text` writes them."""
+def _csv_blocks(columns, lo: int, hi: int):
+    """The text of rows lo..hi of the floating columns, 1-D or 2-D groups
+    of adjacent columns, an eighth of `block_rows` rows per chunk, each
+    chunk one block through `_g17_text`."""
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
     step = max(1, block_rows(width) // 8)
-    ends = _end_words([b","] * (width - 1) + [b"\r\n"] if row is None
-                      else [b"\n"])
+    ends = _end_words([b","] * (width - 1) + [b"\r\n"])
     for k in range(lo, hi, step):
         stop = min(k + step, hi)
-        if row is None:
-            yield _g17_text(np.concatenate(
-                [c[k:stop] if c.ndim == 2 else c[k:stop, None]
-                 for c in columns], axis=1, dtype=np.float64), ends)
-        else:
-            yield "".join(row % cells for cells in zip(*[
-                _g17_text(c[k:stop, None], ends).split("\n")[:-1]
-                if np.issubdtype(c.dtype, np.floating) else c[k:stop].tolist()
-                for c in columns]))
+        yield _g17_text(np.concatenate(
+            [c[k:stop] if c.ndim == 2 else c[k:stop, None] for c in columns],
+            axis=1, dtype=np.float64), ends)
 
 
-def _write_part(part: str, row: str | None, columns, lo: int,
-                hi: int) -> None:
+def _write_part(part: str, columns, lo: int, hi: int) -> None:
     """In a forked process: write rows lo..hi to `part` and leave by
     `os._exit`, with status 0 once the file is closed and 1 on any error, so
     nothing of the parent (exit handlers, buffered streams) runs twice."""
     status = 1
     try:
         with open(part, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_csv_blocks(row, columns, lo, hi))
+            fh.writelines(_csv_blocks(columns, lo, hi))
         status = 0
     except BaseException as exc:
         os.write(2, f"{part}: {exc!r}\n".encode())
@@ -396,7 +377,7 @@ def _write_part(part: str, row: str | None, columns, lo: int,
 
 
 @contextlib.contextmanager
-def _forked_slices(path: str, row: str | None, columns, bounds):
+def _forked_slices(path: str, columns, bounds):
     """Fork one process for each slice of rows after the first; each writes
     its rows to the part file `<path>.tmp.part<k>`.  Yields an iterator that
     waits for the processes in row order and gives each part file, and
@@ -414,7 +395,7 @@ def _forked_slices(path: str, row: str | None, columns, bounds):
             part = f"{path}.tmp.part{k}"
             pid = os.fork()
             if pid == 0:
-                _write_part(part, row, columns, *bounds[k:k + 2])
+                _write_part(part, columns, *bounds[k:k + 2])
             running.add(pid)
             slices.append((pid, part, *bounds[k:k + 2]))
 
@@ -439,23 +420,26 @@ def _forked_slices(path: str, row: str | None, columns, bounds):
 
 
 def _write_csv_rows(path: str, header, columns) -> None:
-    """One CSV row per index of the equal-length columns: `%.17g` for
-    floating values, `str` for the rest.  A 2-D column is a group of
-    adjacent floating columns.  The header goes through `csv.writer`; the
-    rows are streamed to the file in chunks of `_csv_blocks`, so the byte
-    format is that of `csv.writer` with `_fmt` for floats and `str` for the
-    other values.  The rows after the first slice of `_row_slices` are
+    """One CSV row per index of the equal-length columns, in the bytes of
+    `csv.writer` with `_fmt` for floating values and `str` for the rest.
+    A 2-D column is a group of adjacent floating columns.  A table with a
+    column that is not floating is written by `csv.writer` in one go.  The
+    rows of a floating table are streamed to the file in chunks of
+    `_csv_blocks`; those after the first slice of `_row_slices` are
     formatted by forked processes and appended in order."""
     head = io.StringIO()
-    csv.writer(head).writerow(header)
+    writer = csv.writer(head)
+    writer.writerow(header)
     numeric = [np.issubdtype(c.dtype, np.floating) for c in columns]
-    row = None if all(numeric) else ",".join(["%s"] * len(columns)) + "\r\n"
-    columns = [c if num else _csv_text(c, len(columns) == 1)
-               for c, num in zip(columns, numeric)]
+    if not all(numeric):
+        writer.writerows(zip(*[map(_fmt if num else str, c)
+                               for c, num in zip(columns, numeric)]))
+        write_text_atomic(path, head.getvalue())
+        return
     bounds = _row_slices(columns[0].shape[0] if columns else 0, len(header))
-    with _forked_slices(path, row, columns, bounds) as parts:
+    with _forked_slices(path, columns, bounds) as parts:
         write_text_atomic(path, itertools.chain(
-            [head.getvalue()], _csv_blocks(row, columns, *bounds[:2])), parts)
+            [head.getvalue()], _csv_blocks(columns, *bounds[:2])), parts)
 
 
 def write_trajectory_csv(traj, path: str) -> None:

@@ -158,6 +158,34 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.multiply(X, Y, out=prod).sum(axis=1)
 
 
+def row_blocks(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+    """Block label of each of n_rows rows, given entries (rows, cols) that
+    reach every row: two rows share a block when they share a column, and
+    the blocks are numbered in the order of their first row.  A union of
+    rows over the entry arrays: every entry joins its row to the first row
+    of its column; each round hooks the larger of two roots an entry joins
+    under the smaller, then points every row at its root, until no entry
+    joins two roots.  Roots only ever hook under smaller rows, so a root is
+    the first row of its block."""
+    parent = np.arange(n_rows)
+    first = np.full(n_cols, n_rows)
+    np.minimum.at(first, cols, rows)
+    joined = first[cols]
+    while True:
+        a, b = parent[rows], parent[joined]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    return np.unique(parent, return_inverse=True)[1]
+
+
 def min_sym_eig(R, shift: float = 0.0) -> float:
     """Smallest eigenvalue of the symmetrized matrix ½(R + Rᵀ), or a
     certified lower bound on it.

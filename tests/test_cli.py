@@ -165,10 +165,10 @@ def test_simulate_failed_slice_process_exits_2(tmp_path, port_models,
     force_csv_slices(monkeypatch, 2)
     parent, blocks = os.getpid(), serialization._csv_blocks
 
-    def failing_in_child(row, columns, lo, hi):
+    def failing_in_child(columns, lo, hi):
         if os.getpid() != parent:
             raise RuntimeError("formatting failed")
-        return blocks(row, columns, lo, hi)
+        return blocks(columns, lo, hi)
 
     monkeypatch.setattr(serialization, "_csv_blocks", failing_in_child)
     out = tmp_path / "run"
@@ -450,21 +450,29 @@ def test_convergence_command(tmp_path, capsys):
     assert os.path.isfile(os.path.join(out, "convergence.csv"))
 
 
-def test_convergence_bad_taus(tmp_path):
-    assert cli_main(["convergence", "--taus", "fast,slow",
-                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
+def _convergence_refused(tmp_path, capsys, monkeypatch, *argv) -> str:
+    """stderr of a `convergence` command that argparse refuses with exit
+    code 2, before any mesh is built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("run_convergence called with refused arguments")
+
+    monkeypatch.setattr(experiments, "run_convergence", fail)
+    with pytest.raises(SystemExit) as info:
+        cli_main(["convergence", *argv, "--out", str(tmp_path / "x")])
+    assert info.value.code == EXIT_PARSE
+    return capsys.readouterr().err
+
+
+def test_convergence_bad_taus(tmp_path, capsys, monkeypatch):
+    err = _convergence_refused(tmp_path, capsys, monkeypatch,
+                               "--taus", "fast,slow")
+    assert "argument --taus: cannot parse 'fast,slow'" in err
 
 
 def test_convergence_unknown_method(tmp_path, capsys, monkeypatch):
-    # the tags are checked before any mesh is built
-    def fail(*args, **kwargs):
-        raise AssertionError("run_convergence called with an unknown tag")
-
-    monkeypatch.setattr(experiments, "run_convergence", fail)
-    assert cli_main(["convergence", "--methods", "trapezoidal,nosuch",
-                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "unknown method 'nosuch'" in err
+    err = _convergence_refused(tmp_path, capsys, monkeypatch,
+                               "--methods", "trapezoidal,nosuch")
+    assert "argument --methods: unknown method 'nosuch'" in err
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -561,7 +569,21 @@ def test_experiment_time_grid_is_checked_before_setup(tmp_path, capsys,
         f"length {length}\n")
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+def test_solid_initial_current_is_refused_before_setup(tmp_path, capsys,
+                                                       monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_oscillator called with a refused "
+                             "configuration")
+
+    monkeypatch.setattr(experiments, "build_oscillator", fail)
+    assert cli_main(["oscillator", "--kind", "solid", "--i0", "1",
+                     "--out", str(tmp_path / "run")]) == EXIT_STRUCTURE
+    assert capsys.readouterr().err == (
+        "structure error: nonzero initial winding current is only supported "
+        "for the stranded oscillator\n")
+
+
+README =Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_cli_commands_parse():
@@ -583,34 +605,22 @@ def test_readme_cli_commands_parse():
                         f"{shlex.join(argv)}")
 
 
-def _no_convergence_run(*args, **kwargs):
-    raise AssertionError("run_convergence called with refused arguments")
-
-
 @pytest.mark.parametrize("taus", ["8e-7,nan", "8e-7,inf", "8e-7,0"])
 def test_convergence_non_finite_taus(tmp_path, capsys, monkeypatch, taus):
-    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
-    assert cli_main(["convergence", "--taus", taus,
-                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: cannot parse --taus")
+    err = _convergence_refused(tmp_path, capsys, monkeypatch, "--taus", taus)
+    assert "argument --taus: expected a finite positive number" in err
 
 
 @pytest.mark.parametrize("methods", ["", ",", " , ,"])
 def test_convergence_empty_method_list(tmp_path, capsys, monkeypatch,
                                        methods):
-    # refused before any mesh is built
-    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
-    assert cli_main(["convergence", "--methods", methods,
-                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = _convergence_refused(tmp_path, capsys, monkeypatch,
+                               "--methods", methods)
+    assert "argument --methods: names no method" in err
 
 
 @pytest.mark.parametrize("taus", ["", " , ", "8e-7"])
 def test_convergence_fewer_than_two_taus(tmp_path, capsys, monkeypatch,
                                          taus):
-    # refused before any mesh is built
-    monkeypatch.setattr(experiments, "run_convergence", _no_convergence_run)
-    assert cli_main(["convergence", "--taus", taus,
-                     "--out", str(tmp_path / "x")]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("error: --taus") and "at least two" in err
+    err = _convergence_refused(tmp_path, capsys, monkeypatch, "--taus", taus)
+    assert "argument --taus: " in err and "at least two" in err

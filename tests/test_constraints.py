@@ -1,8 +1,7 @@
 """Consistent initialization from the block structure of E_dae: the sparse
 constraint rows against the dense left-null-space formula, cross-row
-constraints at every size, the size of the dense blocks, the row blocks
-against scipy's connected components, and the memory the initialization
-takes."""
+constraints at every size, the size of the dense blocks, and the memory
+the initialization takes."""
 
 import pathlib
 import tracemalloc
@@ -11,12 +10,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fieldcircuit import experiments, mna
-from fieldcircuit._dae import _row_blocks, constraint_basis
+from fieldcircuit._dae import constraint_basis
 from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
                                     to_dense)
@@ -215,39 +211,6 @@ def test_init_finds_cross_row_constraints_at_every_size(pairs):
                          S=sp.identity(n, format="csr"))
     with pytest.raises(StructureError, match="inconsistent initial values"):
         consistent_init(sys_p, np.ones(n), zero_input(0))
-
-
-@st.composite
-def row_patterns(draw):
-    """(rows, cols, n_rows, n_cols) of a random pattern in which every row
-    and every column stores an entry, in any order: empty, one row, and up
-    to 12 rows."""
-    n_rows = draw(st.integers(0, 12))
-    n_cols = draw(st.integers(min(n_rows, 1), 10))
-    extra = draw(st.lists(st.tuples(st.integers(0, max(n_rows - 1, 0)),
-                                    st.integers(0, max(n_cols - 1, 0))),
-                          max_size=30 if n_rows else 0))
-    # one entry per row and per column reaches each of them
-    pairs = {(i, i % n_cols) for i in range(n_rows)}
-    pairs |= {(j % n_rows, j) for j in range(n_cols) if n_rows}
-    entries = draw(st.permutations(sorted(pairs | set(extra))))
-    rows = np.array([i for i, _ in entries], dtype=np.intp)
-    cols = np.array([j for _, j in entries], dtype=np.intp)
-    return rows, cols, n_rows, n_cols if n_rows else 0
-
-
-@settings(max_examples=300, deadline=None)
-@given(row_patterns())
-def test_row_blocks_are_the_connected_components(pattern):
-    rows, cols, n_rows, n_cols = pattern
-    labels = _row_blocks(rows, cols, n_rows, n_cols)
-    # rows and columns as the two sides of one graph: the components that
-    # hold a row come first, numbered in the order of their first row
-    size = n_rows + n_cols
-    graph = sp.csr_array((np.ones(rows.size), (rows, n_rows + cols)),
-                         shape=(size, size))
-    _, want = csgraph.connected_components(graph, directed=False)
-    assert np.array_equal(labels, want[:n_rows])
 
 
 @pytest.mark.parametrize("cfg", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldcircuit._stepping import METHOD_TAGS
 from fieldcircuit.conductors import KINDS
 from fieldcircuit.mna import (GROUND, NetlistError, build_incidence,
                               input_stack, mna_system, parse_netlist,
@@ -66,12 +67,15 @@ def test_empty_and_groundless_netlists():
 def test_duplicate_directives():
     errs = _errors_of("R1 1 0 5\n.tran 1u 1m\n.tran 1u 1m\n")
     assert "duplicate .tran" in errs[0]
-    errs = _errors_of("R1 1 0 5\n.method trap\n.method euler\n")
+    errs = _errors_of("R1 1 0 5\n.method trapezoidal\n.method bdf2\n")
     assert "duplicate .method" in errs[0]
 
 
 def test_unknown_method_and_directive():
     assert "unknown method" in _errors_of("R1 1 0 5\n.method rk9\n")[0]
+    assert _errors_of("R1 1 0 5\n.method euler\n") == [
+        "nl:2:9: unknown method 'euler'; choose from implicit_euler, "
+        "midpoint, trapezoidal, bdf2, gauss4, radau5"]
     assert "unknown directive" in _errors_of("R1 1 0 5\n.opts x\n")[0]
 
 
@@ -84,6 +88,16 @@ def test_floating_node_detected():
     nl = parse_netlist("R1 1 0 5\nR2 2 3 5\n")
     with pytest.raises(NetlistError, match="no path to ground"):
         build_incidence(nl)
+
+
+def test_two_floating_islands_are_named_in_node_order():
+    # islands {a, b, c} and {x, y}; 1 and 2 reach ground only through 3
+    nl = parse_netlist("R1 a b 5\nR2 1 2 5\nC1 x y 1u\nR3 2 3 5\n"
+                       "R4 b c 5\nR5 3 0 5\nL1 y x 1m\n")
+    with pytest.raises(NetlistError) as err:
+        build_incidence(nl)
+    assert err.value.errors == [f"node {nm!r} has no path to ground"
+                                for nm in ("a", "b", "x", "y", "c")]
 
 
 def test_comments_and_blank_lines():
@@ -132,7 +146,7 @@ def _netlist_texts(draw):
     if draw(st.booleans()):
         lines.append(f".tran {draw(_pos_value)!r} {draw(_pos_value)!r}")
     if draw(st.booleans()):
-        lines.append(f".method {draw(st.sampled_from(('euler', 'trap', 'bdf2', 'gauss4', 'radau5')))}")
+        lines.append(f".method {draw(st.sampled_from(METHOD_TAGS))}")
     return "\n".join(lines) + "\n"
 
 

@@ -456,8 +456,11 @@ def test_split_csv_bytes_match_one_slice(tmp_path, monkeypatch, rng, slices,
     write_columns_csv(str(one), header, columns)
     forks = force_csv_slices(monkeypatch, slices)
     write_columns_csv(str(split), header, columns)
+    # only a table of floating columns is split; any other is written by
+    # csv.writer in this process
+    floating = all(np.issubdtype(c.dtype, np.floating) for c in columns)
     rows = columns[0].shape[0]
-    assert len(forks) == max(min(slices, rows), 1) - 1
+    assert len(forks) == (max(min(slices, rows), 1) - 1 if floating else 0)
     assert split.read_bytes() == one.read_bytes()
     assert split.read_bytes() == reference_csv(header, columns)
     assert os.listdir(split.parent) == ["c.csv"]
@@ -508,10 +511,10 @@ def test_failed_slice_process_keeps_old_file(tmp_path, monkeypatch, rng,
     force_csv_slices(monkeypatch, 3)
     parent, blocks = os.getpid(), serialization._csv_blocks
 
-    def failing_in_child(row, columns, lo, hi):
+    def failing_in_child(columns, lo, hi):
         if os.getpid() != parent:
             raise RuntimeError("formatting failed")
-        return blocks(row, columns, lo, hi)
+        return blocks(columns, lo, hi)
 
     monkeypatch.setattr(serialization, "_csv_blocks", failing_in_child)
     path = _write_old_file(tmp_path)
@@ -530,10 +533,10 @@ def test_parent_error_after_fork_kills_slice_processes(tmp_path, monkeypatch,
     force_csv_slices(monkeypatch, 3)
     parent, blocks = os.getpid(), serialization._csv_blocks
 
-    def failing_in_parent(row, columns, lo, hi):
+    def failing_in_parent(columns, lo, hi):
         if os.getpid() != parent:
             time.sleep(60)  # still running when the parent fails
-        yield from blocks(row, columns, lo, hi)
+        yield from blocks(columns, lo, hi)
         if os.getpid() == parent:
             raise RuntimeError("parent failed")
 

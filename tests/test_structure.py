@@ -3,14 +3,18 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcircuit import structure
 from fieldcircuit.structure import (EnergySystem, NumericalError,
                                     Partition, StructureError, as_block,
                                     dae_residual, effort_flow, fro_norm,
                                     hamiltonian, min_sym_eig, output,
-                                    power_terms, to_dense, validate)
+                                    power_terms, row_blocks, to_dense,
+                                    validate)
 from tests.conftest import random_energy_system
 
 
@@ -295,3 +299,36 @@ def test_dae_residual_is_linear(rng):
         + b * dae_residual(sys_r, zb, db, ub)
     scale = max(np.max(np.abs(split)), 1.0)
     assert np.max(np.abs(combined - split)) <= 1e-12 * scale
+
+
+@st.composite
+def row_patterns(draw):
+    """(rows, cols, n_rows, n_cols) of a random pattern in which every row
+    and every column stores an entry, in any order: empty, one row, and up
+    to 12 rows."""
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(min(n_rows, 1), 10))
+    extra = draw(st.lists(st.tuples(st.integers(0, max(n_rows - 1, 0)),
+                                    st.integers(0, max(n_cols - 1, 0))),
+                          max_size=30 if n_rows else 0))
+    # one entry per row and per column reaches each of them
+    pairs = {(i, i % n_cols) for i in range(n_rows)}
+    pairs |= {(j % n_rows, j) for j in range(n_cols) if n_rows}
+    entries = draw(st.permutations(sorted(pairs | set(extra))))
+    rows = np.array([i for i, _ in entries], dtype=np.intp)
+    cols = np.array([j for _, j in entries], dtype=np.intp)
+    return rows, cols, n_rows, n_cols if n_rows else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_patterns())
+def test_row_blocks_are_the_connected_components(pattern):
+    rows, cols, n_rows, n_cols = pattern
+    labels = row_blocks(rows, cols, n_rows, n_cols)
+    # rows and columns as the two sides of one graph: the components that
+    # hold a row come first, numbered in the order of their first row
+    size = n_rows + n_cols
+    graph = sp.csr_array((np.ones(rows.size), (rows, n_rows + cols)),
+                         shape=(size, size))
+    _, want = csgraph.connected_components(graph, directed=False)
+    assert np.array_equal(labels, want[:n_rows])
