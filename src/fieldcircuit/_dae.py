@@ -29,12 +29,13 @@ class LinearDae:
     # first one factored (`_pencil_solver`)
     _permc_spec: str = field(default=None, init=False, repr=False,
                              compare=False)
-    # (C, D) and R of `constraint_basis`, built on first use; `simulate`
-    # lets (C, D) go once it has its map (`condensed_map`)
+    # (C, D) and (R, the dependent rows) of `constraint_basis`, built on
+    # first use; `simulate` lets (C, D) go once it has its map
+    # (`condensed_map`)
     _constraints: tuple = field(default=None, init=False, repr=False,
                                 compare=False)
-    _rows: np.ndarray = field(default=None, init=False, repr=False,
-                              compare=False)
+    _rows: tuple = field(default=None, init=False, repr=False,
+                         compare=False)
     # the `_CondensedMap` of `condensed_map`, or False where M is singular
     _condensed: object = field(default=None, init=False, repr=False,
                                compare=False)
@@ -112,16 +113,18 @@ def _row_max_abs(mat) -> np.ndarray:
 def _left_null_basis(rows, cols, vals, n_rows: int):
     """Sparse basis V of the left null space of the n_rows-row matrix with
     the entries (rows, cols, vals), Vᵀ mat = 0, as the entries (rows,
-    columns, values) of V, its column count and `width` dependent rows: a
-    unit vector per zero row, then one dense SVD per connected block of the
-    other rows (two rows share a block when they share a column), blocks in
-    the order of their first row.  Zero entries are left out, of the matrix
-    and of V; the entries of a row of V come in ascending columns.
+    columns, values) of V, its column count and `width` dependent rows,
+    the j-th paired with column j of V: a unit vector per zero row, then
+    one dense SVD per connected block of the other rows (two rows share a
+    block when they share a column), blocks in the order of their first
+    row.  Zero entries are left out, of the matrix and of V; the entries of
+    a row of V come in ascending columns.
 
-    The dependent rows are the zero rows and, per block with a null space
-    of k < its rows, the k rows a column-pivoted QR of the block's null
-    vectors picks; V on them is nonsingular, so the rows of the matrix
-    that are left are independent."""
+    The dependent rows are the zero rows, each paired with its unit
+    vector, and, per block with a null space of k < its rows, the k rows a
+    column-pivoted QR of the block's null vectors picks, in pivot order;
+    V on them is nonsingular, so the rows of the matrix that are left are
+    independent."""
     stored = vals != 0.0
     rows, cols, vals = rows[stored], cols[stored], vals[stored]
     is_zero = np.ones(n_rows, dtype=bool)
@@ -162,9 +165,12 @@ def _left_null_basis(rows, cols, vals, n_rows: int):
 
 def constraint_basis(dae: LinearDae):
     """Sparse algebraic constraint rows (C, D): C x + D u = 0 holds on every
-    solution of E ẋ = A x + B u; and the rows R of E that are left when the
+    solution of E ẋ = A x + B u; the rows R of E that are left when the
     dependent rows of the left null basis are taken out, r = n − rows(C)
-    independent rows of E.  Built once per DAE and kept on it, so that
+    independent rows of E; and those dependent rows, one per row of C:
+    row j of C is paired with row dependent[j] of E, and R and the
+    dependent rows together are every row once.  Built once per DAE and
+    kept on it, so that
     `consistent_init` and the `simulate` calls after it share them (the
     first `simulate` lets C and D go, and a later call forms them again).
 
@@ -178,14 +184,14 @@ def constraint_basis(dae: LinearDae):
     circuit and coupling rows get a dense SVD per connected block.
     """
     if dae._constraints is None:
-        c_mat, d_mat, rows = _constraint_rows(dae)
+        c_mat, d_mat, rows, dependent = _constraint_rows(dae)
         object.__setattr__(dae, "_constraints", (c_mat, d_mat))
-        object.__setattr__(dae, "_rows", rows)
-    return (*dae._constraints, dae._rows)
+        object.__setattr__(dae, "_rows", (rows, dependent))
+    return (*dae._constraints, *dae._rows)
 
 
 def _constraint_rows(dae: LinearDae):
-    """(C, D, R) of `constraint_basis`, computed."""
+    """(C, D, R, the dependent rows) of `constraint_basis`, computed."""
     row_max = np.maximum.reduce(
         [_row_max_abs(mat) for mat in (dae.E_dae, dae.A_dae, dae.B_dae)])
     row_max[row_max == 0.0] = 1.0
@@ -217,7 +223,8 @@ def _constraint_rows(dae: LinearDae):
     stored = v_vals != 0.0
     v_t = csr_from_entries([(v_cols[stored], v_rows[stored],
                              v_vals[stored])], (width, n))
-    return v_t @ dae.A_dae, v_t @ dae.B_dae, np.flatnonzero(independent)
+    return (v_t @ dae.A_dae, v_t @ dae.B_dae, np.flatnonzero(independent),
+            dependent)
 
 
 def _eliminate_pivots(rows, cols, vals, is_piv, e_dae):

@@ -380,36 +380,56 @@ def condensed_map(dae: LinearDae):
     factors (0.24 MB on `mixed_ports`).  A DAE whose constraint rows cannot
     be formed (a singular pivot block, which `consistent_init` reports)
     steps sparse, with r unknown (None)."""
-    rows = dae._rows
-    if rows is None:
+    if dae._rows is None:
         try:
-            rows = constraint_basis(dae)[2]
+            constraint_basis(dae)
         except NumericalError:
             return None, None
+    rows, dependent = dae._rows
     cmap = None
     if _condenses(dae, rows.size):
         if dae._condensed is None:
-            c_mat, d_mat, _ = constraint_basis(dae)
+            c_mat, d_mat, *_ = constraint_basis(dae)
             object.__setattr__(dae, "_condensed", _build_condensed(
-                dae, c_mat, d_mat, rows) or False)
+                dae, c_mat, d_mat, rows, dependent) or False)
         cmap = dae._condensed or None
     object.__setattr__(dae, "_constraints", None)
     return rows.size, cmap
 
 
-def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
-    """The `_CondensedMap` of dae with its rows R and constraint rows
-    (C, D), or None when M = [E_dae[R]; C] is singular: SuperLU finds it
-    exactly singular, or the scaled M has a pivot ratio
-    min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  M is scaled to unit
-    largest entries in its rows, then by powers of two into [½, 1) in its
-    columns, so the ratio does not read the circuit's units as an index
-    (`suffix_tour`); a power of two changes no pivot choice and no bit of
-    the solve.  M is factored once (COLAMD) and freed once V and G are
-    formed by one solve with r + m right sides, unscaled."""
+def _build_condensed(dae: LinearDae, c_mat, d_mat, rows, dependent):
+    """The `_CondensedMap` of dae with its rows R, constraint rows (C, D)
+    and the dependent rows of `constraint_basis`, or None when
+    M = [E_dae[R]; C] is singular: SuperLU finds it exactly singular, or
+    the scaled M has a pivot ratio min|U_ii| / max|U_ii| below
+    `_PIVOT_RATIO`.  M is scaled to unit largest entries in its rows, then
+    by powers of two into [½, 1) in its columns, so the ratio does not read
+    the circuit's units as an index (`suffix_tour`).
+
+    Each row of M is placed at the row of the DAE it comes from: E_dae[R]
+    at R, and row j of C at the dependent row paired with it.  So placed,
+    M has the pattern of the stage pencils E_dae − τλ A_dae, and it is
+    factored as `_StageSolver` factors them: Mᵀ, row-scaled, is read from
+    the CSR arrays of M, ordered with MMD_AT_PLUS_A, and V and G come from
+    one transposed solve with r + m right sides, unscaled.  That factor
+    pivots across the columns of M, where a power of two would change
+    pivot choices, so the column scale is applied to the diagonal of U
+    only, which is what the factor with it reads when the power of two
+    changes no pivot choice.  On the lossless stranded oscillator the
+    factor stores 243k entries at n = 4952 (h = 0.4 mm; COLAMD on the
+    placed M: 397k) and 785k at n = 12563 (0.25 mm; 1.34M); at n = 743
+    (1 mm) it stores 32.7k against COLAMD's 30.6k, in the same 1.6 ms, so
+    no ordering trial is made.  M is factored once and freed once V and G
+    are formed."""
     n, m, r = dae.partition.n, dae.partition.m, rows.size
-    e_rows = dae.E_dae[rows]
-    mat = sp.vstack([e_rows, c_mat], format="csr")
+    c_rows, c_cols, c_vals = csr_entries(c_mat)
+    is_row = np.zeros(n, dtype=bool)
+    is_row[rows] = True
+    e_rows, e_cols, e_vals = csr_entries(dae.E_dae)
+    on = is_row[e_rows]
+    mat = csr_from_entries([(e_rows[on], e_cols[on], e_vals[on]),
+                            (dependent[c_rows], c_cols, c_vals)], (n, n),
+                           like=(dae.E_dae, c_mat))
     row_max = _row_max_abs(mat)
     if not row_max.all():
         return None
@@ -421,25 +441,27 @@ def _build_condensed(dae: LinearDae, c_mat, d_mat, rows):
     np.maximum.at(col_max, m_cols, np.abs(m_vals))
     col_scale = np.ldexp(1.0, -np.frexp(col_max)[1])
     try:
-        lu = _splu(csr_from_entries([(m_rows, m_cols,
-                                      m_vals * col_scale[m_cols])],
-                                    (n, n), like=(mat,)), "condensing matrix")
+        lu = _splu(sp.csc_matrix((m_vals, mat.indices, mat.indptr),
+                                 shape=(n, n)),
+                   "condensing matrix", "MMD_AT_PLUS_A")
     except NumericalError:
         return None
+    # the pivot of step perm_r[j] lies in column j of M
     u_diag = np.abs(lu.U.diagonal())
+    u_diag[lu.perm_r] *= col_scale
     if u_diag.min(initial=np.inf) < _PIVOT_RATIO * u_diag.max(initial=0.0):
         return None
     d_rows, d_cols, d_vals = csr_entries(d_mat)
     eye = np.arange(r)
+    d_at = dependent[d_rows]
     rhs = csr_from_entries(
-        [(eye, eye, scale[:r]),
-         (r + d_rows, r + d_cols, -scale[r + d_rows] * d_vals)],
-        (n, r + m)).toarray()
-    sol = col_scale[:, None] * lu.solve(rhs) if rhs.size else rhs
+        [(rows, eye, scale[rows]),
+         (d_at, r + d_cols, -scale[d_at] * d_vals)], (n, r + m)).toarray()
+    sol = lu.solve(rhs, trans="T") if rhs.size else rhs
     del lu
     v, g = sol[:, :r], sol[:, r:]
     a_rows = dae.A_dae[rows]
-    return _CondensedMap(e_rows, v, g, a_rows @ v,
+    return _CondensedMap(dae.E_dae[rows], v, g, a_rows @ v,
                          a_rows @ g + dae.B_dae[rows].toarray())
 
 

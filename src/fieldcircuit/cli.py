@@ -8,6 +8,7 @@ failures (singular solves, non-finite results).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -71,7 +72,10 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output directory")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of `cli_main`, built once per process: `parse_args` does
+    not change it, and the handlers look up what they run at call time."""
     top = argparse.ArgumentParser(
         prog="fieldcircuit",
         description="structure-preserving field-circuit simulation")

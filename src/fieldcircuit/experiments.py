@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from fieldcircuit import conductors, coupling, fem, mna, serialization
 from fieldcircuit._audit import error_measures
@@ -147,7 +145,7 @@ def build_oscillator(cfg: OscillatorConfig, extra_cards=()) -> OscillatorParts:
     else:
         model = conductors.solid_from_mesh(mesh, geo.materials, "coil")
         x_col = model.M_sigma @ to_dense(model.X_sol)
-    lumped_l = fem.lumped_inductance(model.K_nu, x_col)
+    lumped_l, static_field = fem.lumped_inductance(model.K_nu, x_col)
 
     nl = mna.parse_netlist(_oscillator_netlist_text(cfg, extra_cards),
                            origin="<oscillator>")
@@ -169,10 +167,9 @@ def build_oscillator(cfg: OscillatorConfig, extra_cards=()) -> OscillatorParts:
     diff_vals = np.zeros(p.n)
     diff_vals[phi_index] = cfg.v0
     if cfg.i0 != 0.0:
-        # static field of the winding at current i0 seeds the a-dofs
-        a0 = spla.splu(sp.csc_matrix(model.K_nu)).solve(
-            to_dense(model.X_str).ravel() * cfg.i0)
-        diff_vals[layout.field_slices[0]] = a0
+        # static field of the winding at current i0 seeds the a-dofs (the
+        # stranded kind only: `OscillatorConfig` refuses i0 on the solid)
+        diff_vals[layout.field_slices[0]] = cfg.i0 * static_field
     z0 = consistent_init(system, diff_vals, u)
     return OscillatorParts(cfg, mesh, model, nl, inc, circuit, tuple(systems),
                            binding, system, layout, u, z0, lumped_l,

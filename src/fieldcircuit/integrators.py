@@ -260,7 +260,7 @@ def consistent_init(sys: EnergySystem, differential_values: np.ndarray,
         raise StructureError(f"u0: expected length {p.m}, got {u_val.shape}")
 
     dae = to_linear_dae(sys)
-    c_mat, d_mat, _ = constraint_basis(dae)
+    c_mat, d_mat, *_ = constraint_basis(dae)
     # the free directions [0; N; 0] of η and [0; 0; I] of z3, N from the
     # entries of Eᵀ
     e_rows, e_cols, e_vals = csr_entries(sys.E)

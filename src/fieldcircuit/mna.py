@@ -79,12 +79,11 @@ class Netlist:
 
     @property
     def nodes(self):
-        """Non-ground nodes in first-appearance order."""
-        seen = []
-        for card in self.cards:
-            for node in (card.n_plus, card.n_minus):
-                if node != GROUND and node not in seen:
-                    seen.append(node)
+        """Non-ground nodes in first-appearance order (the keys of a dict
+        keep their insertion order)."""
+        seen = dict.fromkeys(node for card in self.cards
+                             for node in (card.n_plus, card.n_minus))
+        seen.pop(GROUND, None)
         return tuple(seen)
 
 

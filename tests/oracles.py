@@ -3,7 +3,10 @@
 Element integrals are evaluated here through the affine map onto the
 reference triangle and its Jacobian, a different route than the production
 assembly (which works with barycentric gradient coefficients directly).
-Quadrature points are the published degree-5 values.  `direct_sum_spec`,
+Quadrature points are the published degree-5 values.
+`reference_element_integrals` is the stacked kernel as four-operand
+`einsum` calls, the reference of the matrix products that
+`fem.element_integrals` forms.  `direct_sum_spec`,
 the uncoupled interconnection, serves the interconnection tests;
 `reference_couple` joins conductors and circuit two systems at a time, the
 fold that the one-step `couple` must reproduce exactly.
@@ -37,6 +40,7 @@ import scipy.sparse.csgraph as csgraph
 from fieldcircuit import _dae
 from fieldcircuit._stepping import (_pencil_plan, _pencil_solver,
                                     _StageSolver, method_from_tag)
+from fieldcircuit.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
 from fieldcircuit.integrators import to_linear_dae
 from fieldcircuit.interconnect import InterconnectionSpec, interconnect
 from fieldcircuit.mna import GROUND
@@ -97,6 +101,34 @@ def oracle_winding(coords, turns_density):
         r = float(lam @ coords[:, 0])
         out += w * lam * r
     return 2.0 * math.pi * turns_density * area * out
+
+
+def reference_element_integrals(coords, coefficients, kind):
+    """`fem.element_integrals` as four-operand `einsum` calls over the
+    quadrature points, the reference of the matrix-product kernel."""
+    coords = np.asarray(coords, dtype=np.float64)
+    r = coords[:, :, 0]
+    z = coords[:, :, 1]
+    area2 = ((r[:, 1] - r[:, 0]) * (z[:, 2] - z[:, 0])
+             - (r[:, 2] - r[:, 0]) * (z[:, 1] - z[:, 0]))
+    r_q = r @ TRI_QUAD_POINTS.T
+    lam, w = TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
+    scale = 2.0 * math.pi * coefficients * (0.5 * area2)
+    if kind == "winding":
+        return np.einsum("q,qi,mq->mi", w, lam, r_q) * scale[:, None]
+    if kind == "mass":
+        blocks = np.einsum("q,qi,qj,mq->mij", w, lam, lam, r_q)
+    else:
+        b = np.stack([z[:, 1] - z[:, 2], z[:, 2] - z[:, 0], z[:, 0] - z[:, 1]],
+                     axis=1) / area2[:, None]
+        c = np.stack([r[:, 2] - r[:, 1], r[:, 0] - r[:, 2], r[:, 1] - r[:, 0]],
+                     axis=1) / area2[:, None]
+        grad = (np.einsum("mi,mj->mij", b, b) + np.einsum("mi,mj->mij", c, c))
+        blocks = (grad * np.einsum("q,mq->m", w, r_q)[:, None, None]
+                  + np.einsum("q,mi,qj->mij", w, b, lam)
+                  + np.einsum("q,qi,mj->mij", w, lam, b)
+                  + np.einsum("q,qi,qj,mq->mij", w, lam, lam, 1.0 / r_q))
+    return blocks * scale[:, None, None]
 
 
 def random_triangle(rng, r_min=0.2):

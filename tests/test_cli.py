@@ -518,6 +518,35 @@ def _record_runs(monkeypatch, name):
     return calls
 
 
+def test_back_to_back_calls_share_no_state(monkeypatch, tmp_path, capsys):
+    # one parser serves every call; what one call is given, of any
+    # subcommand, the next call does not see
+    assert _build_parser() is _build_parser()
+    osc = _record_runs(monkeypatch, "run_oscillator")
+    idx = _record_runs(monkeypatch, "run_index2")
+    rc = tmp_path / "rc.cir"
+    rc.write_text("V1 1 0 DC 1\nR1 1 2 2\nC1 2 0 3\n.tran 0.05 1\n",
+                  encoding="utf-8")
+    for argv in (["oscillator", "--tau", "3e-7", "--mesh-h", "2e-3",
+                  "--conductive-core"],
+                 ["simulate", str(rc), "--tau", "0.1", "--method", "bdf2",
+                  "--out", str(tmp_path / "given")],
+                 ["index2", "--amplitude", "2"],
+                 ["simulate", str(rc), "--out", str(tmp_path / "default")],
+                 ["oscillator"], ["index2"]):
+        assert cli_main(argv) == EXIT_OK
+    assert osc == [(experiments.OscillatorConfig(
+        tau=3e-7, mesh_h=2e-3, core_conductive=True), {}),
+        (experiments.OscillatorConfig(), {})]
+    assert idx == [(experiments.OscillatorConfig(), {"amplitude": 2.0}),
+                   (experiments.OscillatorConfig(), {})]
+    given = read_manifest(str(tmp_path / "given" / "run.manifest"))
+    default = read_manifest(str(tmp_path / "default" / "run.manifest"))
+    assert (given["method"], float(given["tau_s"])) == ("bdf2", 0.1)
+    assert (default["method"], float(default["tau_s"])) == ("trapezoidal",
+                                                            0.05)
+
+
 def test_finite_options_keep_their_values(monkeypatch):
     osc = _record_runs(monkeypatch, "run_oscillator")
     idx = _record_runs(monkeypatch, "run_index2")

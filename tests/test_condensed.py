@@ -28,6 +28,7 @@ from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.serialization import read_manifest, read_trajectory_csv
 from fieldcircuit.structure import NumericalError, hamiltonian
 from fieldcircuit.waveforms import Sinusoid, WaveformStack
+from perfbench.workloads import write_field_models
 from tests.conftest import random_draws, random_energy_system
 # the 4-dof model directories of the field-port netlists
 from tests.test_cli import port_models  # noqa: F401
@@ -217,6 +218,71 @@ def test_corpus_netlists_take_the_path_the_rule_gives(monkeypatch,
         assert_paths_agree(monkeypatch, system, z0, u, tau, 200, method)
 
 
+# r of every corpus netlist with the models of `port_models`, and the path
+# and r of each system with the 1 mm models of the benchmark and of the
+# oscillators: those of the stacked M factored with COLAMD, which the
+# placed M, ordered as the pencils are, must keep
+CORPUS_R = {
+    "bridge_rectifier_rc": 1, "cauer_ladder": 5, "comment_styles": 0,
+    "current_divider": 0, "dc_block": 1, "foil_port": 2, "grid_3x3": 0,
+    "lc_tank": 2, "method_bdf2": 1, "method_euler": 1, "method_midpoint": 1,
+    "method_radau5": 1, "mixed_ports": 8, "multi_source": 0,
+    "no_time_grid": 0, "pi_filter": 3, "plain_exponents": 2,
+    "r2r_ladder": 0, "ragged_whitespace": 1, "rc_lowpass": 1,
+    "rl_highpass": 1, "rlc_parallel": 2, "rlc_series": 2, "snubber": 1,
+    "solid_port": 4, "stranded_port": 2, "suffix_tour": 0,
+    "tee_attenuator": 0, "transformer_columns": 2, "twin_t_notch": 3,
+    "voltage_divider": 0, "wheatstone": 0}
+BENCH_MODEL_R = {"foil_port": 173, "mixed_ports": 348, "solid_port": 173}
+BENCH_MODEL_SPARSE = ("cauer_ladder", "foil_port", "mixed_ports",
+                      "solid_port")
+OSCILLATOR_PATHS = {
+    "stranded-1mm": (dict(mesh_h=1e-3), "condensed", 2),
+    "stranded-0.4mm": (dict(mesh_h=0.4e-3), "condensed", 2),
+    "stranded-core-1mm": (dict(core_conductive=True, mesh_h=1e-3),
+                          "sparse", 107),
+    "solid-core-1mm": (dict(conductor_kind="solid", core_conductive=True,
+                            mesh_h=1e-3), "sparse", 174),
+    "solid-core-0.5mm": (dict(conductor_kind="solid", core_conductive=True,
+                              mesh_h=0.5e-3), "sparse", 642),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_models(tmp_path_factory):
+    """The 1 mm model directories of the benchmark's `sweep-small`."""
+    models = tmp_path_factory.mktemp("bench-models")
+    write_field_models(models, 1)
+    return models
+
+
+def path_and_r(system):
+    r, cmap = condensed_map(to_linear_dae(system))
+    return ("sparse" if cmap is None else "condensed"), r
+
+
+@pytest.mark.parametrize("models", ["port", "bench"])
+@pytest.mark.parametrize("name", sorted(CORPUS_R))
+def test_corpus_paths_and_r_are_kept(request, models, name):
+    _, system, _ = corpus_system(NETLISTS / f"{name}.cir",
+                                 request.getfixturevalue(f"{models}_models"))
+    if models == "bench":
+        want = ("sparse" if name in BENCH_MODEL_SPARSE else "condensed",
+                BENCH_MODEL_R.get(name, CORPUS_R[name]))
+    else:
+        want = ("condensed" if name in CONDENSED_CORPUS else "sparse",
+                CORPUS_R[name])
+    assert path_and_r(system) == want
+
+
+@pytest.mark.parametrize("name", sorted(OSCILLATOR_PATHS))
+def test_oscillator_paths_and_r_are_kept(name):
+    config, path, r = OSCILLATOR_PATHS[name]
+    parts = experiments.build_oscillator(experiments.OscillatorConfig(
+        **config))
+    assert path_and_r(parts.system) == (path, r)
+
+
 @pytest.mark.parametrize("method", METHOD_TAGS)
 def test_condensed_audit_is_the_audit_of_its_states(monkeypatch, method):
     # H, outputs and dissipation from the coordinates against the audit of
@@ -238,6 +304,51 @@ def test_condensed_audit_is_the_audit_of_its_states(monkeypatch, method):
                 1e-13 * np.abs(dissipated).max()
             assert traj.hamiltonians[0] == hamiltonian(sys_r, start)
             assert np.array_equal(traj.states[0], start)
+
+
+# --- the condensing factor --------------------------------------------------
+
+def assert_map_is_the_stacked_solve(dae):
+    """V, G, A_r and B_r of the condensed map equal, to round-off, those of
+    a dense solve with M stacked as [E_dae[R]; C], unscaled: the placed,
+    scaled and transposed factor changes nothing but round-off.  A column
+    of [V G] = M⁻¹ [I 0; 0 −D] is measured against the larger of its own
+    magnitude and that of its right side times the largest gain of any
+    column (a column that cancels to zero keeps the round-off of its
+    solve), and a column of A_r and B_r against that scale times
+    ‖A_dae[R]‖∞, plus the column of B_dae[R]."""
+    r, cmap = condensed_map(dae)
+    assert cmap is not None
+    c_mat, d_mat, rows, _ = _dae.constraint_basis(dae)
+    n, m = dae.partition.n, dae.partition.m
+    rhs = np.zeros((n, r + m))
+    rhs[:r, :r] = np.eye(r)
+    rhs[r:, r:] = -d_mat.toarray()
+    sol = np.linalg.solve(sp.vstack((dae.E_dae[rows], c_mat)).toarray(), rhs)
+    rhs_max = np.abs(rhs).max(axis=0, initial=0.0)
+    sol_max = np.abs(sol).max(axis=0, initial=0.0)
+    gain = (sol_max[rhs_max > 0] / rhs_max[rhs_max > 0]).max(initial=0.0)
+    scale = np.maximum(sol_max, gain * rhs_max)
+    a_rows, b_rows = dae.A_dae[rows], dae.B_dae[rows].toarray()
+    a_norm = abs(a_rows).sum(axis=1).max(initial=0.0)
+    want = (sol[:, :r], sol[:, r:], a_rows @ sol[:, :r],
+            a_rows @ sol[:, r:] + b_rows)
+    scales = (scale[:r], scale[r:], a_norm * scale[:r],
+              a_norm * scale[r:] + np.abs(b_rows).max(axis=0, initial=0.0))
+    for got, ref, col_scale in zip((cmap.V, cmap.G, cmap.A_r, cmap.B_r),
+                                   want, scales):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * col_scale)
+
+
+def test_stranded_oscillator_map_is_the_stacked_solve(stranded):
+    assert_map_is_the_stacked_solve(to_linear_dae(stranded.system))
+
+
+@pytest.mark.parametrize("name", CONDENSED_CORPUS)
+def test_corpus_map_is_the_stacked_solve(port_models, name):
+    _, system, _ = corpus_system(NETLISTS / f"{name}.cir", port_models)
+    assert_map_is_the_stacked_solve(to_linear_dae(system))
 
 
 def test_condensed_path_keeps_the_balance_of_the_lossless_oscillator():
@@ -291,8 +402,9 @@ def test_index2_oscillator_stays_sparse(monkeypatch):
     assert traj.differential_coordinates == 2
     assert dae._condensed is False
     n = parts.system.n
-    # M, then the pencil with its ordering trial
-    assert calls[0] == ((n, n), "float64", "COLAMD")
+    # M, ordered as the pencils are, then the pencil with its ordering
+    # trial
+    assert calls[0] == ((n, n), "float64", "MMD_AT_PLUS_A")
     assert {shape for shape, *_ in calls} == {(n, n)}
 
 

@@ -313,6 +313,6 @@ def test_load_model_missing_manifest(tmp_path):
 
 def test_lumped_inductance_trivials(rng):
     k = _spd(rng, 4)
-    assert lumped_inductance(k, np.zeros(4)) == 0.0
+    assert lumped_inductance(k, np.zeros(4))[0] == 0.0
     x = rng.standard_normal(4)
-    assert lumped_inductance(k, x) > 0.0
+    assert lumped_inductance(k, x)[0] > 0.0

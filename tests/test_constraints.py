@@ -47,12 +47,16 @@ def relative_residual(c, d, z, u):
 def assert_dense_parity(sys, z0, u0):
     dae = to_linear_dae(sys)
     c_ref, d_ref = dense_constraints(dae)
-    c_mat, d_mat, rows = constraint_basis(dae)
+    c_mat, d_mat, rows, dependent = constraint_basis(dae)
     # as many constraints as n − rank(E_dae)
     assert c_mat.shape == (c_ref.shape[0], sys.n)
     assert d_mat.shape == (c_ref.shape[0], sys.m)
-    # and r = rank(E_dae) independent rows R of E_dae
+    # and r = rank(E_dae) independent rows R of E_dae; the dependent rows,
+    # one per constraint row, are the others
     assert rows.size == sys.n - c_mat.shape[0]
+    assert dependent.size == c_mat.shape[0]
+    assert np.array_equal(np.sort(np.concatenate((rows, dependent))),
+                          np.arange(sys.n))
     assert np.linalg.matrix_rank(dae.E_dae[rows].toarray()) == rows.size
     assert relative_residual(c_ref, d_ref, z0, u0) <= 1e-12
 

@@ -44,8 +44,6 @@ LISTED = [
      "n×k distribution columns X_sol"),
     ("experiments.py", "build_oscillator", "to_dense",
      "n×k distribution columns X_sol"),
-    ("experiments.py", "build_oscillator", "to_dense",
-     "n×k winding columns X_str"),
     ("fem.py", "pseudo_solve", "to_dense", "n×k right-hand sides"),
     ("fem.py", "pseudo_solve", ".toarray", "one column of row maxima"),
     ("fem.py", "lumped_inductance", "to_dense", "one n×1 winding column"),

@@ -18,7 +18,7 @@ from fieldcircuit.fem import (MU0, Material, Mesh, Rect, _grid_coords,
 from fieldcircuit.structure import (NumericalError, StructureError, min_sym_eig,
                                     to_dense)
 from tests.oracles import (oracle_mass, oracle_stiffness, oracle_winding,
-                           random_triangle)
+                           random_triangle, reference_element_integrals)
 
 
 def _rel_err(a, b):
@@ -49,6 +49,23 @@ def test_element_winding_matches_oracle(rng):
         dens = rng.uniform(0.5, 1e4)
         assert _rel_err(element_integrals(tri[None], dens, "winding")[0],
                         oracle_winding(tri, dens)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["stiffness", "mass", "winding"])
+def test_element_integrals_match_the_einsum_form(rng, kind):
+    # the matrix products against the four-operand einsum calls, on a
+    # stack of random triangles with one coefficient each and on the
+    # triangles of a mesh that touch the axis, where 1/r is largest
+    tris = np.stack([random_triangle(rng) for _ in range(200)])
+    coef = rng.uniform(0.1, 1e7, size=len(tris))
+    mesh = build_rect_mesh([Rect("dom", 0.0, 2e-2, -1e-2, 1e-2)], 1e-3)
+    for coords, c in ((tris, coef), (mesh.nodes[mesh.triangles], 1.0)):
+        got = element_integrals(coords, c, kind)
+        want = reference_element_integrals(coords, c, kind)
+        assert got.shape == want.shape
+        scale = np.abs(want).reshape(len(want), -1).max(axis=1)
+        gap = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+        assert np.all(gap <= 4e-15 * scale)
 
 
 def test_element_matrices_symmetric_and_psd(rng):
@@ -390,11 +407,15 @@ def test_lumped_inductance_positive(small_mesh):
     free = small_mesh.free_nodes()
     k = reduce_matrix(assemble_stiffness(small_mesh, mats), free)
     x = reduce_vector(assemble_stranded_column(small_mesh, "coil", 10.0), free)
-    l_val = lumped_inductance(k, x)
+    l_val, field = lumped_inductance(k, x)
     assert l_val > 0.0
+    # the static field of a unit current: K a = X, and L = Xᵀ a
+    assert np.abs(k @ field - x).max() <= 1e-12 * np.abs(x).max()
+    assert l_val == float(x @ field)
     # quadratic form scaling: doubling turns quadruples L
     x2 = reduce_vector(assemble_stranded_column(small_mesh, "coil", 20.0), free)
-    assert lumped_inductance(k, x2) == pytest.approx(4.0 * l_val, rel=1e-12)
+    assert lumped_inductance(k, x2)[0] == pytest.approx(4.0 * l_val,
+                                                        rel=1e-12)
 
 
 def test_lumped_inductance_singular_stiffness_raises():

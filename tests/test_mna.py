@@ -100,6 +100,23 @@ def test_two_floating_islands_are_named_in_node_order():
                                 for nm in ("a", "b", "x", "y", "c")]
 
 
+def test_nodes_keep_their_first_appearance_order():
+    nl = parse_netlist("V1 b 0 DC 1\nR1 b a 5\nR2 0 c 5\nC1 a c 1u\n"
+                       "R3 c b 5\n")
+    assert nl.nodes == ("b", "a", "c")
+    # a long RC ladder whose node names do not sort in ladder order, with
+    # ground on either end of the shunt capacitors
+    names = [f"x{k}" for k in np.random.default_rng(5).permutation(3001)]
+    cards = [f"V1 {names[0]} 0 DC 1"]
+    for k in range(3000):
+        shunt = (names[k + 1], "0") if k % 2 else ("0", names[k + 1])
+        cards += [f"R{k} {names[k]} {names[k + 1]} 1",
+                  f"C{k} {shunt[0]} {shunt[1]} 1u"]
+    nl = parse_netlist("\n".join(cards) + "\n")
+    assert nl.nodes == tuple(names)
+    assert build_incidence(nl).node_order == tuple(names)
+
+
 def test_comments_and_blank_lines():
     nl = parse_netlist("* spice-style comment\n\nR1 1 0 5 # trailing\n")
     assert len(nl.cards) == 1
