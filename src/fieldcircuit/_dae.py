@@ -31,14 +31,17 @@ class LinearDae:
                              compare=False)
     # (C, D) and (R, the dependent rows) of `constraint_basis`, built on
     # first use; `simulate` lets (C, D) go once it has its map
-    # (`condensed_map`)
+    # (`stepping_map`)
     _constraints: tuple = field(default=None, init=False, repr=False,
                                 compare=False)
     _rows: tuple = field(default=None, init=False, repr=False,
                          compare=False)
-    # the `_CondensedMap` of `condensed_map`, or False where M is singular
+    # the `_CondensedMap` of `stepping_map`, or False where M is singular
     _condensed: object = field(default=None, init=False, repr=False,
                                compare=False)
+    # the `_ReducedMap` of `stepping_map`, or False where there is none
+    _reduced: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
 
 def rearrange(sys: EnergySystem) -> LinearDae:

@@ -1,4 +1,4 @@
-"""The stepping layer: the methods, and the two paths that step a
+"""The stepping layer: the methods, and the three paths that step a
 `LinearDae` on an equidistant grid with them.
 
 Every method is a plan of pencils (`_pencil_plan`): a step solves for the
@@ -10,21 +10,31 @@ and implicit Euler, one complex for Gauss-4, one real and one complex for
 Radau IIA); trapezoidal (λ = ½) and BDF2 (λ = ⅔, after a trapezoidal first
 step) are one real pencil each.
 
-The plan is stepped on one of two paths.  An index-1 system whose rank r
-of E_dae is small steps on its differential coordinates x = E_dae[R] z,
-with R r independent rows of E_dae: with the constraint rows (C, D) of
-`constraint_basis` and M = [E_dae[R]; C], every consistent state is
-z = V x + G u, V = M⁻¹[I; 0] and G = M⁻¹[0; −D], and the DAE is the ODE
-ẋ = A_r x + B_r u, A_r = A_dae[R] V, B_r = A_dae[R] G + B_dae[R] (the
-state-space form of Hairer & Wanner, Solving ODEs II, §VI.1; Kron
-reduction in circuit theory).  Each pencil is then the dense r×r
-I − τλ A_r, and a step is one product with a propagator
+The plan is stepped on one of three paths (`stepping_map`).  An index-1
+system whose rank r of E_dae is small steps on its differential
+coordinates x = E_dae[R] z, with R r independent rows of E_dae: with the
+constraint rows (C, D) of `constraint_basis` and M = [E_dae[R]; C], every
+consistent state is z = V x + G u, V = M⁻¹[I; 0] and G = M⁻¹[0; −D], and
+the DAE is the ODE ẋ = A_r x + B_r u, A_r = A_dae[R] V,
+B_r = A_dae[R] G + B_dae[R] (the state-space form of Hairer & Wanner,
+Solving ODEs II, §VI.1; Kron reduction in circuit theory).  Each pencil is
+then the dense r×r I − τλ A_r, and a step is one product with a propagator
 (`condensed_run`).  The cost rule `_condenses` takes this path when V,
-n×r, stores no more entries than the LU factor of any pencil can; a
-singular M, which makes the index 2 or more, keeps the sparse path
-(`sparse_run`), on which each pencil is an n×n sparse LU and every solve
-with it is checked on its own (`_StageSolver.solve`).  The two paths agree
-to round-off and keep the same discrete power balance.
+n×r, stores no more entries than the LU factor of any pencil can.
+
+An index-1 system that the rule does not condense, whose rows R touch
+exactly r columns K, steps on the reduced path: C[:, N] on the other
+columns is factored once, the states z_N are eliminated from every pencil
+at once (static condensation), and each pencil is the r×r sparse
+E_dae[R, K] − τλ Ã, stepped by `_make_stepper` like the full one; z_N is
+rebuilt from z_K by a dense lift (`sparse_run` with a `_ReducedMap`).  The
+cost rule `_reduces` takes this path when the lift fits the span buffer.
+
+Every other system, a singular M or C[:, N] (index 2 or more) included,
+steps on the sparse path, the full pencils (`sparse_run`), each an n×n
+sparse LU.  On the reduced and the sparse path every solve is checked on
+its own (`_StageSolver.solve`).  The three paths agree to round-off and
+keep the same discrete power balance.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ import scipy.sparse as sp
 from fieldcircuit._audit import condensed_audit, energy_bookkeeping
 from fieldcircuit._dae import (_PIVOT_RATIO, LinearDae, _row_max_abs, _splu,
                                constraint_basis)
-from fieldcircuit.structure import (NumericalError, StructureError, block_rows,
-                                   csr_entries, csr_from_entries, hamiltonian)
+from fieldcircuit.structure import (NumericalError, Partition, StructureError,
+                                   block_rows, csr_entries, csr_from_entries,
+                                   hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -245,15 +256,18 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     + h E (z − z⁻)/τ, and z⁺ = z + τ Σ_j Re(γ_j w_j), summed in pencil
     order straight into the state's row (Re is taken of a conjugate pair's
     complex w only).  BDF2's first step is trapezoidal's
-    (`_stepping_plans`).  The input term is formed for every step before
-    the first, from the grid inputs `u_at` of `_input_grid` and on the rows
-    that B reaches only; a step then does one product A z and, per pencil,
-    one indexed add and one `_StageSolver.solve`, a transposed solve with
-    the factor of the pencil's transpose, which checks and refines the
-    solve and raises NumericalError on a non-finite solution.  The input
-    term and the steps are computed with numpy's overflow and invalid-value
-    warnings off: a non-finite value they produce reaches `solve`, which
-    reports it.
+    (`_stepping_plans`).  The weighted inputs Σ_i r_ji u(t + c_i τ) are
+    formed for every step before the first, from the grid inputs `u_at` of
+    `_input_grid`, m values per step; B times them, on the rows that B
+    reaches only, is formed for the steps of each `march` call at once, so
+    no input term of every step × those rows is held (232 rows of the
+    reduced B̃ of the 0.5 mm solid core).  A step then does one product
+    A z and, per pencil, one indexed add and one `_StageSolver.solve`, a
+    transposed solve with the factor of the pencil's transpose, which
+    checks and refines the solve and raises NumericalError on a non-finite
+    solution.  The input terms and the steps are computed with numpy's
+    overflow and invalid-value warnings off: a non-finite value they
+    produce reaches `solve`, which reports it.
 
     Returns march(first, states, z_prev): steps states[1:] from states[0],
     whose step is `first` and whose predecessor is z_prev (read by BDF2).
@@ -270,19 +284,22 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
                 f"{m.tag}, lambda = {lam:.6g}, tau = {tau}")
             # a non-finite input surfaces as a non-finite stage solution
             with np.errstate(over="ignore", invalid="ignore"):
-                b_u = (b_src @ (row @ u_nodes).T).T
-            solvers.append((solver, row.sum(), b_u, weight,
+                u_row = row @ u_nodes
+            solvers.append((solver, row.sum(), u_row, weight,
                             np.iscomplexobj(weight)))
         plans.append((first, solvers, history / tau))
 
-    def step(k, z, z_prev, z_next):
-        """Write the state after step k from z (and z_prev) into z_next."""
-        first, pencils, lag = plans[min(k, len(plans) - 1)]
+    def step(k, z, z_prev, z_next, terms):
+        """Write the state after step k from z (and z_prev) into z_next,
+        with the input terms `terms` of the march."""
+        i = min(k, len(plans) - 1)
+        _, pencils, lag = plans[i]
+        lo, b_u = terms[i]
         az = dae.A_dae @ z
         acc = z
-        for solver, row_sum, b_u, weight, pair in pencils:
+        for (solver, row_sum, _, weight, pair), b_k in zip(pencils, b_u):
             rhs = row_sum * az
-            rhs[src] += b_u[k - first]
+            rhs[src] += b_k[k - lo]
             if lag:
                 rhs += lag * (dae.E_dae @ (z - z_prev))
             inc = weight * solver.solve(rhs)
@@ -290,12 +307,21 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
             acc = z_next
 
     def march(first, states, z_prev):
+        stop = first + len(states) - 1
         with np.errstate(over="ignore", invalid="ignore"):
+            # per plan, its first step `lo` here and B times the weighted
+            # inputs of its steps lo..stop−1, per pencil
+            terms = []
+            for p_first, pencils, _ in plans:
+                lo = max(first, p_first)
+                terms.append((lo, [
+                    (b_src @ u_row[lo - p_first : stop - p_first].T).T
+                    for _, _, u_row, _, _ in pencils]))
             for j in range(len(states) - 1):
                 k = first + j
                 try:
                     step(k, states[j], states[j - 1] if j else z_prev,
-                         states[j + 1])
+                         states[j + 1], terms)
                 except NumericalError as exc:
                     raise NumericalError(
                         f"step {k + 1} at t = {times[k]}: {exc}") from exc
@@ -308,13 +334,17 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
 _SPAN_BLOCKS = 8
 
 
-def sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint):
+def sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint,
+               rmap=None):
     """States (the columns `cols`, or all), outputs, dissipated powers and
     H of `simulate` on the sparse path: spans of full states stepped by
-    `_make_stepper` and audited by `energy_bookkeeping`."""
+    `_make_stepper` and audited by `energy_bookkeeping`.  With the
+    `_ReducedMap` `rmap` (the reduced path) the steps march z_K on the
+    reduced DAE instead, `block_rows` steps at a time, and each block's
+    full states are rebuilt from it (`_rebuilder`) into the span before
+    its audit."""
     p = sys.partition
     n_steps = len(times) - 1
-    march = _make_stepper(dae, method, tau, times, u_at)
     span = _SPAN_BLOCKS * block_rows(p.n)
     if cols is None:
         states = buf = np.empty((n_steps + 1, p.n))
@@ -323,18 +353,34 @@ def sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint):
         states[0] = z0[cols]
         buf = np.empty((min(span, n_steps) + 1, p.n))
     buf[0] = z0
+    if rmap is None:
+        march = _make_stepper(dae, method, tau, times, u_at)
+        z_prev = z0  # the state before the span's first, for BDF2
+    else:
+        march = _make_stepper(rmap.dae, method, tau, times, u_at)
+        rebuild = _rebuilder(rmap, method, tau, times, u_at, z0)
+        rows = block_rows(p.n)
+        coords = np.empty((min(rows, n_steps) + 1, rmap.cols.size))
+        z_prev = coords[0] = z0[rmap.cols]
     outputs = np.zeros((n_steps + 1, p.m))
     dissipated = np.empty(n_steps)
     h = np.empty(n_steps + 1)
     h[0] = hamiltonian(sys, buf[:1])[0]
-    z_prev = z0  # the state before the span's first, for BDF2
     for base in range(0, n_steps, span):
         stop = min(base + span, n_steps)
         blk = buf[base : stop + 1] if cols is None else buf[: stop - base + 1]
-        march(base, blk, z_prev)
+        if rmap is None:
+            march(base, blk, z_prev)
+            z_prev = blk[-2].copy()
+        else:
+            for lo in range(0, stop - base, rows):
+                z_k = coords[: min(rows, stop - base - lo) + 1]
+                march(base + lo, z_k, z_prev)
+                rebuild(base + lo, z_k, blk[lo : lo + len(z_k)])
+                z_prev = z_k[-2].copy()
+                coords[0] = z_k[-1]
         (outputs[base + 1 : stop + 1], dissipated[base:stop],
          h[base + 1 : stop + 1]) = energy_bookkeeping(sys, blk, tau, endpoint)
-        z_prev = blk[-2].copy()
         if cols is not None:
             states[base + 1 : stop + 1] = blk[1:, cols]
             buf[0] = blk[-1]
@@ -351,7 +397,8 @@ def _condenses(dae: LinearDae, r: int) -> bool:
     that factor.  The count is known before anything is factored; it is
     read from the stored values, since scipy's `count_nonzero` would sort
     an unsorted A_dae in place.  The solid conductor with a conductive core
-    at h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 24.4k) stays sparse."""
+    at h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 24.4k) is not condensed;
+    it steps on the reduced path (`_reduces`)."""
     a, n = dae.A_dae, dae.partition.n
     return n * r <= np.count_nonzero(a.data[: a.indptr[-1]]) + n
 
@@ -370,57 +417,99 @@ class _CondensedMap:
     B_r: np.ndarray     # r × m
 
 
-def condensed_map(dae: LinearDae):
-    """(r, the `_CondensedMap` of dae, or None for the sparse path): None
-    when the cost rule `_condenses` keeps the system sparse, or when M is
-    singular, which makes the index 2 or more.  The map is built on first
-    use and kept on the DAE; the rule is evaluated on every call.  The
-    steps read only R and the map, so the constraint rows (C, D) are let
-    go here: on the sparse path they would stay alive next to the pencil
-    factors (0.24 MB on `mixed_ports`).  A DAE whose constraint rows cannot
-    be formed (a singular pivot block, which `consistent_init` reports)
-    steps sparse, with r unknown (None)."""
+def stepping_map(dae: LinearDae):
+    """(r, the path of `simulate`, its map) for a DAE: ("condensed", the
+    `_CondensedMap`) when the cost rule `_condenses` admits the system and M
+    is nonsingular; ("reduced", the `_ReducedMap`) when the rule does not
+    and the system has a reduced DAE that `_reduces` admits; otherwise
+    ("sparse", None), the full pencils, which take a singular M (index 2 or
+    more) too.  Each map is built on first use and kept on the DAE, with
+    False where there is none; the rules are evaluated on every call, but
+    a reduced map that `_reduces` refuses when first examined is never
+    built.  The steps read only R and the maps, so the constraint rows
+    (C, D) are let go here: on the sparse path they would stay alive next
+    to the pencil factors (0.24 MB on `mixed_ports`).  A DAE whose
+    constraint rows cannot be formed (a singular pivot block, which
+    `consistent_init` reports) steps sparse, with r unknown (None)."""
     if dae._rows is None:
         try:
             constraint_basis(dae)
         except NumericalError:
-            return None, None
+            return None, "sparse", None
     rows, dependent = dae._rows
-    cmap = None
+    path, smap = "sparse", None
     if _condenses(dae, rows.size):
         if dae._condensed is None:
             c_mat, d_mat, *_ = constraint_basis(dae)
             object.__setattr__(dae, "_condensed", _build_condensed(
                 dae, c_mat, d_mat, rows, dependent) or False)
-        cmap = dae._condensed or None
+        if dae._condensed:
+            path, smap = "condensed", dae._condensed
+    else:
+        if dae._reduced is None:
+            c_mat, d_mat, *_ = constraint_basis(dae)
+            object.__setattr__(dae, "_reduced", _build_reduced(
+                dae, c_mat, d_mat, rows) or False)
+        rmap = dae._reduced
+        if rmap and _reduces(dae.partition.n, *rmap.lift.shape):
+            path, smap = "reduced", rmap
     object.__setattr__(dae, "_constraints", None)
-    return rows.size, cmap
+    return rows.size, path, smap
+
+
+def _scaled_lu(mat, what: str, column_scale: bool):
+    """(the LU of the transpose of the square CSR matrix `mat` with its rows
+    scaled, the row scale), or None when `mat` is singular: a row is empty,
+    SuperLU finds it exactly singular, or the scaled matrix has a pivot
+    ratio min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  The rows are scaled
+    to unit largest entry, and with `column_scale` the columns by powers of
+    two into [½, 1), so the ratio does not read a circuit's units as an
+    index (`suffix_tour`).  The transpose is read from the CSR arrays of
+    `mat` and ordered with MMD_AT_PLUS_A; it pivots across the columns of
+    `mat`, where a power of two would change pivot choices, so the column
+    scale is applied to the diagonal of U only, which is what the factor
+    with it reads when the power of two changes no pivot choice.
+    `mat x = b` is then solved as `lu.solve(scale * b, trans="T")`."""
+    n = mat.shape[0]
+    row_max = _row_max_abs(mat)
+    if not row_max.all():
+        return None
+    scale = 1.0 / row_max
+    m_rows, m_cols, m_vals = csr_entries(mat)
+    m_vals = scale[m_rows] * m_vals
+    try:
+        lu = _splu(sp.csc_matrix((m_vals, mat.indices, mat.indptr),
+                                 shape=(n, n)), what, "MMD_AT_PLUS_A")
+    except NumericalError:
+        return None
+    u_diag = np.abs(lu.U.diagonal())
+    if column_scale:
+        # an empty column keeps the scale 1, and SuperLU finds mat
+        # singular; the pivot of step perm_r[j] lies in column j of mat
+        col_max = np.zeros(n)
+        np.maximum.at(col_max, m_cols, np.abs(m_vals))
+        u_diag[lu.perm_r] *= np.ldexp(1.0, -np.frexp(col_max)[1])
+    if u_diag.min(initial=np.inf) < _PIVOT_RATIO * u_diag.max(initial=0.0):
+        return None
+    return lu, scale
 
 
 def _build_condensed(dae: LinearDae, c_mat, d_mat, rows, dependent):
     """The `_CondensedMap` of dae with its rows R, constraint rows (C, D)
     and the dependent rows of `constraint_basis`, or None when
-    M = [E_dae[R]; C] is singular: SuperLU finds it exactly singular, or
-    the scaled M has a pivot ratio min|U_ii| / max|U_ii| below
-    `_PIVOT_RATIO`.  M is scaled to unit largest entries in its rows, then
-    by powers of two into [½, 1) in its columns, so the ratio does not read
-    the circuit's units as an index (`suffix_tour`).
+    M = [E_dae[R]; C] is singular (`_scaled_lu`).
 
     Each row of M is placed at the row of the DAE it comes from: E_dae[R]
     at R, and row j of C at the dependent row paired with it.  So placed,
     M has the pattern of the stage pencils E_dae − τλ A_dae, and it is
     factored as `_StageSolver` factors them: Mᵀ, row-scaled, is read from
     the CSR arrays of M, ordered with MMD_AT_PLUS_A, and V and G come from
-    one transposed solve with r + m right sides, unscaled.  That factor
-    pivots across the columns of M, where a power of two would change
-    pivot choices, so the column scale is applied to the diagonal of U
-    only, which is what the factor with it reads when the power of two
-    changes no pivot choice.  On the lossless stranded oscillator the
-    factor stores 243k entries at n = 4952 (h = 0.4 mm; COLAMD on the
-    placed M: 397k) and 785k at n = 12563 (0.25 mm; 1.34M); at n = 743
-    (1 mm) it stores 32.7k against COLAMD's 30.6k, in the same 1.6 ms, so
-    no ordering trial is made.  M is factored once and freed once V and G
-    are formed."""
+    one transposed solve with r + m right sides, unscaled.  On the lossless
+    stranded oscillator the factor stores 243k entries at n = 4952
+    (h = 0.4 mm; COLAMD on the placed M: 397k) and 785k at n = 12563
+    (0.25 mm; 1.34M); at n = 743 (1 mm) it stores 32.7k against COLAMD's
+    30.6k, in the same 1.6 ms, so no ordering trial is made.  M is factored
+    once and freed once V and G are formed."""
     n, m, r = dae.partition.n, dae.partition.m, rows.size
     c_rows, c_cols, c_vals = csr_entries(c_mat)
     is_row = np.zeros(n, dtype=bool)
@@ -430,27 +519,10 @@ def _build_condensed(dae: LinearDae, c_mat, d_mat, rows, dependent):
     mat = csr_from_entries([(e_rows[on], e_cols[on], e_vals[on]),
                             (dependent[c_rows], c_cols, c_vals)], (n, n),
                            like=(dae.E_dae, c_mat))
-    row_max = _row_max_abs(mat)
-    if not row_max.all():
+    factored = _scaled_lu(mat, "condensing matrix", column_scale=True)
+    if factored is None:
         return None
-    scale = 1.0 / row_max
-    m_rows, m_cols, m_vals = csr_entries(mat)
-    m_vals = scale[m_rows] * m_vals
-    # an empty column keeps the scale 1, and SuperLU finds M singular
-    col_max = np.zeros(n)
-    np.maximum.at(col_max, m_cols, np.abs(m_vals))
-    col_scale = np.ldexp(1.0, -np.frexp(col_max)[1])
-    try:
-        lu = _splu(sp.csc_matrix((m_vals, mat.indices, mat.indptr),
-                                 shape=(n, n)),
-                   "condensing matrix", "MMD_AT_PLUS_A")
-    except NumericalError:
-        return None
-    # the pivot of step perm_r[j] lies in column j of M
-    u_diag = np.abs(lu.U.diagonal())
-    u_diag[lu.perm_r] *= col_scale
-    if u_diag.min(initial=np.inf) < _PIVOT_RATIO * u_diag.max(initial=0.0):
-        return None
+    lu, scale = factored
     d_rows, d_cols, d_vals = csr_entries(d_mat)
     eye = np.arange(r)
     d_at = dependent[d_rows]
@@ -465,6 +537,175 @@ def _build_condensed(dae: LinearDae, c_mat, d_mat, rows, dependent):
                          a_rows @ g + dae.B_dae[rows].toarray())
 
 
+def _reduces(n: int, eliminated: int, reached: int) -> bool:
+    """The cost rule of the reduced path: the dense lift P, N×q, from the q
+    constraint rows that K and the inputs reach to the N eliminated
+    states, fits the span buffer that the sparse path already holds,
+    N·q ≤ `_SPAN_BLOCKS` · `block_rows(n)` · n, about 1.05M entries.  The
+    solid conductor with a conductive core needs 2442 · 146 ≈ 0.36M at
+    h = 0.5 mm and is reduced; at 0.25 mm it needs 2.8M and steps on the
+    full pencils."""
+    return eliminated * reached <= _SPAN_BLOCKS * block_rows(n) * n
+
+
+@dataclass(frozen=True)
+class _ReducedMap:
+    """The reduced DAE E_dae[R, K] ż_K = Ã z_K + B̃ u of an index-1 system
+    whose independent rows R of E_dae touch exactly r columns K, with
+    Ã = A_dae[R, K] − A_dae[R, N] X and B̃ = B_dae[R] − A_dae[R, N] Y for
+    [X Y] = C[:, N]⁻¹ [C[:, K] D] on the other columns N.  Only q rows Q
+    of C and D reach K or the inputs, so [X Y] = −P H with the lift
+    P = −C[:, N]⁻¹[:, Q] and H = [C[Q, K] D[Q]], and the eliminated states
+    are z_N = P H [z_K; v] + μ δ_N (`_rebuilder`)."""
+
+    dae: LinearDae          # E_dae[R, K], Ã, B̃: r × r and r × m, sparse
+    cols: np.ndarray        # K
+    rest: np.ndarray        # N
+    lift: np.ndarray        # P, N × q
+    gather: object          # H, q × (r + m), sparse
+
+
+def _build_reduced(dae: LinearDae, c_mat, d_mat, rows):
+    """The `_ReducedMap` of dae with its rows R and constraint rows (C, D),
+    or None: when E_dae[R] touches more than r columns (stranded windings),
+    when no column is left to eliminate, when `_reduces` refuses the lift,
+    or when C[:, N] is singular (`_scaled_lu` without the column scale,
+    which a column of round-off would pass), which makes the index 2 or
+    more.  Nothing is factored unless the rule admits the lift.
+
+    In a stage pencil E_dae − τλ A_dae the constraint rows are −τλ C, for
+    every λ, τ and method, so eliminating z_N through C[:, N] gives the
+    same Ã and B̃ for all of them (static condensation, a Schur
+    complement).  C[:, N] is factored once (`_scaled_lu`) and solved on the
+    q unit columns of Q only, `block_rows(N)` of them at a time, into P;
+    the factor is let go once P is formed.  At h = 0.5 mm (N = 2442,
+    q = 146) P takes 2.9 MB, and the reduced pencils store 53k entries in
+    their factors against 143k for the full ones."""
+    n, m, r = dae.partition.n, dae.partition.m, rows.size
+    e_rows, e_cols, e_vals = csr_entries(dae.E_dae[rows])
+    on = e_vals != 0.0
+    e_rows, e_cols, e_vals = e_rows[on], e_cols[on], e_vals[on]
+    is_k = np.zeros(n, dtype=bool)
+    is_k[e_cols] = True
+    cols, rest = np.flatnonzero(is_k), np.flatnonzero(~is_k)
+    if cols.size != r or not rest.size:
+        return None
+    c_rows, c_cols, c_vals = csr_entries(c_mat)
+    d_rows, d_cols, d_vals = csr_entries(d_mat)
+    on_k = is_k[c_cols]
+    reached = np.union1d(c_rows[on_k], d_rows)
+    if not _reduces(n, rest.size, reached.size):
+        return None
+    pos = np.empty(n, dtype=np.intp)
+    pos[cols], pos[rest] = np.arange(r), np.arange(rest.size)
+    factored = _scaled_lu(
+        csr_from_entries([(c_rows[~on_k], pos[c_cols[~on_k]],
+                           c_vals[~on_k])], (rest.size, rest.size),
+                         like=(c_mat,)),
+        f"constraint block C[:, N] ({rest.size} x {rest.size})",
+        column_scale=False)
+    if factored is None:
+        return None
+    lu, scale = factored
+    q = reached.size
+    units = csr_from_entries([(reached, np.arange(q), -scale[reached])],
+                             (rest.size, q)).tocsc()
+    lift = np.empty((rest.size, q))
+    width = block_rows(rest.size)
+    for lo in range(0, q, width):
+        lift[:, lo : lo + width] = lu.solve(
+            units[:, lo : lo + width].toarray(), trans="T")
+    del lu, units
+    at = np.searchsorted(reached, c_rows[on_k])
+    gather = csr_from_entries(
+        [(at, pos[c_cols[on_k]], c_vals[on_k]),
+         (np.searchsorted(reached, d_rows), r + d_cols, d_vals)],
+        (q, r + m), like=(c_mat, d_mat))
+    a_rows, a_cols, a_vals = csr_entries(dae.A_dae[rows])
+    on = is_k[a_cols]
+    a_rn = csr_from_entries([(a_rows[~on], pos[a_cols[~on]], a_vals[~on])],
+                            (r, rest.size), like=(dae.A_dae,))
+    # A_dae[R, N] P H, on the rows of R that reach N, placed at the
+    # columns [K; the ports] of [Ã B̃]
+    hit = np.flatnonzero(np.diff(a_rn.indptr))
+    prod = (gather.T @ (a_rn[hit] @ lift).T).T
+    i, j = np.nonzero(prod)
+    coupled = sp.csr_array((prod[i, j], (hit[i], j)), shape=(r, r + m))
+    a_red = csr_from_entries([(a_rows[on], pos[a_cols[on]], a_vals[on])],
+                             (r, r), like=(dae.A_dae,)) + coupled[:, :r]
+    b_red = dae.B_dae[rows] + coupled[:, r:]
+    e_red = csr_from_entries([(e_rows, pos[e_cols], e_vals)], (r, r),
+                             like=(dae.E_dae,))
+    p = dae.partition
+    blocks = np.bincount(np.searchsorted([p.n1, p.n1 + p.n2], cols,
+                                         side="right"), minlength=3)
+    return _ReducedMap(
+        LinearDae(e_red, a_red, b_red, Partition(*map(int, blocks), m)),
+        cols, rest, lift, gather)
+
+
+def _input_recursion(pencils, u_nodes):
+    """(R∞, g) of the pencils (λ_j, r_j, γ_j) of a plan and its inputs
+    u_nodes: a step of the plan sends a state with C z = −D v + μ c to one
+    with C z⁺ = −D v⁺ + μ⁺ c, where v⁺ = R∞ v + g_k, μ⁺ = R∞ μ,
+    g_k = Σ_j Re (γ_j/λ_j) r_j U_k and R∞ = 1 − Σ_j Re γ_j s_j/λ_j: the C
+    rows of the pencil (λ_j, r_j, γ_j) are −τλ_j C, so C w_j =
+    −(s_j C z + D r_j U_k)/(τλ_j).  The condensed path steps (v, μ) in ξ,
+    and the reduced path rebuilds z_N from them."""
+    r_inf = 1.0
+    g = np.zeros((len(u_nodes), u_nodes.shape[2]))
+    for lam, row, weight in pencils:
+        g += (weight / lam * (row @ u_nodes)).real
+        r_inf -= (weight * row.sum() / lam).real
+    return r_inf, g
+
+
+def _rebuilder(rmap: _ReducedMap, method: Method, tau: float, times, u_at,
+               z0):
+    """rebuild(first, z_k, states): write the full states after steps
+    first + 1.. into the rows 1.. of `states`, from the rows 1.. of z_k, at
+    most `block_rows(n)` of them: z_K, and z_N = P H [z_K; v_k] + μ_k δ_N,
+    with (v_k, μ_k) stepped from (u(0), 1) by `_input_recursion` and
+    δ_N = z0_N − P H [z0_K; u(0)], what of z0 is not consistent (round-off
+    after `consistent_init`).  Since C z_k = −D v_k + μ_k C[:, N] δ_N, and
+    z_K of the reduced steps is that of the full pencils to round-off, so
+    are the states.  A non-finite z_N, from an input that only the
+    eliminated states read, raises NumericalError naming the step and its
+    time; the products are taken with numpy's overflow and invalid-value
+    warnings off, as the steps are."""
+    n_steps = len(times) - 1
+    v = np.empty((n_steps + 1, rmap.dae.partition.m))
+    mu = np.empty(n_steps + 1)
+    v[0], mu[0] = u_at(0.0, 0, 1)[0], 1.0
+    cols, rest, lift, r = rmap.cols, rmap.rest, rmap.lift, rmap.cols.size
+    gather_k, gather_v = rmap.gather[:, :r], rmap.gather[:, r:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, stop, _, pencils, _, u_nodes in _stepping_plans(
+                method, tau, u_at, n_steps):
+            r_inf, g = _input_recursion(pencils, u_nodes)
+            for k in range(first, stop):
+                v[k + 1] = r_inf * v[k] + g[k - first]
+                mu[k + 1] = r_inf * mu[k]
+        delta = z0[rest] - lift @ (gather_k @ z0[cols] + gather_v @ v[0])
+
+    def rebuild(first, z_k, states):
+        k = len(z_k) - 1
+        at = slice(first + 1, first + 1 + k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (gather_k @ z_k[1:].T + gather_v @ v[at].T).T @ lift.T
+            # row by row, with no temporary of the block's size
+            for row, scale in zip(out, mu[at]):
+                row += scale * delta
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            j = first + 1 + int(np.argmin(finite))
+            raise NumericalError(f"step {j} at t = {times[j - 1]}: "
+                                 f"non-finite state ({method.tag}, reduced)")
+        states[1:, cols] = z_k[1:]
+        states[1:, rest] = out
+    return rebuild
+
+
 def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
                      n_steps: int):
     """The stepping of ξ = [x; v; μ] per plan, as (first, stop, Ψ, g):
@@ -476,7 +717,8 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
     inputs at the nodes of step k
         x⁺ = x + τ Σ_j Re γ_j P_j⁻¹ (s_j A_r x + B_r r_j U_k + h (x − x⁻)/τ),
         v⁺ = R∞ v + Σ_j Re (γ_j/λ_j) r_j U_k,   μ⁺ = R∞ μ,
-    with R∞ = 1 − Σ_j Re γ_j s_j/λ_j: the sparse step on the state
+    with R∞ = 1 − Σ_j Re γ_j s_j/λ_j (`_input_recursion`): the sparse
+    step on the state
     V x + G v + μ δ (with the C rows of that step, C z⁺ = R∞ C z −
     D Σ_j Re(γ_j/λ_j) r_j U_k) gives the state V x⁺ + G v⁺ + μ⁺ δ.  The
     inputs of every step of a plan (`_stepping_plans`) are formed at
@@ -490,7 +732,7 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
         psi[:r, :r] = eye
         lag = np.zeros((r, r)) if history else None
         g = np.zeros((len(u_nodes), r + m + 1))
-        r_inf = 1.0
+        r_inf, g[:, r : r + m] = _input_recursion(pencils, u_nodes)
         for lam, row, weight in pencils:
             pencil = eye - (tau * lam) * cmap.A_r
             sol = np.linalg.solve(pencil, np.hstack(
@@ -498,10 +740,8 @@ def _condensed_plans(cmap: _CondensedMap, method: Method, tau: float, u_at,
             u_row = row @ u_nodes
             psi[:r, :r] += (tau * weight * row.sum() * sol[:, :r]).real
             g[:, :r] += (tau * weight * (u_row @ sol[:, r : r + m].T)).real
-            g[:, r : r + m] += (weight / lam * u_row).real
             if history:
                 lag += (history * weight * sol[:, r + m :]).real
-            r_inf -= (weight * row.sum() / lam).real
         psi[r:, r:] = r_inf * np.eye(m + 1)
         if history:
             psi = np.hstack((np.zeros_like(psi), psi))

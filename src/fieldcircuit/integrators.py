@@ -3,7 +3,7 @@
 This is the entry layer.  `to_linear_dae` rewrites a system as one
 implicit linear DAE (`fieldcircuit._dae`), `consistent_init` completes its
 initial state so the algebraic constraints hold, and `simulate` steps it
-with a method on one of the two paths of `fieldcircuit._stepping`.  The
+with a method on one of the three paths of `fieldcircuit._stepping`.  The
 `Trajectory` it returns carries the Hamiltonian and the cumulative
 dissipated and supplied energy (`fieldcircuit._audit`), so the discrete
 power balance can be audited after the fact.
@@ -21,8 +21,8 @@ import scipy.sparse.csgraph as csgraph
 from fieldcircuit._dae import (LinearDae, _left_null_basis,
                                check_constraint_residual, constraint_basis,
                                rearrange, sparse_least_squares)
-from fieldcircuit._stepping import (condensed_map, condensed_run,
-                                    method_from_tag, sparse_run)
+from fieldcircuit._stepping import (condensed_run, method_from_tag,
+                                    sparse_run, stepping_map)
 from fieldcircuit.structure import (EnergySystem, StructureError, csr_entries,
                                    csr_from_entries, row_dots)
 from fieldcircuit.waveforms import WaveformStack, zero_input
@@ -53,13 +53,13 @@ class Trajectory:
     the discrete power terms of `energy_bookkeeping`: the balance is exact
     for midpoint and trapezoidal, and exact up to the numerical dissipation
     of implicit Euler.
-    stepping_path names the path `simulate` took, "condensed" or "sparse",
-    and differential_coordinates is r, the rank of E_dae (None when the
-    constraint rows could not be formed).  On the sparse path the energies
-    and outputs are computed from the full states, so hamiltonians[k] is
-    `hamiltonian` of states[k] bit for bit; on the condensed path they are
-    forms on the coordinates (`condensed_audit`), equal to those of the
-    states to round-off.
+    stepping_path names the path `simulate` took, "condensed", "reduced" or
+    "sparse", and differential_coordinates is r, the rank of E_dae (None
+    when the constraint rows could not be formed).  On the reduced and the
+    sparse path the energies and outputs are computed from the full states,
+    so hamiltonians[k] is `hamiltonian` of states[k] bit for bit; on the
+    condensed path they are forms on the coordinates (`condensed_audit`),
+    equal to those of the states to round-off.
     """
 
     times: np.ndarray
@@ -70,7 +70,8 @@ class Trajectory:
     supplied_cum: np.ndarray
     state_labels: tuple
     output_labels: tuple
-    # "condensed" or "sparse", and r, the rank of E_dae (`simulate`)
+    # "condensed", "reduced" or "sparse", and r, the rank of E_dae
+    # (`simulate`)
     stepping_path: str = "sparse"
     differential_coordinates: int = None
 
@@ -175,24 +176,30 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     one call per time of a plain callable); the stepper and the energy
     bookkeeping read the same values.
 
-    Two paths step the same scheme (`fieldcircuit._stepping`), and
-    `condensed_map` chooses between them from counts known before anything
+    Three paths step the same scheme (`fieldcircuit._stepping`), and
+    `stepping_map` chooses among them from counts known before anything
     is factored.  The condensed path takes an index-1 system with few
     differential coordinates and steps them with r×r propagators, the
     input terms of the whole grid formed up front, and audits the
-    coordinates only (`condensed_run`).  The sparse path takes every other
+    coordinates only (`condensed_run`).  The reduced path takes an index-1
+    system that is not condensed and whose independent rows of E_dae
+    touch r columns K: it solves r×r sparse pencils on z_K, rebuilds the
+    other states from z_K with a dense lift and audits the full states,
+    one span at a time (`sparse_run`).  The sparse path takes every other
     system, an index-2 one included, and solves n×n pencils one span of
-    states at a time, every stage solve checked on its own and refined if
-    needed, then audits the span from its full states (`sparse_run`).  The
-    two paths agree to round-off.  On both, a non-finite input or solution
-    raises NumericalError naming the step and its time (and on the sparse
-    path the pencil).
+    states at a time, then audits the span from its full states
+    (`sparse_run`).  On the reduced and the sparse path every stage solve
+    is checked on its own and refined if needed.  The three paths agree to
+    round-off.  On each, a non-finite input or solution raises
+    NumericalError naming the step and its time (and on the reduced and
+    the sparse path the pencil).
 
     Only the state columns `keep` names are stored, a 1-D array of indices
     in [0, n), in that order; `keep=None` keeps every column.  Which columns
     are kept changes no value: the arithmetic of every step, of the audit
     and of each column is the same.  Memory is O(span · n + steps · |keep|)
-    on the sparse path and O(n · r + steps · |keep|) on the condensed one.
+    on the sparse and the reduced path (whose lift is no larger than the
+    span) and O(n · r + steps · |keep|) on the condensed one.
     """
     method = method_from_tag(method)
     n_steps = step_count(tau, t_end)
@@ -205,14 +212,14 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     times = tau * np.arange(n_steps + 1)
     u_at = _input_grid(_resolve_input(u, p.m), times[:-1])
     dae = to_linear_dae(sys)
-    r, cmap = condensed_map(dae)
+    r, path, smap = stepping_map(dae)
     endpoint = method.tag == "implicit_euler"
-    if cmap is None:
-        states, outputs, dissipated, h = sparse_run(
-            sys, dae, method, tau, times, u_at, z0, cols, endpoint)
-    else:
+    if path == "condensed":
         states, outputs, dissipated, h = condensed_run(
-            sys, cmap, method, tau, times, u_at, z0, cols, endpoint)
+            sys, smap, method, tau, times, u_at, z0, cols, endpoint)
+    else:
+        states, outputs, dissipated, h = sparse_run(
+            sys, dae, method, tau, times, u_at, z0, cols, endpoint, smap)
 
     if method.tag == "trapezoidal":
         u_step = 0.5 * (u_at(0.0) + u_at(tau))
@@ -226,8 +233,7 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     if cols is not None:
         labels = tuple(labels[i] for i in cols)
     return Trajectory(times, states, outputs, h, d_cum, s_cum, labels,
-                      sys.default_output_labels(),
-                      "sparse" if cmap is None else "condensed", r)
+                      sys.default_output_labels(), path, r)
 
 
 def consistent_init(sys: EnergySystem, differential_values: np.ndarray,

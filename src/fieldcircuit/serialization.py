@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import os
 import signal
+from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from fieldcircuit.structure import (EnergySystem, Partition, StructureError,
@@ -72,8 +73,16 @@ def _append_file(fd: int, part: str) -> None:
             sent += os.sendfile(fd, src.fileno(), sent, size - sent)
 
 
+# scipy.io is imported by the two functions that write and read Matrix
+# Market, not with this module: the import raises the resident memory of a
+# process by about 1.5 MB, which a run that saves and loads no system does
+# not need
+
+
 def write_matrix(path: str, mat) -> None:
     """Matrix Market coordinate format, general symmetry, 1-based indices."""
+    import scipy.io
+
     coo = sp.coo_matrix(to_csr(mat))
     with _atomic_open(path, "wb") as fh:
         scipy.io.mmwrite(fh, coo, symmetry="general", precision=17)
@@ -81,6 +90,8 @@ def write_matrix(path: str, mat) -> None:
 
 def read_matrix(path: str):
     """CSR array of a MatrixMarket file; StructureError if it is malformed."""
+    import scipy.io
+
     try:
         mat = scipy.io.mmread(path)
     except ValueError as exc:
@@ -196,30 +207,57 @@ def _layouts() -> tuple:
     return tuple(_words(m, 24).T.copy() for m in (left, right, point))
 
 
-_POW_HI, _POW_LO, _POW_HH, _POW_HL = _powers()
-_QUAD, _QUAD_DIGITS = _quads()
-_LEFT, _RIGHT, _POINT = _layouts()
-# a zero byte for the sign, then the "0.000" … "0." of exponents −4 … −1;
-# none for the others
-_PREFIX = _words([b"\0" + b"0." + b"0" * k for k in (3, 2, 1, 0)] + [b""],
-                 8)[:, 0]
 _EXP_MIN = -330
-_EXPONENT = _words([b""] + [b"e%+03d" % e for e in range(_EXP_MIN, 310)],
-                   8)[:, 0]
 _SHIFT = {s: np.uint64(s) for s in (8, 24, 32, 56)}
+
+
+class _Tables(NamedTuple):
+    """The tables of `_g17_cells`."""
+
+    pow_hi: np.ndarray
+    pow_lo: np.ndarray
+    pow_hh: np.ndarray
+    pow_hl: np.ndarray
+    quad: np.ndarray
+    quad_digits: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    point: np.ndarray
+    # a zero byte for the sign, then the "0.000" … "0." of exponents
+    # −4 … −1; none for the others
+    prefix: np.ndarray
+    exponent: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The `_Tables`, built when the first value is formatted: their
+    construction raises the resident memory of a process by about 1 MB,
+    which a run that writes no CSV does not need.  Every caller shares
+    them, so they are read-only."""
+    tables = _Tables(
+        *_powers(), *_quads(), *_layouts(),
+        _words([b"\0" + b"0." + b"0" * k for k in (3, 2, 1, 0)] + [b""],
+               8)[:, 0],
+        _words([b""] + [b"e%+03d" % e for e in range(_EXP_MIN, 310)],
+               8)[:, 0])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple:
     """ax·10^(16−e) as a double-double (yh, yl): Dekker's exact product of
     ax and the hi part of the power, plus ax times its lo part."""
+    tab = _tables()
     k = 16 - _P_MIN - e
-    bh, bl = np.take(_POW_HH, k), np.take(_POW_HL, k)
+    bh, bl = np.take(tab.pow_hh, k), np.take(tab.pow_hl, k)
     c = _SPLIT * ax
     ah = c - (c - ax)
     al = ax - ah
-    p = ax * np.take(_POW_HI, k)
+    p = ax * np.take(tab.pow_hi, k)
     t = ((((ah * bh - p) + ah * bl + al * bh) + al * bl)
-         + ax * np.take(_POW_LO, k))
+         + ax * np.take(tab.pow_lo, k))
     yh = p + t
     return yh, t - (yh - p)
 
@@ -251,6 +289,7 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     integer digits kept and zeros after the point dropped, else d.ddde±XX
     with at least two exponent digits, trailing zeros and a bare point
     dropped in both."""
+    tab = _tables()
     n = x.size
     ax = np.abs(x)
     zero = ax == 0
@@ -280,12 +319,12 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     quads = (q0, high - q0 * np.uint32(10000), q2, low - q2 * np.uint32(10000))
     significant = np.ones(n, np.int64)
     for k, q in enumerate(quads):
-        significant = np.where(q != 0, 1 + 4 * k + np.take(_QUAD_DIGITS, q),
+        significant = np.where(q != 0, 1 + 4 * k + np.take(tab.quad_digits, q),
                                significant)
     field = [((lead.astype(np.uint64) + np.uint64(48)) << _SHIFT[24])
-             | (np.take(_QUAD, quads[0]) << _SHIFT[32]),
-             np.take(_QUAD, quads[1]) | (np.take(_QUAD, quads[2]) << _SHIFT[32]),
-             np.take(_QUAD, quads[3])]
+             | (np.take(tab.quad, quads[0]) << _SHIFT[32]),
+             np.take(tab.quad, quads[1]) | (np.take(tab.quad, quads[2]) << _SHIFT[32]),
+             np.take(tab.quad, quads[3])]
     sci = (e < -4) | (e > 16)
     fixed = ~sci & (e >= 0)
     ip = np.where(sci, 1, np.where(fixed, np.minimum(e + 1, 17), 17))
@@ -296,12 +335,12 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     for j, w in enumerate(field):
         shifted = (w << _SHIFT[8]) | carried
         carried = w >> _SHIFT[56]
-        out[:, 1 + j] = ((w & np.take(_LEFT[j], layout))
-                         | (shifted & np.take(_RIGHT[j], layout))
-                         | np.take(_POINT[j], layout))
-    out[:, 0] = (np.take(_PREFIX, np.where(sci | fixed, 4, e + 4))
+        out[:, 1 + j] = ((w & np.take(tab.left[j], layout))
+                         | (shifted & np.take(tab.right[j], layout))
+                         | np.take(tab.point[j], layout))
+    out[:, 0] = (np.take(tab.prefix, np.where(sci | fixed, 4, e + 4))
                  | (np.signbit(x).astype(np.uint64) * np.uint64(ord("-"))))
-    out[:, 4] = np.take(_EXPONENT, np.where(sci, e - _EXP_MIN + 1, 0))
+    out[:, 4] = np.take(tab.exponent, np.where(sci, e - _EXP_MIN + 1, 0))
     slow = np.flatnonzero(~fast)
     if slow.size:
         out[slow] = _g17_fallback(x[slow])

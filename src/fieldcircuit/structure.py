@@ -18,7 +18,9 @@ construction (n×k coupling columns, k×k port blocks, circuit-sized blocks
 of the initialization, the n×r map of a system stepped on its r
 differential coordinates, which `_stepping._condenses` admits only when
 it stores no more entries than the LU factor of any pencil can: n·r ≤
-nnz(A_dae) + n), never as an n×n matrix of the system.
+nnz(A_dae) + n, and the lift of the reduced path, which `_stepping._reduces`
+admits only when it fits the span buffer), never as an n×n matrix of the
+system.
 """
 
 from __future__ import annotations

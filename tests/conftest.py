@@ -71,9 +71,10 @@ def rng():
 
 @pytest.fixture
 def sparse_stepper(monkeypatch):
-    """`simulate` steps every system on its sparse path: the cost rule
-    condenses none."""
+    """`simulate` steps every system on its sparse path, the full pencils:
+    the cost rules condense and reduce none."""
     monkeypatch.setattr(_stepping, "_condenses", lambda *args: False)
+    monkeypatch.setattr(_stepping, "_reduces", lambda *args: False)
 
 
 # the CSV writer splits a file only where it can fork

@@ -1,13 +1,13 @@
 """The condensed path of `simulate`: an index-1 system whose differential
 coordinates are few steps on x = E_dae[R] z through r×r propagators
-(`_stepping.condensed_map`).  It agrees with the sparse path to
+(`_stepping.stepping_map`).  It agrees with the sparse path to
 round-off on the 1 mm and 0.4 mm oscillators, on every corpus netlist the
 cost rule condenses and on random index-1 draws, for every method; its
-audit is the audit of its states to round-off.  The index-2 oscillator, a
-singular M and the `irk-solid` system stay on the sparse path, the last
-with the factorizations it had; the LU factor of every corpus and
-oscillator pencil stores at least the entries the cost rule counts; a NaN
-input names its step and time; and the manifests name the path and r."""
+audit is the audit of its states to round-off.  The index-2 oscillator and
+a singular M stay on the sparse path; the LU factor of every corpus and
+oscillator pencil stores at least the entries the cost rule counts; the
+path and r of every corpus netlist and oscillator are pinned; a NaN input
+names its step and time; and the manifests name the path and r."""
 
 import dataclasses
 import os
@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from fieldcircuit import _dae, _stepping, coupling, experiments, mna
 from fieldcircuit._audit import energy_bookkeeping
-from fieldcircuit._stepping import METHOD_TAGS, condensed_map
+from fieldcircuit._stepping import METHOD_TAGS, stepping_map
 from fieldcircuit.cli import EXIT_OK, cli_main
 from fieldcircuit.conductors import load_model
 from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
@@ -50,19 +50,22 @@ STIFF_STATE_BOUND = 5e-10
 STIFF_ENERGY_BOUND = 1e-10
 
 
-def both_paths(monkeypatch, sys, z0, u, tau, steps, method, force=False):
-    """The run the cost rule chooses (or, with `force`, a condensed run
-    whatever the rule says) and a sparse run, on copies of the system."""
+def both_paths(monkeypatch, sys, z0, u, tau, steps, method, force=False,
+               path="condensed"):
+    """A run on `path` and a run on the full pencils, on the same system:
+    for "condensed" the run the cost rule chooses (or, with `force`, a
+    condensed run whatever the rule says), for "reduced" a run with the
+    condensing rule off."""
+    fast_rules = ({"_condenses": False} if path == "reduced" else
+                  {"_condenses": True} if force else {})
     runs = []
-    for condense in (force or None, False):
+    for rules in (fast_rules, {"_condenses": False, "_reduces": False}):
         with monkeypatch.context() as patch:
-            if condense is not None:
-                patch.setattr(_stepping, "_condenses",
-                              lambda *args, c=condense: c)
+            for name, value in rules.items():
+                patch.setattr(_stepping, name, lambda *args, v=value: v)
             runs.append(simulate(sys, z0, u, tau, steps * tau, method))
     fast, slow = runs
-    assert (fast.stepping_path, slow.stepping_path) == ("condensed",
-                                                        "sparse")
+    assert (fast.stepping_path, slow.stepping_path) == (path, "sparse")
     assert fast.differential_coordinates == slow.differential_coordinates
     return fast, slow
 
@@ -168,7 +171,7 @@ def assert_factor_bound(system, r, tau):
 def test_oscillator_pencil_factors_bound_the_rule(config, extra_cards):
     cfg = experiments.OscillatorConfig(**config)
     system = experiments.build_oscillator(cfg, extra_cards=extra_cards).system
-    r, _ = condensed_map(to_linear_dae(system))
+    r, *_ = stepping_map(to_linear_dae(system))
     assert_factor_bound(system, r, cfg.tau)
 
 
@@ -184,8 +187,9 @@ def corpus_system(path, models):
 
 
 # the netlists the cost rule condenses with the models of `port_models`
-# (n·r ≤ nnz(A_dae) + n, and M nonsingular); cauer_ladder
-# (n·r = 35 > 22) and mixed_ports (160 > 97) stay sparse
+# (n·r ≤ nnz(A_dae) + n, and M nonsingular); of the others cauer_ladder
+# (n·r = 35 > 22) steps reduced, and mixed_ports (160 > 97), whose rows R
+# of E_dae touch more columns than r, on the full pencils
 CONDENSED_CORPUS = (
     "bridge_rectifier_rc", "comment_styles", "current_divider", "dc_block",
     "foil_port", "grid_3x3", "lc_tank", "method_bdf2", "method_euler",
@@ -207,12 +211,12 @@ def test_corpus_netlists_take_the_path_the_rule_gives(monkeypatch,
     nl, system, u = corpus_system(path, port_models)
     z0 = consistent_init(system, np.zeros(system.n), u)
     tau = nl.tau if nl.tau is not None else 1e-5
-    r, cmap = condensed_map(to_linear_dae(system))
-    assert (cmap is not None) == (path.stem in CONDENSED_CORPUS)
+    r, taken, _ = stepping_map(to_linear_dae(system))
+    assert (taken == "condensed") == (path.stem in CONDENSED_CORPUS)
     assert_factor_bound(system, r, tau)
-    if cmap is None:
+    if taken != "condensed":
         assert simulate(system, z0, u, tau, 5 * tau,
-                        "trapezoidal").stepping_path == "sparse"
+                        "trapezoidal").stepping_path == taken
         return
     for method in METHOD_TAGS:
         assert_paths_agree(monkeypatch, system, z0, u, tau, 200, method)
@@ -234,17 +238,24 @@ CORPUS_R = {
     "tee_attenuator": 0, "transformer_columns": 2, "twin_t_notch": 3,
     "voltage_divider": 0, "wheatstone": 0}
 BENCH_MODEL_R = {"foil_port": 173, "mixed_ports": 348, "solid_port": 173}
-BENCH_MODEL_SPARSE = ("cauer_ladder", "foil_port", "mixed_ports",
-                      "solid_port")
+# the systems the cost rule does not condense: mixed_ports has more
+# columns in K than r (415 > 348), and steps on the full pencils
+BENCH_MODEL_PATHS = {"cauer_ladder": "reduced", "foil_port": "reduced",
+                     "mixed_ports": "sparse", "solid_port": "reduced"}
+PORT_MODEL_PATHS = {"cauer_ladder": "reduced", "mixed_ports": "sparse"}
+# the conductive-core stranded oscillator has more columns in K than r,
+# and the solid core at 0.25 mm a lift over the budget of `_reduces`
 OSCILLATOR_PATHS = {
     "stranded-1mm": (dict(mesh_h=1e-3), "condensed", 2),
     "stranded-0.4mm": (dict(mesh_h=0.4e-3), "condensed", 2),
     "stranded-core-1mm": (dict(core_conductive=True, mesh_h=1e-3),
                           "sparse", 107),
     "solid-core-1mm": (dict(conductor_kind="solid", core_conductive=True,
-                            mesh_h=1e-3), "sparse", 174),
+                            mesh_h=1e-3), "reduced", 174),
     "solid-core-0.5mm": (dict(conductor_kind="solid", core_conductive=True,
-                              mesh_h=0.5e-3), "sparse", 642),
+                              mesh_h=0.5e-3), "reduced", 642),
+    "solid-core-0.25mm": (dict(conductor_kind="solid", core_conductive=True,
+                               mesh_h=0.25e-3), "sparse", 2466),
 }
 
 
@@ -257,8 +268,8 @@ def bench_models(tmp_path_factory):
 
 
 def path_and_r(system):
-    r, cmap = condensed_map(to_linear_dae(system))
-    return ("sparse" if cmap is None else "condensed"), r
+    r, path, _ = stepping_map(to_linear_dae(system))
+    return path, r
 
 
 @pytest.mark.parametrize("models", ["port", "bench"])
@@ -267,11 +278,11 @@ def test_corpus_paths_and_r_are_kept(request, models, name):
     _, system, _ = corpus_system(NETLISTS / f"{name}.cir",
                                  request.getfixturevalue(f"{models}_models"))
     if models == "bench":
-        want = ("sparse" if name in BENCH_MODEL_SPARSE else "condensed",
+        want = (BENCH_MODEL_PATHS.get(name, "condensed"),
                 BENCH_MODEL_R.get(name, CORPUS_R[name]))
     else:
-        want = ("condensed" if name in CONDENSED_CORPUS else "sparse",
-                CORPUS_R[name])
+        want = ("condensed" if name in CONDENSED_CORPUS else
+                PORT_MODEL_PATHS[name], CORPUS_R[name])
     assert path_and_r(system) == want
 
 
@@ -317,8 +328,8 @@ def assert_map_is_the_stacked_solve(dae):
     column (a column that cancels to zero keeps the round-off of its
     solve), and a column of A_r and B_r against that scale times
     ‖A_dae[R]‖∞, plus the column of B_dae[R]."""
-    r, cmap = condensed_map(dae)
-    assert cmap is not None
+    r, path, cmap = stepping_map(dae)
+    assert path == "condensed"
     c_mat, d_mat, rows, _ = _dae.constraint_basis(dae)
     n, m = dae.partition.n, dae.partition.m
     rhs = np.zeros((n, r + m))
@@ -426,31 +437,6 @@ def test_singular_m_draw_stays_sparse(rng, monkeypatch):
         assert to_linear_dae(sys_i2)._condensed is False
 
 
-def test_irk_solid_stays_sparse_with_the_same_factorizations(monkeypatch):
-    cfg = experiments.OscillatorConfig(conductor_kind="solid",
-                                       core_conductive=True, mesh_h=0.5e-3)
-    parts = experiments.build_oscillator(cfg)
-    runs = []
-    for rule in (_stepping._condenses, lambda *args: False):
-        # a copy of the system, initialized as the benchmark's is
-        system = dataclasses.replace(parts.system)
-        z0 = consistent_init(system, parts.z0, parts.u)
-        with monkeypatch.context() as patch:
-            patch.setattr(_stepping, "_condenses", rule)
-            calls = spy_splu(patch)
-            traj = simulate(system, z0, parts.u, cfg.tau, 5 * cfg.tau,
-                            "gauss4")
-        runs.append((calls, traj))
-    (calls, traj), (sparse_calls, sparse_traj) = runs
-    assert traj.stepping_path == "sparse"
-    assert traj.differential_coordinates == 642
-    assert calls == sparse_calls
-    # the ordering trial and the one complex pencil, nothing else
-    n = parts.system.n
-    assert {shape for shape, *_ in calls} == {(n, n)}
-    assert np.array_equal(traj.states, sparse_traj.states)
-
-
 @pytest.mark.parametrize("method", ["trapezoidal", "gauss4", "radau5",
                                     "bdf2"])
 def test_non_finite_input_names_step_and_time_on_the_condensed_path(
@@ -474,11 +460,12 @@ def test_manifests_name_the_stepping_path(tmp_path, monkeypatch):
     rc = tmp_path / "rc.cir"
     rc.write_text("V1 1 0 DC 1\nR1 1 2 2\nC1 2 0 3\n.tran 0.05 6\n",
                   encoding="utf-8")
-    for condense, path in ((None, "condensed"), (False, "sparse")):
+    for rules, path in (((), "condensed"), (("_condenses",), "reduced"),
+                        (("_condenses", "_reduces"), "sparse")):
         out = tmp_path / path
         with monkeypatch.context() as patch:
-            if condense is not None:
-                patch.setattr(_stepping, "_condenses", lambda *c: False)
+            for rule in rules:
+                patch.setattr(_stepping, rule, lambda *c: False)
             assert cli_main(["simulate", str(rc), "--out", str(out)]) \
                 == EXIT_OK
         man = read_manifest(str(out / "run.manifest"))

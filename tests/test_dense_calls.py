@@ -25,7 +25,10 @@ _LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 # count, s the number of Runge-Kutta stages, m the port count and r the
 # differential coordinates of a system that `_stepping._condenses` lets
 # step condensed: n·r ≤ nnz(A_dae) + n, so an n×r array stores no more
-# entries than the LU factor of the pencil it replaces
+# entries than the LU factor of the pencil it replaces; on the reduced path
+# N is the count of eliminated states, q the constraint rows that reach
+# the kept columns K or the inputs, and span·n the entries of the span
+# buffer of the sparse path
 LISTED = [
     ("structure.py", "to_dense", ".toarray",
      "the helper itself; each caller is listed below"),
@@ -63,6 +66,9 @@ LISTED = [
      "rule"),
     ("_stepping.py", "_build_condensed", ".toarray",
      "the r×m input rows B_dae[R], under the cost rule"),
+    ("_stepping.py", "_build_reduced", ".toarray",
+     "N×q unit right sides of the lift, block_rows(N) at a time, "
+     "N·q ≤ span·n under the cost rule `_reduces`"),
     ("_stepping.py", "_condensed_plans", "numpy.linalg.solve",
      "one r×r pencil I − τλA_r per eigenvalue, with r + m (+ r for BDF2) "
      "right sides, under the cost rule"),

@@ -2,9 +2,9 @@
 energy, are bit-identical to a run that keeps every column; keeping a few
 columns bounds the memory of a long run; one implicit DAE serves every
 initialization and simulation of a system and is never written.  The
-oscillator tests run on the path the cost rule chooses (the lossless
-stranded oscillator condenses, the solid one does not); the `sparse_path`
-tests run the lossless one on the sparse path too."""
+oscillator tests run on the path the cost rules choose (the lossless
+stranded oscillator condenses, the solid one steps reduced); the
+`sparse_path` tests run the lossless one on the sparse path too."""
 
 import tracemalloc
 from dataclasses import replace
