@@ -36,12 +36,8 @@ class LinearDae:
                                 compare=False)
     _rows: tuple = field(default=None, init=False, repr=False,
                          compare=False)
-    # the `_CondensedMap` of `stepping_map`, or False where M is singular
-    _condensed: object = field(default=None, init=False, repr=False,
-                               compare=False)
-    # the `_ReducedMap` of `stepping_map`, or False where there is none
-    _reduced: object = field(default=None, init=False, repr=False,
-                             compare=False)
+    # (the verdict of `_condenses`, the map `stepping_map` built, or False)
+    _map: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def rearrange(sys: EnergySystem) -> LinearDae:

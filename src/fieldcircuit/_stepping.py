@@ -10,31 +10,24 @@ and implicit Euler, one complex for Gauss-4, one real and one complex for
 Radau IIA); trapezoidal (λ = ½) and BDF2 (λ = ⅔, after a trapezoidal first
 step) are one real pencil each.
 
-The plan is stepped on one of three paths (`stepping_map`).  An index-1
-system whose rank r of E_dae is small steps on its differential
-coordinates x = E_dae[R] z, with R r independent rows of E_dae: with the
-constraint rows (C, D) of `constraint_basis` and M = [E_dae[R]; C], every
-consistent state is z = V x + G u, V = M⁻¹[I; 0] and G = M⁻¹[0; −D], and
-the DAE is the ODE ẋ = A_r x + B_r u, A_r = A_dae[R] V,
-B_r = A_dae[R] G + B_dae[R] (the state-space form of Hairer & Wanner,
-Solving ODEs II, §VI.1; Kron reduction in circuit theory).  Each pencil is
-then the dense r×r I − τλ A_r, and a step is one product with a propagator
-(`condensed_run`).  The cost rule `_condenses` takes this path when V,
-n×r, stores no more entries than the LU factor of any pencil can.
-
-An index-1 system that the rule does not condense, whose rows R touch
-exactly r columns K, steps on the reduced path: C[:, N] on the other
-columns is factored once, the states z_N are eliminated from every pencil
-at once (static condensation), and each pencil is the r×r sparse
-E_dae[R, K] − τλ Ã, stepped by `_make_stepper` like the full one; z_N is
-rebuilt from z_K by a dense lift (`sparse_run` with a `_ReducedMap`).  The
-cost rule `_reduces` takes this path when the lift fits the span buffer.
-
-Every other system, a singular M or C[:, N] (index 2 or more) included,
-steps on the sparse path, the full pencils (`sparse_run`), each an n×n
-sparse LU.  On the reduced and the sparse path every solve is checked on
-its own (`_StageSolver.solve`).  The three paths agree to round-off and
-keep the same discrete power balance.
+The plan is stepped on one of three paths (`stepping_map`).  Two rest on
+one elimination of an index-1 system (`_build_reduced`; Hairer & Wanner,
+Solving ODEs II, §VI.1): with R r independent rows of E_dae and the
+constraint rows (C, D) of `constraint_basis`, r columns K′ of those that
+E_dae[R] touches are kept and the states z_N on the others are eliminated
+through one sparse LU of C[:, N].  The condensed path steps a system whose
+V (z = V x + G u on x = E_dae[R] z), n×r, stores no more entries than the
+LU factor of any pencil can (`_condenses`) on the ODE ẋ = A_r x + B_r u,
+each pencil a dense r×r I − τλ A_r and a step one product with a
+propagator (`condensed_run`).  The reduced path steps one whose rows R
+touch exactly r columns, K′ = K, on the r×r sparse pencils
+E_dae[R, K] − τλ Ã through `_make_stepper` and rebuilds z_N by a dense
+lift that fits the span buffer (`_reduces`; `sparse_run` with a
+`_ReducedMap`).  Every other system, a singular C[:, N] or Ẽ (index 2 or
+more) included, steps on the full pencils, each an n×n sparse LU
+(`sparse_run`).  On the reduced and the sparse path every solve is
+checked on its own (`_StageSolver.solve`).  The three paths agree to
+round-off and keep the same discrete power balance.
 """
 
 from __future__ import annotations
@@ -45,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from fieldcircuit._audit import condensed_audit, energy_bookkeeping
 from fieldcircuit._dae import (_PIVOT_RATIO, LinearDae, _row_max_abs, _splu,
@@ -258,10 +252,8 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     complex w only).  BDF2's first step is trapezoidal's
     (`_stepping_plans`).  The weighted inputs Σ_i r_ji u(t + c_i τ) are
     formed for every step before the first, from the grid inputs `u_at` of
-    `_input_grid`, m values per step; B times them, on the rows that B
-    reaches only, is formed for the steps of each `march` call at once, so
-    no input term of every step × those rows is held (232 rows of the
-    reduced B̃ of the 0.5 mm solid core).  A step then does one product
+    `_input_grid`; B times them, on the rows that B reaches only, is formed
+    per `march` call, not for every step.  A step then does one product
     A z and, per pencil, one indexed add and one `_StageSolver.solve`, a
     transposed solve with the factor of the pencil's transpose, which
     checks and refines the solve and raises NumericalError on a non-finite
@@ -393,10 +385,10 @@ def _condenses(dae: LinearDae, r: int) -> bool:
     diagonal entries of L, n·r ≤ nnz(A_dae) + n.  The LU factor of any
     pencil E_dae − τλ A_dae stores at least |pattern(E_dae) ∪
     pattern(A_dae)| + n ≥ nnz(A_dae) + n entries, so V never outgrows the
-    factor it replaces, and the r×r product of a step costs less than a solve with
-    that factor.  The count is known before anything is factored; it is
-    read from the stored values, since scipy's `count_nonzero` would sort
-    an unsorted A_dae in place.  The solid conductor with a conductive core
+    factor it replaces, and the r×r product of a step costs less than a
+    solve with it.  The count, known before anything is factored, is read
+    from the stored values: scipy's `count_nonzero` would sort an unsorted
+    A_dae in place.  The solid conductor with a conductive core
     at h = 0.5 mm (n·r = 3084 · 642 ≈ 2.0M against 24.4k) is not condensed;
     it steps on the reduced path (`_reduces`)."""
     a, n = dae.A_dae, dae.partition.n
@@ -406,9 +398,9 @@ def _condenses(dae: LinearDae, r: int) -> bool:
 @dataclass(frozen=True)
 class _CondensedMap:
     """The state-space form ẋ = A_r x + B_r u of an index-1 DAE on its
-    differential coordinates x = E_dae[R] z.  Every consistent state is
-    z = V x + G u, with V = M⁻¹[I; 0] and G = M⁻¹[0; −D] for
-    M = [E_dae[R]; C]; A_r = A_dae[R] V and B_r = A_dae[R] G + B_dae[R]."""
+    differential coordinates x = E_dae[R] z: every consistent state is
+    z = V x + G u (`_build_reduced`), A_r = A_dae[R] V and
+    B_r = A_dae[R] G + B_dae[R]."""
 
     e_rows: object      # E_dae[R], r × n, sparse
     V: np.ndarray       # n × r
@@ -418,58 +410,45 @@ class _CondensedMap:
 
 
 def stepping_map(dae: LinearDae):
-    """(r, the path of `simulate`, its map) for a DAE: ("condensed", the
-    `_CondensedMap`) when the cost rule `_condenses` admits the system and M
-    is nonsingular; ("reduced", the `_ReducedMap`) when the rule does not
-    and the system has a reduced DAE that `_reduces` admits; otherwise
-    ("sparse", None), the full pencils, which take a singular M (index 2 or
-    more) too.  Each map is built on first use and kept on the DAE, with
-    False where there is none; the rules are evaluated on every call, but
-    a reduced map that `_reduces` refuses when first examined is never
-    built.  The steps read only R and the maps, so the constraint rows
-    (C, D) are let go here: on the sparse path they would stay alive next
-    to the pencil factors (0.24 MB on `mixed_ports`).  A DAE whose
-    constraint rows cannot be formed (a singular pivot block, which
-    `consistent_init` reports) steps sparse, with r unknown (None)."""
+    """(r, the path of `simulate`, its map) for a DAE: "condensed" with the
+    `_CondensedMap` of `_build_reduced` under the cost rule `_condenses`,
+    else "reduced" with its `_ReducedMap` where `_reduces` admits the lift,
+    else "sparse" (None), the full pencils.  The map is kept on the DAE
+    with the verdict of `_condenses` it was built under (False for none);
+    the rules are evaluated on every call.  The constraint rows (C, D) are
+    let go here: on the sparse path they would stay alive next to the
+    pencil factors (0.24 MB on `mixed_ports`).  A DAE whose constraint rows
+    cannot be formed (a singular pivot block) steps sparse, r None."""
     if dae._rows is None:
         try:
             constraint_basis(dae)
         except NumericalError:
             return None, "sparse", None
     rows, dependent = dae._rows
-    path, smap = "sparse", None
-    if _condenses(dae, rows.size):
-        if dae._condensed is None:
-            c_mat, d_mat, *_ = constraint_basis(dae)
-            object.__setattr__(dae, "_condensed", _build_condensed(
-                dae, c_mat, d_mat, rows, dependent) or False)
-        if dae._condensed:
-            path, smap = "condensed", dae._condensed
-    else:
-        if dae._reduced is None:
-            c_mat, d_mat, *_ = constraint_basis(dae)
-            object.__setattr__(dae, "_reduced", _build_reduced(
-                dae, c_mat, d_mat, rows) or False)
-        rmap = dae._reduced
-        if rmap and _reduces(dae.partition.n, *rmap.lift.shape):
-            path, smap = "reduced", rmap
+    condense = _condenses(dae, rows.size)
+    if dae._map is None or dae._map[0] != condense:
+        c_mat, d_mat, *_ = constraint_basis(dae)
+        object.__setattr__(dae, "_map", (condense, _build_reduced(
+            dae, c_mat, d_mat, rows, dependent, condense) or False))
     object.__setattr__(dae, "_constraints", None)
-    return rows.size, path, smap
+    smap = dae._map[1]
+    if smap and condense:
+        return rows.size, "condensed", smap
+    if smap and _reduces(dae.partition.n, *smap.lift.shape):
+        return rows.size, "reduced", smap
+    return rows.size, "sparse", None
 
 
-def _scaled_lu(mat, what: str, column_scale: bool):
+def _scaled_lu(mat, what: str):
     """(the LU of the transpose of the square CSR matrix `mat` with its rows
-    scaled, the row scale), or None when `mat` is singular: a row is empty,
-    SuperLU finds it exactly singular, or the scaled matrix has a pivot
-    ratio min|U_ii| / max|U_ii| below `_PIVOT_RATIO`.  The rows are scaled
-    to unit largest entry, and with `column_scale` the columns by powers of
-    two into [½, 1), so the ratio does not read a circuit's units as an
-    index (`suffix_tour`).  The transpose is read from the CSR arrays of
-    `mat` and ordered with MMD_AT_PLUS_A; it pivots across the columns of
-    `mat`, where a power of two would change pivot choices, so the column
-    scale is applied to the diagonal of U only, which is what the factor
-    with it reads when the power of two changes no pivot choice.
-    `mat x = b` is then solved as `lu.solve(scale * b, trans="T")`."""
+    scaled to unit largest entry, the row scale), or None where `mat` is
+    singular: an empty row, a column of round-off (no scaled entry above
+    `_RESIDUAL_BOUND` eps), an exactly singular factor, or pivots whose
+    ratio min/max is below `_PIVOT_RATIO` once each is scaled by the power
+    of two that takes its column into [½, 1), so a real column 1e-12 of
+    its row (`suffix_tour`) is no index.  The transpose, ordered with
+    MMD_AT_PLUS_A, is read from the CSR arrays of `mat`, and `mat x = b` is
+    solved as `lu.solve(scale * b, trans="T")`."""
     n = mat.shape[0]
     row_max = _row_max_abs(mat)
     if not row_max.all():
@@ -477,74 +456,29 @@ def _scaled_lu(mat, what: str, column_scale: bool):
     scale = 1.0 / row_max
     m_rows, m_cols, m_vals = csr_entries(mat)
     m_vals = scale[m_rows] * m_vals
+    col_max = np.zeros(n)
+    np.maximum.at(col_max, m_cols, np.abs(m_vals))
+    if col_max.min(initial=1.0) <= _RESIDUAL_BOUND * _EPS:
+        return None
     try:
         lu = _splu(sp.csc_matrix((m_vals, mat.indices, mat.indptr),
                                  shape=(n, n)), what, "MMD_AT_PLUS_A")
     except NumericalError:
         return None
+    # the pivot of step perm_r[j] lies in column j of mat
     u_diag = np.abs(lu.U.diagonal())
-    if column_scale:
-        # an empty column keeps the scale 1, and SuperLU finds mat
-        # singular; the pivot of step perm_r[j] lies in column j of mat
-        col_max = np.zeros(n)
-        np.maximum.at(col_max, m_cols, np.abs(m_vals))
-        u_diag[lu.perm_r] *= np.ldexp(1.0, -np.frexp(col_max)[1])
+    u_diag[lu.perm_r] *= np.ldexp(1.0, -np.frexp(col_max)[1])
     if u_diag.min(initial=np.inf) < _PIVOT_RATIO * u_diag.max(initial=0.0):
         return None
     return lu, scale
 
 
-def _build_condensed(dae: LinearDae, c_mat, d_mat, rows, dependent):
-    """The `_CondensedMap` of dae with its rows R, constraint rows (C, D)
-    and the dependent rows of `constraint_basis`, or None when
-    M = [E_dae[R]; C] is singular (`_scaled_lu`).
-
-    Each row of M is placed at the row of the DAE it comes from: E_dae[R]
-    at R, and row j of C at the dependent row paired with it.  So placed,
-    M has the pattern of the stage pencils E_dae − τλ A_dae, and it is
-    factored as `_StageSolver` factors them: Mᵀ, row-scaled, is read from
-    the CSR arrays of M, ordered with MMD_AT_PLUS_A, and V and G come from
-    one transposed solve with r + m right sides, unscaled.  On the lossless
-    stranded oscillator the factor stores 243k entries at n = 4952
-    (h = 0.4 mm; COLAMD on the placed M: 397k) and 785k at n = 12563
-    (0.25 mm; 1.34M); at n = 743 (1 mm) it stores 32.7k against COLAMD's
-    30.6k, in the same 1.6 ms, so no ordering trial is made.  M is factored
-    once and freed once V and G are formed."""
-    n, m, r = dae.partition.n, dae.partition.m, rows.size
-    c_rows, c_cols, c_vals = csr_entries(c_mat)
-    is_row = np.zeros(n, dtype=bool)
-    is_row[rows] = True
-    e_rows, e_cols, e_vals = csr_entries(dae.E_dae)
-    on = is_row[e_rows]
-    mat = csr_from_entries([(e_rows[on], e_cols[on], e_vals[on]),
-                            (dependent[c_rows], c_cols, c_vals)], (n, n),
-                           like=(dae.E_dae, c_mat))
-    factored = _scaled_lu(mat, "condensing matrix", column_scale=True)
-    if factored is None:
-        return None
-    lu, scale = factored
-    d_rows, d_cols, d_vals = csr_entries(d_mat)
-    eye = np.arange(r)
-    d_at = dependent[d_rows]
-    rhs = csr_from_entries(
-        [(rows, eye, scale[rows]),
-         (d_at, r + d_cols, -scale[d_at] * d_vals)], (n, r + m)).toarray()
-    sol = lu.solve(rhs, trans="T") if rhs.size else rhs
-    del lu
-    v, g = sol[:, :r], sol[:, r:]
-    a_rows = dae.A_dae[rows]
-    return _CondensedMap(dae.E_dae[rows], v, g, a_rows @ v,
-                         a_rows @ g + dae.B_dae[rows].toarray())
-
-
 def _reduces(n: int, eliminated: int, reached: int) -> bool:
-    """The cost rule of the reduced path: the dense lift P, N×q, from the q
-    constraint rows that K and the inputs reach to the N eliminated
-    states, fits the span buffer that the sparse path already holds,
-    N·q ≤ `_SPAN_BLOCKS` · `block_rows(n)` · n, about 1.05M entries.  The
+    """The cost rule of the reduced path: the dense lift P, N×w, onto the
+    N eliminated states fits the span buffer that the sparse path holds,
+    N·w ≤ `_SPAN_BLOCKS` · `block_rows(n)` · n, about 1.05M entries: the
     solid conductor with a conductive core needs 2442 · 146 ≈ 0.36M at
-    h = 0.5 mm and is reduced; at 0.25 mm it needs 2.8M and steps on the
-    full pencils."""
+    h = 0.5 mm, and 2.8M at 0.25 mm, which steps on the full pencils."""
     return eliminated * reached <= _SPAN_BLOCKS * block_rows(n) * n
 
 
@@ -553,78 +487,140 @@ class _ReducedMap:
     """The reduced DAE E_dae[R, K] ż_K = Ã z_K + B̃ u of an index-1 system
     whose independent rows R of E_dae touch exactly r columns K, with
     Ã = A_dae[R, K] − A_dae[R, N] X and B̃ = B_dae[R] − A_dae[R, N] Y for
-    [X Y] = C[:, N]⁻¹ [C[:, K] D] on the other columns N.  Only q rows Q
-    of C and D reach K or the inputs, so [X Y] = −P H with the lift
-    P = −C[:, N]⁻¹[:, Q] and H = [C[Q, K] D[Q]], and the eliminated states
-    are z_N = P H [z_K; v] + μ δ_N (`_rebuilder`)."""
+    [X Y] = C[:, N]⁻¹ [C[:, K] D] = −P H (`_build_reduced`); the other
+    states are z_N = P H [z_K; v] + μ δ_N (`_rebuilder`)."""
 
     dae: LinearDae          # E_dae[R, K], Ã, B̃: r × r and r × m, sparse
     cols: np.ndarray        # K
     rest: np.ndarray        # N
-    lift: np.ndarray        # P, N × q
-    gather: object          # H, q × (r + m), sparse
+    lift: np.ndarray        # P, N × w
+    gather: object          # H, w × (r + m), sparse
 
 
-def _build_reduced(dae: LinearDae, c_mat, d_mat, rows):
-    """The `_ReducedMap` of dae with its rows R and constraint rows (C, D),
-    or None: when E_dae[R] touches more than r columns (stranded windings),
-    when no column is left to eliminate, when `_reduces` refuses the lift,
-    or when C[:, N] is singular (`_scaled_lu` without the column scale,
-    which a column of round-off would pass), which makes the index 2 or
-    more.  Nothing is factored unless the rule admits the lift.
+def _placement(c_mat, dependent, is_k):
+    """The column on whose diagonal each row of C is placed, leaving r
+    columns K′ ⊂ K (`is_k`), or None.  Where |K| > r, row j keeps its
+    dependent row where that is a column outside K with an entry of row j;
+    the other rows are matched to the free columns by a minimum-weight
+    full bipartite matching, weighing an entry 1 + log(row max/|c|) and,
+    on a column of K, the sum of all weights more (static pivoting as in
+    MC64; Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001), and all of
+    C is matched where those rows leave a column outside K (about 0.25 s
+    at 0.4 mm, against 1.3 ms for the 369 rows left there)."""
+    rows, cols, vals = csr_entries(c_mat)
+    on = vals != 0.0
+    rows, cols, vals = rows[on], cols[on], vals[on]
+    at = np.full(c_mat.shape[0], -1, dtype=np.intp)
+    # where |K| = r, K′ = K: all rows are matched to the other columns
+    some_k = np.count_nonzero(is_k) > is_k.size - at.size
+    own = (cols == dependent[rows]) & ~is_k[cols] & some_k
+    at[rows[own]] = cols[own]
+    row_max = _row_max_abs(c_mat)
+    for free in (at < 0, np.ones(at.size, dtype=bool)):
+        col_free = ~is_k | some_k
+        col_free[at[~free]] = False
+        row_of, col_of = np.flatnonzero(free), np.flatnonzero(col_free)
+        sel = np.flatnonzero(free[rows] & col_free[cols])
+        weight = 1.0 + np.log(row_max[rows[sel]] / np.abs(vals[sel]))
+        weight += is_k[cols[sel]] * weight.sum()
+        try:
+            # COO sorts the indices; on unsorted ones the matching hangs
+            i, j = min_weight_full_bipartite_matching(sp.csr_array(
+                (weight, (np.searchsorted(row_of, rows[sel]),
+                          np.searchsorted(col_of, cols[sel]))),
+                shape=(row_of.size, col_of.size)))
+        except ValueError:
+            continue
+        at[row_of[i]] = col_of[j]
+        if np.count_nonzero(~is_k[at]) == np.count_nonzero(~is_k):
+            return at
+    return None
 
-    In a stage pencil E_dae − τλ A_dae the constraint rows are −τλ C, for
-    every λ, τ and method, so eliminating z_N through C[:, N] gives the
-    same Ã and B̃ for all of them (static condensation, a Schur
-    complement).  C[:, N] is factored once (`_scaled_lu`) and solved on the
-    q unit columns of Q only, `block_rows(N)` of them at a time, into P;
-    the factor is let go once P is formed.  At h = 0.5 mm (N = 2442,
-    q = 146) P takes 2.9 MB, and the reduced pencils store 53k entries in
-    their factors against 143k for the full ones."""
+
+def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
+                   condense: bool):
+    """The map of dae with its rows R, constraint rows (C, D) and their
+    dependent rows: the `_CondensedMap` with `condense`, else the
+    `_ReducedMap`; None where C[:, N] or Ẽ is singular (`_scaled_lu`;
+    index 2 or more), and, factoring nothing, without `condense` where
+    E_dae[R] touches more than r columns K (stranded windings), none is
+    left to eliminate or `_reduces` refuses the lift.
+
+    The constraint rows of every stage pencil E_dae − τλ A_dae are −τλ C,
+    so one elimination through C[:, N] serves every λ, τ and method
+    (static condensation; Guyan, AIAA J. 3, 1965).  C[:, N], placed by
+    `_placement`, is factored once and solved, `block_rows(N)` columns at
+    a time, on the smaller set of right sides: the unit columns of the q
+    rows Q of C and D that reach K′ or the inputs (P = −C[:, N]⁻¹[:, Q],
+    H = [C[Q, K′] D[Q]]), or [C[:, K′] D] (P = −[X Y], H = I).  With
+    [Ẽ F] = E_dae[R] Z for Z = [I 0; −X −Y] on the rows (K′, N),
+    [V G] = Z [Ẽ⁻¹ −Ẽ⁻¹F; 0 I]."""
     n, m, r = dae.partition.n, dae.partition.m, rows.size
-    e_rows, e_cols, e_vals = csr_entries(dae.E_dae[rows])
-    on = e_vals != 0.0
-    e_rows, e_cols, e_vals = e_rows[on], e_cols[on], e_vals[on]
+    e_rows = dae.E_dae[rows]
+    e_r, e_c, e_v = csr_entries(e_rows)
     is_k = np.zeros(n, dtype=bool)
-    is_k[e_cols] = True
-    cols, rest = np.flatnonzero(is_k), np.flatnonzero(~is_k)
-    if cols.size != r or not rest.size:
-        return None
+    is_k[e_c[e_v != 0.0]] = True
     c_rows, c_cols, c_vals = csr_entries(c_mat)
     d_rows, d_cols, d_vals = csr_entries(d_mat)
-    on_k = is_k[c_cols]
+    if not condense and (np.count_nonzero(is_k) != r or r == n):
+        return None
+    at = _placement(c_mat, dependent, is_k)
+    if at is None:
+        return None
+    is_n = np.zeros(n, dtype=bool)
+    is_n[at] = True
+    cols, rest = np.flatnonzero(~is_n), np.flatnonzero(is_n)
+    on_k = ~is_n[c_cols]
     reached = np.union1d(c_rows[on_k], d_rows)
-    if not _reduces(n, rest.size, reached.size):
+    if not condense and not _reduces(n, n - r, min(reached.size, r + m)):
         return None
     pos = np.empty(n, dtype=np.intp)
-    pos[cols], pos[rest] = np.arange(r), np.arange(rest.size)
+    pos[cols], pos[rest] = np.arange(r), np.arange(n - r)
+    at = pos[at]
     factored = _scaled_lu(
-        csr_from_entries([(c_rows[~on_k], pos[c_cols[~on_k]],
-                           c_vals[~on_k])], (rest.size, rest.size),
-                         like=(c_mat,)),
-        f"constraint block C[:, N] ({rest.size} x {rest.size})",
-        column_scale=False)
+        csr_from_entries([(at[c_rows[~on_k]], pos[c_cols[~on_k]],
+                           c_vals[~on_k])], (n - r, n - r), like=(c_mat,)),
+        f"constraint block C[:, N] ({n - r} x {n - r})")
     if factored is None:
         return None
     lu, scale = factored
-    q = reached.size
-    units = csr_from_entries([(reached, np.arange(q), -scale[reached])],
-                             (rest.size, q)).tocsc()
-    lift = np.empty((rest.size, q))
-    width = block_rows(rest.size)
-    for lo in range(0, q, width):
-        lift[:, lo : lo + width] = lu.solve(
-            units[:, lo : lo + width].toarray(), trans="T")
-    del lu, units
-    at = np.searchsorted(reached, c_rows[on_k])
-    gather = csr_from_entries(
-        [(at, pos[c_cols[on_k]], c_vals[on_k]),
-         (np.searchsorted(reached, d_rows), r + d_cols, d_vals)],
-        (q, r + m), like=(c_mat, d_mat))
+    parts = [(c_rows[on_k], pos[c_cols[on_k]], c_vals[on_k]),
+             (d_rows, r + d_cols, d_vals)]
+    if r + m < reached.size:
+        s_rows, s_cols, s_vals = map(np.concatenate, zip(*parts))
+        gather = sp.eye_array(r + m, format="csr")
+    else:
+        s_rows, s_cols, s_vals = reached, np.arange(reached.size), 1.0
+        gather = csr_from_entries(
+            [(np.searchsorted(reached, i), j, v) for i, j, v in parts],
+            (reached.size, r + m), like=(c_mat, d_mat))
+    lift = np.zeros((n - r, gather.shape[0]))
+    lift[at[s_rows], s_cols] = -scale[at[s_rows]] * s_vals
+    width = block_rows(n - r)
+    for lo in range(0, lift.shape[1], width):
+        lift[:, lo : lo + width] = lu.solve(lift[:, lo : lo + width],
+                                            trans="T")
+    del lu
+    if condense:
+        zmap = np.zeros((n, r + m))  # Z: [z_K′; u] to z
+        zmap[cols, :r] = np.eye(r)
+        zmap[rest] = (gather.T @ lift.T).T
+        ef = e_rows @ zmap
+        factored = _scaled_lu(sp.csr_array(ef[:, :r]), "reduced E_dae")
+        if factored is None:
+            return None
+        lu, scale = factored
+        ef[:, :r], ef[:, r:] = np.eye(r), -ef[:, r:]
+        sol = np.eye(r + m)
+        sol[:r] = lu.solve(scale[:, None] * ef, trans="T")
+        v_g = zmap @ sol
+        a_vg = dae.A_dae[rows] @ v_g
+        return _CondensedMap(e_rows, v_g[:, :r], v_g[:, r:], a_vg[:, :r],
+                             a_vg[:, r:] + dae.B_dae[rows].toarray())
     a_rows, a_cols, a_vals = csr_entries(dae.A_dae[rows])
-    on = is_k[a_cols]
+    on = ~is_n[a_cols]
     a_rn = csr_from_entries([(a_rows[~on], pos[a_cols[~on]], a_vals[~on])],
-                            (r, rest.size), like=(dae.A_dae,))
+                            (r, n - r), like=(dae.A_dae,))
     # A_dae[R, N] P H, on the rows of R that reach N, placed at the
     # columns [K; the ports] of [Ã B̃]
     hit = np.flatnonzero(np.diff(a_rn.indptr))
@@ -634,7 +630,8 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows):
     a_red = csr_from_entries([(a_rows[on], pos[a_cols[on]], a_vals[on])],
                              (r, r), like=(dae.A_dae,)) + coupled[:, :r]
     b_red = dae.B_dae[rows] + coupled[:, r:]
-    e_red = csr_from_entries([(e_rows, pos[e_cols], e_vals)], (r, r),
+    on = e_v != 0.0
+    e_red = csr_from_entries([(e_r[on], pos[e_c[on]], e_v[on])], (r, r),
                              like=(dae.E_dae,))
     p = dae.partition
     blocks = np.bincount(np.searchsorted([p.n1, p.n1 + p.n2], cols,

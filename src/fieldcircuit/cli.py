@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=experiments.OscillatorConfig.mesh_h)
     _add_common(p_cnv)
 
-    p_val = sub.add_parser("validate", help="check a saved system directory")
+    p_val = sub.add_parser("validate", help="check a system or model directory")
     p_val.add_argument("system_dir")
 
     p_exp = sub.add_parser("export-matrices",
@@ -245,8 +245,12 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # a system directory, or a model directory (one with a manifest)
+    path = args.system_dir
     try:
-        system = serialization.load_system(args.system_dir)
+        system = (conductors.system_for(conductors.load_model(path))
+                  if os.path.isfile(os.path.join(path, "manifest"))
+                  else serialization.load_system(path))
     except StructureError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -178,19 +178,21 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
 
     Three paths step the same scheme (`fieldcircuit._stepping`), and
     `stepping_map` chooses among them from counts known before anything
-    is factored.  The condensed path takes an index-1 system with few
-    differential coordinates and steps them with r×r propagators, the
-    input terms of the whole grid formed up front, and audits the
-    coordinates only (`condensed_run`).  The reduced path takes an index-1
-    system that is not condensed and whose independent rows of E_dae
-    touch r columns K: it solves r×r sparse pencils on z_K, rebuilds the
-    other states from z_K with a dense lift and audits the full states,
-    one span at a time (`sparse_run`).  The sparse path takes every other
-    system, an index-2 one included, and solves n×n pencils one span of
-    states at a time, then audits the span from its full states
-    (`sparse_run`).  On the reduced and the sparse path every stage solve
-    is checked on its own and refined if needed.  The three paths agree to
-    round-off.  On each, a non-finite input or solution raises
+    is factored.  The condensed and the reduced path keep r columns K′ of
+    those the r independent rows of E_dae touch and eliminate the other
+    states through one sparse LU of the constraint block C[:, N].  The
+    condensed path takes an index-1 system with few differential
+    coordinates and steps them with r×r propagators, the input terms of
+    the whole grid formed up front, and audits the coordinates only
+    (`condensed_run`).  The reduced path takes one that is not condensed,
+    with K′ = K: it solves r×r sparse pencils on z_K, rebuilds the other
+    states from z_K with a dense lift and audits the full states, one span
+    at a time (`sparse_run`).  The sparse path takes every other system,
+    a singular C[:, N] (index 2 or more) included, and solves n×n pencils
+    one span of states at a time, then audits the span from its full
+    states (`sparse_run`).  On the reduced and the sparse path every stage
+    solve is checked on its own and refined if needed.  The three paths
+    agree to round-off.  On each, a non-finite input or solution raises
     NumericalError naming the step and its time (and on the reduced and
     the sparse path the pencil).
 

@@ -403,6 +403,29 @@ def test_export_matrices_then_simulate(tmp_path):
     assert abs(h_end + d_cum - e_in - h0) <= 1e-8 * max(h0, e_in)
 
 
+def test_export_matrices_then_validate(tmp_path, capsys):
+    # validate reads the model directory export-matrices writes per
+    # winding: its energy system passes, and a broken block exits 2
+    geo = tmp_path / "g.geo"
+    geo.write_text("rect air 0 10 -10 10\n"
+                   "rect coil 4 6 -4 4\n"
+                   "material coil 1 0\n"
+                   "winding coil 10\n", encoding="utf-8")
+    out = tmp_path / "mats"
+    assert cli_main(["export-matrices", str(geo), str(out),
+                     "--mesh-h", "2e-3"]) == EXIT_OK
+    capsys.readouterr()
+    assert cli_main(["validate", str(out / "coil")]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("ok = True\n")
+    # the export directory holds models, not a system
+    assert cli_main(["validate", str(out)]) == EXIT_PARSE
+    assert "lacks a partition file" in capsys.readouterr().err
+    (out / "coil" / "K_nu.mtx").write_text("garbage\n", encoding="utf-8")
+    assert cli_main(["validate", str(out / "coil")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(out / "coil" / "K_nu.mtx") in err and "Traceback" not in err
+
+
 def test_export_matrices_bad_geometry(tmp_path):
     geo = tmp_path / "bad.geo"
     geo.write_text("rect air 0 10 -10\n", encoding="utf-8")

@@ -3,8 +3,10 @@ coordinates are few steps on x = E_dae[R] z through r×r propagators
 (`_stepping.stepping_map`).  It agrees with the sparse path to
 round-off on the 1 mm and 0.4 mm oscillators, on every corpus netlist the
 cost rule condenses and on random index-1 draws, for every method; its
-audit is the audit of its states to round-off.  The index-2 oscillator and
-a singular M stay on the sparse path; the LU factor of every corpus and
+audit is the audit of its states to round-off.  Its map is that of the
+stacked M = [E_dae[R]; C], with the columns K′ kept from those E_dae[R]
+touches.  The index-2 oscillator, a singular M and a constraint column at
+round-off stay on the sparse path; the LU factor of every corpus and
 oscillator pencil stores at least the entries the cost rule counts; the
 path and r of every corpus netlist and oscillator are pinned; a NaN input
 names its step and time; and the manifests name the path and r."""
@@ -23,7 +25,8 @@ from fieldcircuit import _dae, _stepping, coupling, experiments, mna
 from fieldcircuit._audit import energy_bookkeeping
 from fieldcircuit._stepping import METHOD_TAGS, stepping_map
 from fieldcircuit.cli import EXIT_OK, cli_main
-from fieldcircuit.conductors import load_model
+from fieldcircuit.conductors import load_model, solid_from_mesh, solid_system
+from fieldcircuit.fem import Material, Rect, build_rect_mesh
 from fieldcircuit.integrators import consistent_init, simulate, to_linear_dae
 from fieldcircuit.serialization import read_manifest, read_trajectory_csv
 from fieldcircuit.structure import NumericalError, hamiltonian
@@ -224,8 +227,8 @@ def test_corpus_netlists_take_the_path_the_rule_gives(monkeypatch,
 
 # r of every corpus netlist with the models of `port_models`, and the path
 # and r of each system with the 1 mm models of the benchmark and of the
-# oscillators: those of the stacked M factored with COLAMD, which the
-# placed M, ordered as the pencils are, must keep
+# oscillators: those of the stacked M = [E_dae[R]; C] factored with
+# COLAMD, which the elimination through C[:, N] must keep
 CORPUS_R = {
     "bridge_rectifier_rc": 1, "cauer_ladder": 5, "comment_styles": 0,
     "current_divider": 0, "dc_block": 1, "foil_port": 2, "grid_3x3": 0,
@@ -317,21 +320,28 @@ def test_condensed_audit_is_the_audit_of_its_states(monkeypatch, method):
             assert np.array_equal(traj.states[0], start)
 
 
-# --- the condensing factor --------------------------------------------------
+# --- the elimination ---------------------------------------------------------
 
 def assert_map_is_the_stacked_solve(dae):
     """V, G, A_r and B_r of the condensed map equal, to round-off, those of
-    a dense solve with M stacked as [E_dae[R]; C], unscaled: the placed,
-    scaled and transposed factor changes nothing but round-off.  A column
+    a dense solve with M stacked as [E_dae[R]; C], unscaled: the
+    elimination through the placed, scaled and transposed factor of
+    C[:, N] changes nothing but round-off.  A column
     of [V G] = M⁻¹ [I 0; 0 −D] is measured against the larger of its own
     magnitude and that of its right side times the largest gain of any
     column (a column that cancels to zero keeps the round-off of its
     solve), and a column of A_r and B_r against that scale times
-    ‖A_dae[R]‖∞, plus the column of B_dae[R]."""
+    ‖A_dae[R]‖∞, plus the column of B_dae[R].  The r columns K′ that
+    C[:, N] leaves out are columns that E_dae[R] touches, K; returns
+    whether K holds more than r columns, among which K′ was picked."""
     r, path, cmap = stepping_map(dae)
     assert path == "condensed"
-    c_mat, d_mat, rows, _ = _dae.constraint_basis(dae)
+    c_mat, d_mat, rows, dependent = _dae.constraint_basis(dae)
     n, m = dae.partition.n, dae.partition.m
+    is_k = np.asarray(abs(dae.E_dae[rows]).sum(axis=0)).ravel() > 0.0
+    k_prime = np.setdiff1d(np.arange(n),
+                           _stepping._placement(c_mat, dependent, is_k))
+    assert k_prime.size == r and is_k[k_prime].all()
     rhs = np.zeros((n, r + m))
     rhs[:r, :r] = np.eye(r)
     rhs[r:, r:] = -d_mat.toarray()
@@ -350,16 +360,55 @@ def assert_map_is_the_stacked_solve(dae):
                                    want, scales):
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * col_scale)
+    return np.count_nonzero(is_k) > r
+
+
+# the condensed netlists whose rows R touch more columns K than r, with
+# the models of `port_models`; the stranded oscillators touch 370 at
+# 0.4 mm and 69 at 1 mm, with r = 2
+WIDE_K = ("dc_block", "stranded_port", "transformer_columns", "twin_t_notch")
 
 
 def test_stranded_oscillator_map_is_the_stacked_solve(stranded):
-    assert_map_is_the_stacked_solve(to_linear_dae(stranded.system))
+    assert assert_map_is_the_stacked_solve(to_linear_dae(stranded.system))
 
 
 @pytest.mark.parametrize("name", CONDENSED_CORPUS)
 def test_corpus_map_is_the_stacked_solve(port_models, name):
     _, system, _ = corpus_system(NETLISTS / f"{name}.cir", port_models)
-    assert_map_is_the_stacked_solve(to_linear_dae(system))
+    assert assert_map_is_the_stacked_solve(to_linear_dae(system)) == \
+        (name in WIDE_K)
+
+
+def test_round_off_column_of_c_steps_sparse(monkeypatch):
+    # the current-driven solid conductor of
+    # test_conductors::test_foil_solid_duality_np1 (n 46, r 15), condensed
+    # by force: its z3 column of C is round-off, so C[:, N] is singular and
+    # the system takes the full pencils
+    mesh = build_rect_mesh([Rect("air", 0.0, 1.0, -1.0, 1.0),
+                            Rect("bar", 0.3, 0.6, -0.4, 0.4)], 0.2)
+    sys_s = solid_system(solid_from_mesh(
+        mesh, {"air": Material("air"), "bar": Material("bar", 1.0, 1e4)},
+        "bar"))
+    c_mat = _dae.constraint_basis(to_linear_dae(sys_s))[0]
+    assert np.abs(c_mat.toarray()[:, -1]).max() <= 2.3e-16
+    monkeypatch.setattr(_stepping, "_condenses", lambda *args: True)
+    traj = simulate(sys_s, np.zeros(sys_s.n),
+                    WaveformStack((Sinusoid(0.0, 1.0, 120.0),)), 1e-4, 1e-3,
+                    "midpoint")
+    assert (traj.stepping_path, traj.differential_coordinates) == \
+        ("sparse", 15)
+
+
+def test_small_real_column_of_c_steps_condensed(port_models):
+    # a column of suffix_tour's C is 9.99e-13 of its row: a real entry,
+    # which the pivot ratio of C[:, N] does not read as an index
+    _, system, _ = corpus_system(NETLISTS / "suffix_tour.cir", port_models)
+    dae = to_linear_dae(system)
+    c_dense = np.abs(_dae.constraint_basis(dae)[0].toarray())
+    col_max = (c_dense / c_dense.max(axis=1, keepdims=True)).max(axis=0)
+    assert 9.9e-13 < col_max.min() < 1e-12
+    assert stepping_map(dae)[1] == "condensed"
 
 
 def test_condensed_path_keeps_the_balance_of_the_lossless_oscillator():
@@ -411,10 +460,10 @@ def test_index2_oscillator_stays_sparse(monkeypatch):
     # the rule would condense (r = 2), but M is singular: index 2
     assert traj.stepping_path == "sparse"
     assert traj.differential_coordinates == 2
-    assert dae._condensed is False
+    assert stepping_map(dae)[1] == "sparse"
     n = parts.system.n
-    # M, ordered as the pencils are, then the pencil with its ordering
-    # trial
+    # no placement of C[:, N] leaves its columns K′ in K, so only the
+    # pencil is factored, with its ordering trial
     assert calls[0] == ((n, n), "float64", "MMD_AT_PLUS_A")
     assert {shape for shape, *_ in calls} == {(n, n)}
 
@@ -434,7 +483,7 @@ def test_singular_m_draw_stays_sparse(rng, monkeypatch):
         z0 = consistent_init(sys_i2, np.zeros(3), u)
         traj = simulate(sys_i2, z0, u, 0.01, 0.2, "trapezoidal")
         assert traj.stepping_path == "sparse"
-        assert to_linear_dae(sys_i2)._condensed is False
+        assert stepping_map(to_linear_dae(sys_i2))[1] == "sparse"
 
 
 @pytest.mark.parametrize("method", ["trapezoidal", "gauss4", "radau5",

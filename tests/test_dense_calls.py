@@ -25,10 +25,7 @@ _LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 # count, s the number of Runge-Kutta stages, m the port count and r the
 # differential coordinates of a system that `_stepping._condenses` lets
 # step condensed: n·r ≤ nnz(A_dae) + n, so an n×r array stores no more
-# entries than the LU factor of the pencil it replaces; on the reduced path
-# N is the count of eliminated states, q the constraint rows that reach
-# the kept columns K or the inputs, and span·n the entries of the span
-# buffer of the sparse path
+# entries than the LU factor of the pencil it replaces
 LISTED = [
     ("structure.py", "to_dense", ".toarray",
      "the helper itself; each caller is listed below"),
@@ -61,14 +58,9 @@ LISTED = [
      "its entries"),
     ("_dae.py", "_left_null_basis", "scipy.linalg.qr",
      "the null vectors of that block, k × its rows"),
-    ("_stepping.py", "_build_condensed", ".toarray",
-     "the n×(r + m) right sides [I 0; 0 −D] of V and G, under the cost "
-     "rule"),
-    ("_stepping.py", "_build_condensed", ".toarray",
-     "the r×m input rows B_dae[R], under the cost rule"),
     ("_stepping.py", "_build_reduced", ".toarray",
-     "N×q unit right sides of the lift, block_rows(N) at a time, "
-     "N·q ≤ span·n under the cost rule `_reduces`"),
+     "the r×m input rows B_dae[R] of the condensed form, under the cost "
+     "rule"),
     ("_stepping.py", "_condensed_plans", "numpy.linalg.solve",
      "one r×r pencil I − τλA_r per eigenvalue, with r + m (+ r for BDF2) "
      "right sides, under the cost rule"),

@@ -97,7 +97,7 @@ def test_reduced_run_keeps_the_columns_of_a_full_run(monkeypatch, solid_1mm,
     parts = solid_1mm
     n = parts.system.n
     steps = 2 * block_rows(n) + 37
-    rmap = to_linear_dae(parts.system)._reduced
+    rmap = stepping_map(to_linear_dae(parts.system))[2]
     keep = np.random.default_rng(5).permutation(
         np.concatenate((rmap.cols[::9], rmap.rest[::13], [n - 1])))
     args = (parts.system, parts.z0, parts.u, parts.config.tau,
@@ -140,7 +140,7 @@ def test_full_pencil_systems_never_factor_the_constraint_block(
     calls = spy_splu(monkeypatch)
     traj = simulate(system, z0, u, tau, 2 * tau, "trapezoidal")
     assert traj.stepping_path == "sparse"
-    assert not dae._reduced
+    assert not dae._map[1]
     # the pencil with its ordering trial (and M for index2): n×n only
     assert {shape for shape, *_ in calls} == {(system.n, system.n)}
 
@@ -198,7 +198,8 @@ def test_non_finite_eliminated_state_names_step_and_time(solid_1mm):
     rmap = stepping_map(dae)[2]
     lift = rmap.lift.copy()
     lift[0, 0] = np.inf
-    object.__setattr__(dae, "_reduced", dataclasses.replace(rmap, lift=lift))
+    object.__setattr__(dae, "_map",
+                       (False, dataclasses.replace(rmap, lift=lift)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"step 1 at t = 0\.0: "
