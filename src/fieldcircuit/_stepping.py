@@ -19,10 +19,11 @@ through one sparse LU of C[:, N].  The condensed path steps a system whose
 V (z = V x + G u on x = E_dae[R] z), n×r, stores no more entries than the
 LU factor of any pencil can (`_condenses`) on the ODE ẋ = A_r x + B_r u,
 each pencil a dense r×r I − τλ A_r and a step one product with a
-propagator (`condensed_run`).  The reduced path steps one whose rows R
-touch exactly r columns, K′ = K, on the r×r sparse pencils
-E_dae[R, K] − τλ Ã through `_make_stepper` and rebuilds z_N by a dense
-lift that fits the span buffer (`_reduces`; `sparse_run` with a
+propagator (`condensed_run`).  The reduced path steps one that the rule
+does not condense on the r×r sparse pencils Ẽ − τλ Ã through
+`_make_stepper`, each step carrying the input rate E_dae[R, N]·(Y, δ_N)
+where R touches more than r columns, and rebuilds z_N by a dense lift
+that fits the span buffer (`_reduces`; `sparse_run` with a
 `_ReducedMap`).  Every other system, a singular C[:, N] or Ẽ (index 2 or
 more) included, steps on the full pencils, each an n×n sparse LU
 (`sparse_run`).  On the reduced and the sparse path every solve is
@@ -241,7 +242,8 @@ def _stepping_plans(method: Method, tau: float, u_at, n_steps: int):
     return plans
 
 
-def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
+def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at,
+                  rate=None):
     """Bind the stepping of the grid `times`, factorizing the transpose of
     every pencil up front with the ordering of the system (`_pencil_solver`),
     each kept once, as the CSR arrays of the pencil: per pencil
@@ -261,13 +263,22 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     overflow and invalid-value warnings off: a non-finite value they
     produce reaches `solve`, which reports it.
 
+    With `rate` = ([F Y, F δ_N], v, μ), the input-rate columns of a reduced
+    DAE and the constraint inputs of every step (`_constraint_inputs`), the
+    input matrix is [B_dae F Y F δ_N], and pencil j weighs them at step k
+    by (r_j U_k − s_j v_k)/(τλ_j) − h (v_k − v_{k−1})/τ and
+    s_j μ_k/(τλ_j) + h (μ_k − μ_{k−1})/τ (`_build_reduced`).
+
     Returns march(first, states, z_prev): steps states[1:] from states[0],
     whose step is `first` and whose predecessor is z_prev (read by BDF2).
     """
-    src = np.flatnonzero(np.diff(dae.B_dae.indptr))
-    b_src = dae.B_dae[src]
+    b_dae = dae.B_dae
+    if rate is not None:
+        b_dae = sp.hstack((b_dae, rate[0]), format="csr")
+    src = np.flatnonzero(np.diff(b_dae.indptr))
+    b_src = b_dae[src]
     plans = []
-    for first, _, m, pencils, history, u_nodes in _stepping_plans(
+    for first, stop, m, pencils, history, u_nodes in _stepping_plans(
             method, tau, u_at, len(times) - 1):
         solvers = []
         for lam, row, weight in pencils:
@@ -277,6 +288,10 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
             # a non-finite input surfaces as a non-finite stage solution
             with np.errstate(over="ignore", invalid="ignore"):
                 u_row = row @ u_nodes
+                if rate is not None:
+                    u_row = np.column_stack(
+                        (u_row, *_rate_inputs(lam, row, history, tau, u_row,
+                                              *rate[1:], first, stop)))
             solvers.append((solver, row.sum(), u_row, weight,
                             np.iscomplexobj(weight)))
         plans.append((first, solvers, history / tau))
@@ -320,6 +335,21 @@ def _make_stepper(dae: LinearDae, method: Method, tau: float, times, u_at):
     return march
 
 
+def _rate_inputs(lam, row, history, tau, u_row, v, mu, first, stop):
+    """The weights of the columns F Y and F δ_N of a reduced DAE's input
+    matrix in the pencil (λ, r) of a plan with history h, at its steps
+    first..stop−1 with the weighted inputs u_row = r U_k
+    (`_make_stepper`)."""
+    s, now = row.sum(), slice(first, stop)
+    v_rate = (u_row - s * v[now]) / (tau * lam)
+    mu_rate = s * mu[now] / (tau * lam)
+    if history:
+        back = slice(first - 1, stop - 1)
+        v_rate -= history / tau * (v[now] - v[back])
+        mu_rate += history / tau * (mu[now] - mu[back])
+    return v_rate, mu_rate
+
+
 # blocks of `block_rows` states held between two energy audits (about 8 MB):
 # with spans of one block, interleaved with the steps, the audit of 500
 # steps at n = 4952 took 86 ms against 68 ms with spans of eight
@@ -331,10 +361,10 @@ def sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint,
     """States (the columns `cols`, or all), outputs, dissipated powers and
     H of `simulate` on the sparse path: spans of full states stepped by
     `_make_stepper` and audited by `energy_bookkeeping`.  With the
-    `_ReducedMap` `rmap` (the reduced path) the steps march z_K on the
-    reduced DAE instead, `block_rows` steps at a time, and each block's
-    full states are rebuilt from it (`_rebuilder`) into the span before
-    its audit."""
+    `_ReducedMap` `rmap` (the reduced path) the steps march z_K′ on the
+    reduced DAE instead, with its input-rate columns where it has them,
+    `block_rows` steps at a time, and each block's full states are rebuilt
+    from it (`_rebuilder`) into the span before its audit."""
     p = sys.partition
     n_steps = len(times) - 1
     span = _SPAN_BLOCKS * block_rows(p.n)
@@ -349,8 +379,13 @@ def sparse_run(sys, dae, method, tau, times, u_at, z0, cols, endpoint,
         march = _make_stepper(dae, method, tau, times, u_at)
         z_prev = z0  # the state before the span's first, for BDF2
     else:
-        march = _make_stepper(rmap.dae, method, tau, times, u_at)
-        rebuild = _rebuilder(rmap, method, tau, times, u_at, z0)
+        v, mu, delta = _constraint_inputs(rmap, method, tau, times, u_at, z0)
+        rate = None
+        if rmap.rate is not None:
+            f_delta = sp.csr_array((rmap.rate @ delta)[:, None])
+            rate = sp.hstack((rmap.rate_y, f_delta)), v, mu
+        march = _make_stepper(rmap.dae, method, tau, times, u_at, rate)
+        rebuild = _rebuilder(rmap, method, times, v, mu, delta)
         rows = block_rows(p.n)
         coords = np.empty((min(rows, n_steps) + 1, rmap.cols.size))
         z_prev = coords[0] = z0[rmap.cols]
@@ -417,8 +452,8 @@ def stepping_map(dae: LinearDae):
     with the verdict of `_condenses` it was built under (False for none);
     the rules are evaluated on every call.  The constraint rows (C, D) are
     let go here: on the sparse path they would stay alive next to the
-    pencil factors (0.24 MB on `mixed_ports`).  A DAE whose constraint rows
-    cannot be formed (a singular pivot block) steps sparse, r None."""
+    pencil factors.  A DAE whose constraint rows cannot be formed (a
+    singular pivot block) steps sparse, r None."""
     if dae._rows is None:
         try:
             constraint_basis(dae)
@@ -484,17 +519,22 @@ def _reduces(n: int, eliminated: int, reached: int) -> bool:
 
 @dataclass(frozen=True)
 class _ReducedMap:
-    """The reduced DAE E_dae[R, K] ż_K = Ã z_K + B̃ u of an index-1 system
-    whose independent rows R of E_dae touch exactly r columns K, with
-    Ã = A_dae[R, K] − A_dae[R, N] X and B̃ = B_dae[R] − A_dae[R, N] Y for
-    [X Y] = C[:, N]⁻¹ [C[:, K] D] = −P H (`_build_reduced`); the other
-    states are z_N = P H [z_K; v] + μ δ_N (`_rebuilder`)."""
+    """The reduced DAE Ẽ ż_K′ = Ã z_K′ + B̃ u of an index-1 system on r
+    columns K′ of those its independent rows R of E_dae touch, with
+    Ẽ = E_dae[R, K′] − F X, Ã = A_dae[R, K′] − A_dae[R, N] X and
+    B̃ = B_dae[R] − A_dae[R, N] Y for F = E_dae[R, N] and
+    [X Y] = C[:, N]⁻¹ [C[:, K′] D] = −P H (`_build_reduced`); the other
+    states are z_N = P H [z_K′; v] + μ δ_N (`_rebuilder`).  Where R
+    touches more than r columns, F ≠ 0 and each step carries the input
+    rate F (Y, δ_N) of z_N (`_make_stepper`)."""
 
-    dae: LinearDae          # E_dae[R, K], Ã, B̃: r × r and r × m, sparse
-    cols: np.ndarray        # K
+    dae: LinearDae          # Ẽ, Ã, B̃: r × r and r × m, sparse
+    cols: np.ndarray        # K′
     rest: np.ndarray        # N
     lift: np.ndarray        # P, N × w
     gather: object          # H, w × (r + m), sparse
+    rate: object = None     # F, r × N, sparse; None where F = 0
+    rate_y: object = None   # F Y, r × m, sparse
 
 
 def _placement(c_mat, dependent, is_k):
@@ -543,8 +583,7 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
     dependent rows: the `_CondensedMap` with `condense`, else the
     `_ReducedMap`; None where C[:, N] or Ẽ is singular (`_scaled_lu`;
     index 2 or more), and, factoring nothing, without `condense` where
-    E_dae[R] touches more than r columns K (stranded windings), none is
-    left to eliminate or `_reduces` refuses the lift.
+    none is left to eliminate or `_reduces` refuses the lift.
 
     The constraint rows of every stage pencil E_dae − τλ A_dae are −τλ C,
     so one elimination through C[:, N] serves every λ, τ and method
@@ -553,8 +592,18 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
     a time, on the smaller set of right sides: the unit columns of the q
     rows Q of C and D that reach K′ or the inputs (P = −C[:, N]⁻¹[:, Q],
     H = [C[Q, K′] D[Q]]), or [C[:, K′] D] (P = −[X Y], H = I).  With
-    [Ẽ F] = E_dae[R] Z for Z = [I 0; −X −Y] on the rows (K′, N),
-    [V G] = Z [Ẽ⁻¹ −Ẽ⁻¹F; 0 I]."""
+    F = E_dae[R, N], E_dae[R] Z = [Ẽ −F Y] for Z = [I 0; −X −Y] on the
+    rows (K′, N), and [V G] = Z [Ẽ⁻¹ Ẽ⁻¹F Y; 0 I].
+
+    The reduced DAE holds the rows R of a pencil on z_N = −X z_K′ − Y v +
+    μ δ_N (`_constraint_inputs`).  Where R touches only K′, F = 0 and
+    Ẽ = E_dae[R, K′].  Where it touches more columns (stranded windings,
+    floating capacitor pairs), the C rows of pencil (λ_j, r_j, γ_j) give
+    w_N = −X w_K′ − (Y (r_j U_k − s_j v_k) + s_j μ_k δ_N)/(τλ_j), so F w_N
+    adds the input rate F (Y (r_j U_k − s_j v_k) + s_j μ_k δ_N)/(τλ_j) to
+    its right side, and BDF2's history h E_dae[R] (z − z⁻)/τ adds
+    h F (−Y (v_k − v_{k−1}) + (μ_k − μ_{k−1}) δ_N)/τ (`_make_stepper`); Ẽ
+    is then tested as C[:, N] is."""
     n, m, r = dae.partition.n, dae.partition.m, rows.size
     e_rows = dae.E_dae[rows]
     e_r, e_c, e_v = csr_entries(e_rows)
@@ -562,7 +611,7 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
     is_k[e_c[e_v != 0.0]] = True
     c_rows, c_cols, c_vals = csr_entries(c_mat)
     d_rows, d_cols, d_vals = csr_entries(d_mat)
-    if not condense and (np.count_nonzero(is_k) != r or r == n):
+    if not condense and r == n:
         return None
     at = _placement(c_mat, dependent, is_k)
     if at is None:
@@ -622,7 +671,7 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
     a_rn = csr_from_entries([(a_rows[~on], pos[a_cols[~on]], a_vals[~on])],
                             (r, n - r), like=(dae.A_dae,))
     # A_dae[R, N] P H, on the rows of R that reach N, placed at the
-    # columns [K; the ports] of [Ã B̃]
+    # columns [K′; the ports] of [Ã B̃]
     hit = np.flatnonzero(np.diff(a_rn.indptr))
     prod = (gather.T @ (a_rn[hit] @ lift).T).T
     i, j = np.nonzero(prod)
@@ -631,14 +680,33 @@ def _build_reduced(dae: LinearDae, c_mat, d_mat, rows, dependent,
                              (r, r), like=(dae.A_dae,)) + coupled[:, :r]
     b_red = dae.B_dae[rows] + coupled[:, r:]
     on = e_v != 0.0
+    e_r, e_c, e_v = e_r[on], e_c[on], e_v[on]
+    on = ~is_n[e_c]
     e_red = csr_from_entries([(e_r[on], pos[e_c[on]], e_v[on])], (r, r),
                              like=(dae.E_dae,))
+    rate = rate_y = None
+    if not on.all():
+        # F = E_dae[R, N]: Ẽ = E_dae[R, K′] + (F P H)[:, K′] and
+        # F Y = −(F P H)[:, the ports], as for A_dae; each product is
+        # formed inline: freeing A_dae's temporaries before Ã is stored
+        # split the heap, and repeated runs of the 0.5 mm solid core
+        # peaked 11 MB higher
+        rate = csr_from_entries([(e_r[~on], pos[e_c[~on]], e_v[~on])],
+                                (r, n - r), like=(dae.E_dae,))
+        hit = np.flatnonzero(np.diff(rate.indptr))
+        prod = (gather.T @ (rate[hit] @ lift).T).T
+        i, j = np.nonzero(prod)
+        coupled = sp.csr_array((prod[i, j], (hit[i], j)), shape=(r, r + m))
+        e_red = e_red + coupled[:, :r]
+        rate_y = -coupled[:, r:]
+        if _scaled_lu(e_red, f"reduced E_dae ({r} x {r})") is None:
+            return None
     p = dae.partition
     blocks = np.bincount(np.searchsorted([p.n1, p.n1 + p.n2], cols,
                                          side="right"), minlength=3)
     return _ReducedMap(
         LinearDae(e_red, a_red, b_red, Partition(*map(int, blocks), m)),
-        cols, rest, lift, gather)
+        cols, rest, lift, gather, rate, rate_y)
 
 
 def _input_recursion(pencils, u_nodes):
@@ -648,7 +716,8 @@ def _input_recursion(pencils, u_nodes):
     g_k = Σ_j Re (γ_j/λ_j) r_j U_k and R∞ = 1 − Σ_j Re γ_j s_j/λ_j: the C
     rows of the pencil (λ_j, r_j, γ_j) are −τλ_j C, so C w_j =
     −(s_j C z + D r_j U_k)/(τλ_j).  The condensed path steps (v, μ) in ξ,
-    and the reduced path rebuilds z_N from them."""
+    and the reduced path forms its input rate and rebuilds z_N from them
+    (`_constraint_inputs`)."""
     r_inf = 1.0
     g = np.zeros((len(u_nodes), u_nodes.shape[2]))
     for lam, row, weight in pencils:
@@ -657,25 +726,19 @@ def _input_recursion(pencils, u_nodes):
     return r_inf, g
 
 
-def _rebuilder(rmap: _ReducedMap, method: Method, tau: float, times, u_at,
-               z0):
-    """rebuild(first, z_k, states): write the full states after steps
-    first + 1.. into the rows 1.. of `states`, from the rows 1.. of z_k, at
-    most `block_rows(n)` of them: z_K, and z_N = P H [z_K; v_k] + μ_k δ_N,
-    with (v_k, μ_k) stepped from (u(0), 1) by `_input_recursion` and
-    δ_N = z0_N − P H [z0_K; u(0)], what of z0 is not consistent (round-off
-    after `consistent_init`).  Since C z_k = −D v_k + μ_k C[:, N] δ_N, and
-    z_K of the reduced steps is that of the full pencils to round-off, so
-    are the states.  A non-finite z_N, from an input that only the
-    eliminated states read, raises NumericalError naming the step and its
-    time; the products are taken with numpy's overflow and invalid-value
-    warnings off, as the steps are."""
-    n_steps = len(times) - 1
+def _constraint_inputs(rmap: _ReducedMap, method: Method, tau: float, times,
+                       u_at, z0):
+    """(v, μ, δ_N) of a reduced run from z0: the constraint rows of step k
+    are C z_k = −D v_k + μ_k C[:, N] δ_N, with (v_k, μ_k) stepped from
+    (u(0), 1) by `_input_recursion` and δ_N = z0_N − P H [z0_K′; u(0)],
+    what of z0 is not consistent (round-off after `consistent_init`),
+    formed with numpy's overflow and invalid-value warnings off, as the
+    steps are."""
+    n_steps, r = len(times) - 1, rmap.cols.size
+    gather_k, gather_v = rmap.gather[:, :r], rmap.gather[:, r:]
     v = np.empty((n_steps + 1, rmap.dae.partition.m))
     mu = np.empty(n_steps + 1)
     v[0], mu[0] = u_at(0.0, 0, 1)[0], 1.0
-    cols, rest, lift, r = rmap.cols, rmap.rest, rmap.lift, rmap.cols.size
-    gather_k, gather_v = rmap.gather[:, :r], rmap.gather[:, r:]
     with np.errstate(over="ignore", invalid="ignore"):
         for first, stop, _, pencils, _, u_nodes in _stepping_plans(
                 method, tau, u_at, n_steps):
@@ -683,7 +746,24 @@ def _rebuilder(rmap: _ReducedMap, method: Method, tau: float, times, u_at,
             for k in range(first, stop):
                 v[k + 1] = r_inf * v[k] + g[k - first]
                 mu[k + 1] = r_inf * mu[k]
-        delta = z0[rest] - lift @ (gather_k @ z0[cols] + gather_v @ v[0])
+        delta = z0[rmap.rest] - rmap.lift @ (gather_k @ z0[rmap.cols]
+                                             + gather_v @ v[0])
+    return v, mu, delta
+
+
+def _rebuilder(rmap: _ReducedMap, method: Method, times, v, mu, delta):
+    """rebuild(first, z_k, states): write the full states after steps
+    first + 1.. into the rows 1.. of `states`, from the rows 1.. of z_k, at
+    most `block_rows(n)` of them: z_K′, and z_N = P H [z_K′; v_k] + μ_k δ_N
+    with the (v, μ, δ_N) of `_constraint_inputs`.  Since
+    C z_k = −D v_k + μ_k C[:, N] δ_N, and z_K′ of the reduced steps is that
+    of the full pencils to round-off, so are the states.  A non-finite
+    z_N, from an input that only the eliminated states read, raises
+    NumericalError naming the step and its time; the products are taken
+    with numpy's overflow and invalid-value warnings off, as the steps
+    are."""
+    cols, rest, lift, r = rmap.cols, rmap.rest, rmap.lift, rmap.cols.size
+    gather_k, gather_v = rmap.gather[:, :r], rmap.gather[:, r:]
 
     def rebuild(first, z_k, states):
         k = len(z_k) - 1

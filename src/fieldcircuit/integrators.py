@@ -184,10 +184,11 @@ def simulate(sys: EnergySystem, z0: np.ndarray, u, tau: float, t_end: float,
     condensed path takes an index-1 system with few differential
     coordinates and steps them with r×r propagators, the input terms of
     the whole grid formed up front, and audits the coordinates only
-    (`condensed_run`).  The reduced path takes one that is not condensed,
-    with K′ = K: it solves r×r sparse pencils on z_K, rebuilds the other
-    states from z_K with a dense lift and audits the full states, one span
-    at a time (`sparse_run`).  The sparse path takes every other system,
+    (`condensed_run`).  The reduced path takes one that is not condensed:
+    it solves r×r sparse pencils on z_K′, carrying the input rate of the
+    eliminated states where the rows touch more than r columns, rebuilds
+    the other states from z_K′ with a dense lift and audits the full
+    states, one span at a time (`sparse_run`).  The sparse path takes every other system,
     a singular C[:, N] (index 2 or more) included, and solves n×n pencils
     one span of states at a time, then audits the span from its full
     states (`sparse_run`).  On the reduced and the sparse path every stage

@@ -190,9 +190,9 @@ def corpus_system(path, models):
 
 
 # the netlists the cost rule condenses with the models of `port_models`
-# (n·r ≤ nnz(A_dae) + n, and M nonsingular); of the others cauer_ladder
-# (n·r = 35 > 22) steps reduced, and mixed_ports (160 > 97), whose rows R
-# of E_dae touch more columns than r, on the full pencils
+# (n·r ≤ nnz(A_dae) + n, and M nonsingular); the others step reduced:
+# cauer_ladder (n·r = 35 > 22) and mixed_ports (160 > 97), whose rows R of
+# E_dae touch more columns than r
 CONDENSED_CORPUS = (
     "bridge_rectifier_rc", "comment_styles", "current_divider", "dc_block",
     "foil_port", "grid_3x3", "lc_tank", "method_bdf2", "method_euler",
@@ -241,18 +241,19 @@ CORPUS_R = {
     "tee_attenuator": 0, "transformer_columns": 2, "twin_t_notch": 3,
     "voltage_divider": 0, "wheatstone": 0}
 BENCH_MODEL_R = {"foil_port": 173, "mixed_ports": 348, "solid_port": 173}
-# the systems the cost rule does not condense: mixed_ports has more
-# columns in K than r (415 > 348), and steps on the full pencils
+# the systems the cost rule does not condense, all reduced: mixed_ports
+# has more columns in K than r (415 > 348) and carries the input rate
 BENCH_MODEL_PATHS = {"cauer_ladder": "reduced", "foil_port": "reduced",
-                     "mixed_ports": "sparse", "solid_port": "reduced"}
-PORT_MODEL_PATHS = {"cauer_ladder": "reduced", "mixed_ports": "sparse"}
-# the conductive-core stranded oscillator has more columns in K than r,
-# and the solid core at 0.25 mm a lift over the budget of `_reduces`
+                     "mixed_ports": "reduced", "solid_port": "reduced"}
+PORT_MODEL_PATHS = {"cauer_ladder": "reduced", "mixed_ports": "reduced"}
+# the conductive-core stranded oscillator has more columns in K than r
+# (174 > 107) and steps reduced with the input rate; the solid core at
+# 0.25 mm has a lift over the budget of `_reduces`
 OSCILLATOR_PATHS = {
     "stranded-1mm": (dict(mesh_h=1e-3), "condensed", 2),
     "stranded-0.4mm": (dict(mesh_h=0.4e-3), "condensed", 2),
     "stranded-core-1mm": (dict(core_conductive=True, mesh_h=1e-3),
-                          "sparse", 107),
+                          "reduced", 107),
     "solid-core-1mm": (dict(conductor_kind="solid", core_conductive=True,
                             mesh_h=1e-3), "reduced", 174),
     "solid-core-0.5mm": (dict(conductor_kind="solid", core_conductive=True,
@@ -324,7 +325,7 @@ def test_condensed_audit_is_the_audit_of_its_states(monkeypatch, method):
 
 def assert_map_is_the_stacked_solve(dae):
     """V, G, A_r and B_r of the condensed map equal, to round-off, those of
-    a dense solve with M stacked as [E_dae[R]; C], unscaled: the
+    a sparse LU solve with M stacked as [E_dae[R]; C], unscaled: the
     elimination through the placed, scaled and transposed factor of
     C[:, N] changes nothing but round-off.  A column
     of [V G] = M⁻¹ [I 0; 0 −D] is measured against the larger of its own
@@ -345,7 +346,8 @@ def assert_map_is_the_stacked_solve(dae):
     rhs = np.zeros((n, r + m))
     rhs[:r, :r] = np.eye(r)
     rhs[r:, r:] = -d_mat.toarray()
-    sol = np.linalg.solve(sp.vstack((dae.E_dae[rows], c_mat)).toarray(), rhs)
+    stacked = sp.csc_matrix(sp.vstack((dae.E_dae[rows], c_mat)))
+    sol = spla.splu(stacked).solve(rhs)
     rhs_max = np.abs(rhs).max(axis=0, initial=0.0)
     sol_max = np.abs(sol).max(axis=0, initial=0.0)
     gain = (sol_max[rhs_max > 0] / rhs_max[rhs_max > 0]).max(initial=0.0)
